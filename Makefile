@@ -5,8 +5,10 @@
 # call sites) is only considered healthy when -race passes clean; plain
 # `go test ./...` cannot see scheduling bugs. The generous -timeout exists
 # because the race detector runs the full E1 pipeline, the power curves, and
-# the cached-suite golden replays on whatever cores CI offers — on a
-# single-core box the experiments package alone is CPU-bound for >30m.
+# the cached-suite golden replays on whatever cores CI offers. On a 2-vCPU
+# Xeon VM, `go test -race ./internal/experiments` took 1713 s when every
+# forced contrast recomputed the whole internet and 958 s once forced
+# contrasts became what-if queries that converge one destination.
 
 GO ?= go
 

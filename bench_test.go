@@ -15,6 +15,7 @@ import (
 	"sisyphus/internal/experiments"
 	"sisyphus/internal/mathx"
 	"sisyphus/internal/netsim/bgp"
+	"sisyphus/internal/netsim/engine"
 	"sisyphus/internal/netsim/scenario"
 	"sisyphus/internal/netsim/topo"
 	"sisyphus/internal/parallel"
@@ -37,10 +38,11 @@ func BenchmarkTable1IXPStudy(b *testing.B) {
 }
 
 // BenchmarkConfounderAdjustment regenerates the §3 running example
-// (naive vs stratified vs regression vs IPW vs ground truth).
+// (naive vs stratified vs regression vs IPW vs ground truth) at its
+// registered default horizon.
 func BenchmarkConfounderAdjustment(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunConfounding(context.Background(), parallel.Pool{}, uint64(i), experiments.WorldOptions{Hours: 400}); err != nil {
+		if _, err := experiments.RunConfounding(context.Background(), parallel.Pool{}, uint64(i), experiments.WorldOptions{Hours: 1500}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -73,10 +75,11 @@ func BenchmarkMLabRandomization(b *testing.B) {
 	}
 }
 
-// BenchmarkInstrumentalVariable regenerates the valid/invalid IV contrast.
+// BenchmarkInstrumentalVariable regenerates the valid/invalid IV contrast
+// at its registered default horizon.
 func BenchmarkInstrumentalVariable(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunInstrument(context.Background(), parallel.Pool{}, uint64(i), experiments.WorldOptions{Hours: 500}); err != nil {
+		if _, err := experiments.RunInstrument(context.Background(), parallel.Pool{}, uint64(i), experiments.WorldOptions{Hours: 2000}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -510,6 +513,45 @@ func BenchmarkAblationIncrementalBGP(b *testing.B) {
 	})
 }
 
+// BenchmarkAblationWhatIfRouting compares the two ways to answer a forced
+// contrast on the southafrica world — "what would AS3741's path to the
+// content AS be with Transit-A de-preffed?": editing the live policy and
+// recomputing every destination (then again after the restore), against
+// PerfToASWith converging only the measured destination on a policy clone.
+func BenchmarkAblationWhatIfRouting(b *testing.B) {
+	s, err := scenario.BuildSouthAfrica()
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := engine.New(s.Topo, 1, engine.Config{})
+	src, err := s.Topo.FindPoP(3741, "East London")
+	if err != nil {
+		b.Fatal(err)
+	}
+	avoidA := func(p *bgp.Policy) { p.SetLocalPref(3741, scenario.ZATransitA, 10) }
+	b.Run("recompute", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			avoidA(e.Policy)
+			e.MarkDirtyFamily(engine.V4)
+			if _, err := e.PerfToAS(src, scenario.BigContent); err != nil {
+				b.Fatal(err)
+			}
+			e.Policy.ClearLocalPref(3741, scenario.ZATransitA)
+			e.MarkDirtyFamily(engine.V4)
+			if _, err := e.RIB(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("whatif", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := e.PerfToASWith(src, scenario.BigContent, avoidA); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // --- Microbenchmarks for the core primitives ---
 
 func BenchmarkDSeparation(b *testing.B) {
@@ -560,10 +602,11 @@ func BenchmarkRootCauseReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkFamilyToggleIV regenerates the §4 IPv4/IPv6 knob experiment.
+// BenchmarkFamilyToggleIV regenerates the §4 IPv4/IPv6 knob experiment at
+// its registered default horizon.
 func BenchmarkFamilyToggleIV(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFamilyKnob(context.Background(), parallel.Pool{}, uint64(i), experiments.WorldOptions{Hours: 400}); err != nil {
+		if _, err := experiments.RunFamilyKnob(context.Background(), parallel.Pool{}, uint64(i), experiments.WorldOptions{Hours: 1500}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,8 +14,10 @@ import (
 	"sisyphus"
 	"sisyphus/internal/causal/data"
 	"sisyphus/internal/mathx"
+	"sisyphus/internal/netsim/bgp"
 	"sisyphus/internal/netsim/engine"
 	"sisyphus/internal/netsim/scenario"
+	"sisyphus/internal/netsim/topo"
 	"sisyphus/internal/netsim/traffic"
 )
 
@@ -67,16 +69,24 @@ func main() {
 			log.Fatal(err)
 		}
 		// Occasionally force each route (the exogenous knob), otherwise
-		// observe whatever the adaptive controller chose.
+		// observe whatever the adaptive controller chose. A forcing is a
+		// what-if on a copy of the policy, so it never edits the engine's
+		// own routing state.
+		var avoid topo.ASN
 		switch {
 		case flip.Bernoulli(0.2):
-			e.Policy.SetLocalPref(3741, scenario.ZATransitA, 10)
-			e.MarkDirty()
+			avoid = scenario.ZATransitA
 		case flip.Bernoulli(0.25):
-			e.Policy.SetLocalPref(3741, scenario.ZATransitB, 10)
-			e.MarkDirty()
+			avoid = scenario.ZATransitB
 		}
-		perf, err := e.PerfToAS(src, scenario.BigContent)
+		var perf *engine.PathPerf
+		if avoid != 0 {
+			perf, err = e.PerfToASWith(src, scenario.BigContent, func(p *bgp.Policy) {
+				p.SetLocalPref(3741, avoid, 10)
+			})
+		} else {
+			perf, err = e.PerfToAS(src, scenario.BigContent)
+		}
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -89,10 +99,15 @@ func main() {
 		cCol = append(cCol, e.Utilization(primary))
 		rCol = append(rCol, onAlt)
 		lCol = append(lCol, perf.RTTms)
-		// Clear the one-hour forcings.
-		e.Policy.ClearLocalPref(3741, scenario.ZATransitA)
-		e.Policy.ClearLocalPref(3741, scenario.ZATransitB)
-		e.MarkDirty()
+		// Every hour ends with AS3741's transit preferences reset, so an
+		// adaptive shift away from a congested transit is observed for
+		// the hour it fires only. The reset edits the factual v4 policy,
+		// so it marks v4 routing dirty — only when there was an override.
+		if len(e.Policy.LocalPref[3741]) > 0 {
+			e.Policy.ClearLocalPref(3741, scenario.ZATransitA)
+			e.Policy.ClearLocalPref(3741, scenario.ZATransitB)
+			e.MarkDirtyFamily(engine.V4)
+		}
 	}
 	frame, err := data.FromColumns(map[string][]float64{"C": cCol, "R": rCol, "L": lCol})
 	if err != nil {

@@ -213,51 +213,23 @@ func confoundingScenario(ctx context.Context, pool parallel.Pool, scenarioID str
 }
 
 // observeForced measures the eyeball's performance with the given transit
-// avoided for one instant, restoring the policy afterwards.
+// avoided for one instant: a what-if on a policy clone, so the factual
+// policy and routes are never touched.
 func observeForced(e *engine.Engine, cast scenario.EyeballCast, dst topo.ASN, src topo.PoPID, avoid topo.ASN) (*engine.PathPerf, error) {
-	asn := cast.ASN
-	restore := savePrefs(e, asn, cast)
-	defer restore()
 	other := cast.Primary
 	if avoid == cast.Primary {
 		other = cast.Alternate
 	}
-	e.Policy.SetLocalPref(asn, avoid, 10)
-	e.Policy.SetLocalPref(asn, other, bgp.PrefProvider)
-	e.MarkDirty()
-	return e.PerfToAS(src, dst)
-}
-
-// savePrefs snapshots AS a's local-pref overrides toward the two transits
-// and returns a restore function.
-func savePrefs(e *engine.Engine, asn topo.ASN, cast scenario.EyeballCast) func() {
-	saved := map[topo.ASN]*int{}
-	for _, n := range []topo.ASN{cast.Primary, cast.Alternate} {
-		if m := e.Policy.LocalPref[asn]; m != nil {
-			if v, ok := m[n]; ok {
-				vv := v
-				saved[n] = &vv
-				continue
-			}
-		}
-		saved[n] = nil
-	}
-	return func() {
-		for n, v := range saved {
-			if v == nil {
-				e.Policy.ClearLocalPref(asn, n)
-			} else {
-				e.Policy.SetLocalPref(asn, n, *v)
-			}
-		}
-		e.MarkDirty()
-	}
+	return e.PerfToASWith(src, dst, func(p *bgp.Policy) {
+		p.SetLocalPref(cast.ASN, avoid, 10)
+		p.SetLocalPref(cast.ASN, other, bgp.PrefProvider)
+	})
 }
 
 // forcedContrast pins the eyeball's egress to each transit in turn and
 // measures the true RTT under identical conditions: the do(R = alt) and
-// do(R = primary) outcomes at this instant. Policy overrides are restored
-// afterwards so the factual trajectory is untouched.
+// do(R = primary) outcomes at this instant. Both are what-ifs, so the
+// factual trajectory is untouched.
 func forcedContrast(e *engine.Engine, cast scenario.EyeballCast, dst topo.ASN, src topo.PoPID) (viaAlt, viaPrimary float64, err error) {
 	a, err := observeForced(e, cast, dst, src, cast.Primary) // avoid primary → via alt
 	if err != nil {

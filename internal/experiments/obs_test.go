@@ -292,3 +292,29 @@ func BenchmarkRecorderOverhead(b *testing.B) {
 		}
 	})
 }
+
+// TestForcedContrastRoutingWorkBound keeps forced contrasts on the what-if
+// path. At 100 hours each experiment converges ~300 BGP destinations; the
+// old recompute-everything path converged 7,584 (instrument) to 11,072
+// (confounding), over 7× the bound.
+const forcedContrastDestBound = 1000
+
+func TestForcedContrastRoutingWorkBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs three experiments")
+	}
+	rec := obs.NewRecorder()
+	ctx := obs.With(context.Background(), rec)
+	for _, id := range []string{"confounding", "instrument", "familyknob"} {
+		e, err := Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run(ctx, Config{Seed: 42, Opts: WorldOptions{Hours: 100}}); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if got := rec.Metrics()[id]["bgp.destinations"]; got > forcedContrastDestBound {
+			t.Errorf("%s converged %.0f BGP destinations at 100h, bound %d: forced contrasts recompute the internet again", id, got, forcedContrastDestBound)
+		}
+	}
+}

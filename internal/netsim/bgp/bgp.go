@@ -167,38 +167,64 @@ func (r *RIB) ASPath(a, dest topo.ASN) ([]topo.ASN, error) {
 const maxSweeps = 200
 
 // Compute converges routing for every destination AS under the policy
-// (nil means default policy).
-//
-// Destinations are independent fixed-point problems over read-only inputs
-// (topology, relationships, policy), so they fan out across pool;
-// per-destination tables come back in AS order and are assembled into the
-// RIB sequentially, making the result identical to the sequential loop.
-// Cancelling ctx stops scheduling further destinations and returns ctx.Err();
-// the pool is retained by the RIB for incremental recomputation.
+// (nil means default policy). It is ComputeDests over every AS in
+// topology order.
 func Compute(ctx context.Context, pool parallel.Pool, t *topo.Topology, pol *Policy) (*RIB, error) {
+	ases := t.ASes()
+	dests := make([]topo.ASN, len(ases))
+	for i, as := range ases {
+		dests[i] = as.ASN
+	}
+	return ComputeDests(ctx, pool, t, pol, dests)
+}
+
+// ComputeDests converges routing toward the listed destination ASes only
+// (nil policy means default policy). The returned RIB holds tables for
+// exactly those destinations; Lookup toward any other destination reports
+// no route. Because each destination's fixed point depends only on the
+// topology, relationships and policy, every listed table equals the one a
+// full Compute under the same policy would build — which is what lets a
+// what-if question about one destination skip the rest of the internet.
+//
+// Destinations fan out across pool; tables come back in list order and are
+// assembled sequentially, so the result is identical to the sequential
+// loop. Cancelling ctx stops scheduling further destinations and returns
+// ctx.Err(); the pool is retained by the RIB for incremental recomputation.
+// A destination that is not in the topology, or is listed twice, is an
+// error.
+func ComputeDests(ctx context.Context, pool parallel.Pool, t *topo.Topology, pol *Policy, dests []topo.ASN) (*RIB, error) {
 	if pol == nil {
 		pol = NewPolicy()
+	}
+	seen := make(map[topo.ASN]bool, len(dests))
+	for _, d := range dests {
+		if _, err := t.AS(d); err != nil {
+			return nil, fmt.Errorf("bgp: destination: %w", err)
+		}
+		if seen[d] {
+			return nil, fmt.Errorf("bgp: destination AS%d listed twice", d)
+		}
+		seen[d] = true
 	}
 	rel, err := relationshipsUnderPolicy(t, pol)
 	if err != nil {
 		return nil, err
 	}
-	rib := &RIB{Topo: t, Rel: rel, best: make(map[topo.ASN]map[topo.ASN]*Route), policy: pol, pool: pool}
-	ases := t.ASes()
-	tables, err := parallel.Map(ctx, pool, len(ases), func(i int) (destTable, error) {
-		return computeDest(t, rel, pol, ases[i].ASN)
+	rib := &RIB{Topo: t, Rel: rel, best: make(map[topo.ASN]map[topo.ASN]*Route, len(dests)), policy: pol, pool: pool}
+	tables, err := parallel.Map(ctx, pool, len(dests), func(i int) (destTable, error) {
+		return computeDest(t, rel, pol, dests[i])
 	})
 	if err != nil {
 		return nil, err
 	}
 	var sweeps int64
 	for i, tbl := range tables {
-		rib.best[ases[i].ASN] = tbl.best
+		rib.best[dests[i]] = tbl.best
 		sweeps += int64(tbl.sweeps)
 	}
 	// Fixed-point effort accounting (no-op without a recorder on ctx): how
 	// many destinations converged and how many sweeps that took in total.
-	obs.Add(ctx, "bgp.destinations", int64(len(ases)))
+	obs.Add(ctx, "bgp.destinations", int64(len(dests)))
 	obs.Add(ctx, "bgp.sweeps", sweeps)
 	return rib, nil
 }

@@ -173,7 +173,10 @@ func (e *Engine) RIB() (*bgp.RIB, error) {
 
 // MarkDirty forces a routing recomputation on next use (call after mutating
 // the topology or policy outside the event system). Topology changes affect
-// both address families.
+// both address families; after a v4-only policy edit, MarkDirtyFamily(V4)
+// keeps the v6 routes. A what-if question ("what would this path be under
+// that policy?") needs neither: PerfToASWith answers it without touching
+// the factual policy or routes.
 func (e *Engine) MarkDirty() { e.dirty = true; e.dirty6 = true }
 
 // Step advances simulated time by StepHours: fires due events, then applies

@@ -23,8 +23,6 @@ const (
 	V6 Family = 6
 )
 
-func (f Family) valid() bool { return f == V4 || f == V6 }
-
 // PolicyFamily returns the routing policy for the family; V6 policy is
 // created lazily (initially empty, i.e. default preferences).
 func (e *Engine) PolicyFamily(f Family) (*bgp.Policy, error) {
@@ -78,18 +76,11 @@ func (e *Engine) MarkDirtyFamily(f Family) {
 // family's routes. Link-level conditions (utilization, delay) are shared
 // between families; only the chosen path differs.
 func (e *Engine) PerfFamily(src, dst topo.PoPID, f Family) (*PathPerf, error) {
-	if !f.valid() {
-		return nil, fmt.Errorf("engine: unknown family %d", f)
-	}
 	rib, err := e.RIBFamily(f)
 	if err != nil {
 		return nil, err
 	}
-	p, err := rib.Forward(src, dst)
-	if err != nil {
-		return nil, err
-	}
-	return e.perfAlong(p), nil
+	return e.perfOn(rib, src, dst)
 }
 
 // PerfToASFamily is PerfToAS over the given family.
@@ -98,9 +89,5 @@ func (e *Engine) PerfToASFamily(src topo.PoPID, asn topo.ASN, f Family) (*PathPe
 	if err != nil {
 		return nil, err
 	}
-	dst, err := rib.NearestPoP(src, asn)
-	if err != nil {
-		return nil, err
-	}
-	return e.PerfFamily(src, dst, f)
+	return e.perfToASOn(rib, src, asn)
 }

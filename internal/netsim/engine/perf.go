@@ -31,11 +31,7 @@ func (e *Engine) Perf(src, dst topo.PoPID) (*PathPerf, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := rib.Forward(src, dst)
-	if err != nil {
-		return nil, err
-	}
-	return e.perfAlong(p), nil
+	return e.perfOn(rib, src, dst)
 }
 
 // PerfToAS computes performance from a PoP to the nearest PoP of an AS
@@ -45,11 +41,42 @@ func (e *Engine) PerfToAS(src topo.PoPID, asn topo.ASN) (*PathPerf, error) {
 	if err != nil {
 		return nil, err
 	}
+	return e.perfToASOn(rib, src, asn)
+}
+
+// PerfToASWith answers a what-if routing question: the PathPerf PerfToAS
+// would return right now if edit were applied to the v4 policy. edit runs
+// on a clone of the policy, and only asn is converged under it — forwarding
+// from src to asn reads nothing but routes toward asn, so one fixed point
+// answers the question exactly. The factual state is left alone: the
+// engine's policies, RIBs and dirty flags are untouched, so the next
+// factual query pays for no recompute.
+func (e *Engine) PerfToASWith(src topo.PoPID, asn topo.ASN, edit func(*bgp.Policy)) (*PathPerf, error) {
+	pol := e.Policy.Clone()
+	edit(pol)
+	rib, err := bgp.ComputeDests(e.ctx, e.cfg.Pool, e.Topo, pol, []topo.ASN{asn})
+	if err != nil {
+		return nil, err
+	}
+	return e.perfToASOn(rib, src, asn)
+}
+
+// perfToASOn is PerfToAS over a given RIB.
+func (e *Engine) perfToASOn(rib *bgp.RIB, src topo.PoPID, asn topo.ASN) (*PathPerf, error) {
 	dst, err := rib.NearestPoP(src, asn)
 	if err != nil {
 		return nil, err
 	}
-	return e.Perf(src, dst)
+	return e.perfOn(rib, src, dst)
+}
+
+// perfOn is Perf over a given RIB.
+func (e *Engine) perfOn(rib *bgp.RIB, src, dst topo.PoPID) (*PathPerf, error) {
+	p, err := rib.Forward(src, dst)
+	if err != nil {
+		return nil, err
+	}
+	return e.perfAlong(p), nil
 }
 
 func (e *Engine) perfAlong(p *bgp.Path) *PathPerf {

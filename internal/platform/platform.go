@@ -135,39 +135,12 @@ func (k *Knobs) RotateResolver(candidates []topo.ASN) topo.ASN {
 }
 
 // ForceUpstream pins an access AS's egress to one provider by local-pref
-// override (the PEERING-style announcement control). Returns a release
-// function restoring the default. The variation is exogenous because the
+// override (the PEERING-style announcement control) on the v4 plane; the
+// v6 routes are left converged. Returns a release function restoring the
+// default. The variation is exogenous because the
 // caller decides when to flip it (e.g. on a coin toss), not the network.
 func (k *Knobs) ForceUpstream(asn, provider topo.ASN) (release func(), err error) {
-	rel, err := k.pr.Engine.Topo.Relationships()
-	if err != nil {
-		return nil, err
-	}
-	found := false
-	var others []topo.ASN
-	for n, kind := range rel.Rel[asn] {
-		if kind != topo.RelCustomer {
-			continue
-		}
-		if n == provider {
-			found = true
-		} else {
-			others = append(others, n)
-		}
-	}
-	if !found {
-		return nil, fmt.Errorf("platform: AS%d is not a provider of AS%d", provider, asn)
-	}
-	for _, n := range others {
-		k.pr.Engine.Policy.SetLocalPref(asn, n, 10)
-	}
-	k.pr.Engine.MarkDirty()
-	return func() {
-		for _, n := range others {
-			k.pr.Engine.Policy.ClearLocalPref(asn, n)
-		}
-		k.pr.Engine.MarkDirty()
-	}, nil
+	return k.ForceUpstreamFamily(engine.V4, asn, provider)
 }
 
 // CoinFlip returns true with probability 0.5 from the knob RNG — the

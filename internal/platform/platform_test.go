@@ -268,6 +268,13 @@ func TestKnobsForceUpstream(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The knob edits only the v4 policy, so the converged v6 routes must
+	// survive both the forcing and its release without a recompute.
+	rib6, err := e.RIBFamily(engine.V6)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	// 3741 is multihomed to Transit-A and Transit-B. Force each and check
 	// the AS path follows the knob.
 	release, err := k.ForceUpstream(3741, scenario.ZATransitA)
@@ -282,10 +289,16 @@ func TestKnobsForceUpstream(t *testing.T) {
 	if path[1] != scenario.ZATransitA {
 		t.Fatalf("forced path = %v", path)
 	}
+	if got, _ := e.RIBFamily(engine.V6); got != rib6 {
+		t.Fatal("forcing the v4 upstream recomputed the v6 RIB")
+	}
 	release()
 	rib2, _ := e.RIB()
 	if _, err := rib2.ASPath(3741, scenario.BigContent); err != nil {
 		t.Fatal(err)
+	}
+	if got, _ := e.RIBFamily(engine.V6); got != rib6 {
+		t.Fatal("releasing the v4 upstream recomputed the v6 RIB")
 	}
 	// Unknown provider rejected.
 	if _, err := k.ForceUpstream(3741, 9999); err == nil {
