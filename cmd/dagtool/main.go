@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -20,86 +21,89 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// run is the whole command over explicit streams; it returns the exit code.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dagtool", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		graphText = flag.String("graph", "", "DAG in text syntax (reads stdin if empty)")
-		effect    = flag.String("effect", "", "treatment,outcome pair")
-		dot       = flag.Bool("dot", false, "print Graphviz DOT and exit")
-		blanket   = flag.String("markov-blanket", "", "print the Markov blanket of a node")
+		graphText = fs.String("graph", "", "DAG in text syntax (reads stdin if empty)")
+		effect    = fs.String("effect", "", "treatment,outcome pair")
+		dot       = fs.Bool("dot", false, "print Graphviz DOT and exit")
+		blanket   = fs.String("markov-blanket", "", "print the Markov blanket of a node")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	text := *graphText
 	if text == "" {
-		b, err := io.ReadAll(os.Stdin)
+		b, err := io.ReadAll(stdin)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dagtool:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "dagtool:", err)
+			return 1
 		}
 		text = string(b)
 	}
 	g, err := dag.Parse(text)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dagtool:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "dagtool:", err)
+		return 1
 	}
 	if *dot {
-		fmt.Print(g.DOT())
-		return
+		fmt.Fprint(stdout, g.DOT())
+		return 0
 	}
 
-	fmt.Printf("nodes: %v\n", g.Nodes())
-	fmt.Printf("edges: %v\n", g.Edges())
+	fmt.Fprintf(stdout, "nodes: %v\n", g.Nodes())
+	fmt.Fprintf(stdout, "edges: %v\n", g.Edges())
 	if cis := g.ImpliedIndependencies(); len(cis) > 0 {
-		fmt.Println("testable implications:")
+		fmt.Fprintln(stdout, "testable implications:")
 		for _, ci := range cis {
-			fmt.Printf("  %s\n", ci)
+			fmt.Fprintf(stdout, "  %s\n", ci)
 		}
 	}
 	if cols := g.Colliders(); len(cols) > 0 {
-		fmt.Println("colliders (do not condition on these without care):")
+		fmt.Fprintln(stdout, "colliders (do not condition on these without care):")
 		for _, c := range cols {
-			fmt.Printf("  %s -> %s <- %s\n", c.Left, c.Mid, c.Right)
+			fmt.Fprintf(stdout, "  %s -> %s <- %s\n", c.Left, c.Mid, c.Right)
 		}
 	}
 
 	if *blanket != "" {
-		fmt.Printf("markov blanket of %s: %v\n", *blanket, g.MarkovBlanket(*blanket))
+		fmt.Fprintf(stdout, "markov blanket of %s: %v\n", *blanket, g.MarkovBlanket(*blanket))
 	}
 	if *effect == "" {
-		return
+		return 0
 	}
 	parts := strings.Split(*effect, ",")
 	if len(parts) != 2 {
-		fmt.Fprintln(os.Stderr, "dagtool: -effect wants 'treatment,outcome'")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "dagtool: -effect wants 'treatment,outcome'")
+		return 2
 	}
-	x, y := strings.TrimSpace(parts[0]), strings.TrimSpace(parts[1])
-	fmt.Printf("\neffect: %s -> %s\n", x, y)
-	fmt.Println("backdoor paths:")
-	for _, p := range g.BackdoorPaths(x, y) {
-		fmt.Printf("  %s\n", p)
+	id := g.Identify(strings.TrimSpace(parts[0]), strings.TrimSpace(parts[1]))
+	fmt.Fprintf(stdout, "\neffect: %s -> %s\n", id.Treatment, id.Outcome)
+	fmt.Fprintln(stdout, "backdoor paths:")
+	for _, p := range id.BackdoorPaths {
+		fmt.Fprintf(stdout, "  %s\n", p)
 	}
-	if sets, err := g.MinimalAdjustmentSets(x, y); err == nil {
-		fmt.Printf("minimal adjustment sets: %v\n", sets)
+	if id.AdjustmentSets != nil {
+		fmt.Fprintf(stdout, "minimal adjustment sets: %v\n", id.AdjustmentSets)
 	} else {
-		fmt.Printf("backdoor adjustment unavailable: %v\n", err)
+		fmt.Fprintf(stdout, "backdoor adjustment unavailable: %s\n", id.BackdoorFailure)
 	}
-	if ivs := g.Instruments(x, y); len(ivs) > 0 {
-		fmt.Printf("instruments: %v\n", ivs)
+	if len(id.Instruments) > 0 {
+		fmt.Fprintf(stdout, "instruments: %v\n", id.Instruments)
 	} else {
-		fmt.Println("instruments: none")
+		fmt.Fprintln(stdout, "instruments: none")
 	}
-	// Frontdoor options when backdoor fails: single observed mediators.
-	var mediators []string
-	for _, m := range g.ObservedNodes() {
-		if m == x || m == y {
-			continue
-		}
-		if g.SatisfiesFrontdoor(x, y, []string{m}) {
-			mediators = append(mediators, m)
-		}
+	if len(id.FrontdoorMediators) > 0 {
+		fmt.Fprintf(stdout, "frontdoor mediators: %v\n", id.FrontdoorMediators)
 	}
-	if len(mediators) > 0 {
-		fmt.Printf("frontdoor mediators: %v\n", mediators)
-	}
+	return 0
 }

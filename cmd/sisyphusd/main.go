@@ -41,6 +41,20 @@ import (
 	"sisyphus/internal/serve"
 )
 
+// Connection-level bounds for both listeners. A client that trickles its
+// request headers, or parks an idle keep-alive connection, is cut off
+// rather than holding a connection forever. There is deliberately no write
+// timeout: /debug/pprof/profile streams for as long as the caller asks.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps a handler in a server carrying the connection bounds.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // serveFlags is everything validateServeFlags inspects, gathered so the
 // validation is a pure testable function.
 type serveFlags struct {
@@ -148,7 +162,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sisyphusd: -addr:", err)
 		os.Exit(2)
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 
 	var adminSrv *http.Server
 	if *admin != "" {
@@ -157,7 +171,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "sisyphusd: -admin:", err)
 			os.Exit(2)
 		}
-		adminSrv = &http.Server{Handler: srv.AdminHandler()}
+		adminSrv = newHTTPServer(srv.AdminHandler())
 		go func() {
 			if err := adminSrv.Serve(adminLn); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				fmt.Fprintln(os.Stderr, "sisyphusd: admin:", err)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -47,5 +48,22 @@ func TestValidateServeFlags(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.contains)
 			}
 		})
+	}
+}
+
+// TestNewHTTPServerBounds: both listeners' servers cut off slow headers and
+// idle connections, and none sets a write timeout, which would truncate
+// /debug/pprof/profile.
+func TestNewHTTPServerBounds(t *testing.T) {
+	h := http.NotFoundHandler()
+	srv := newHTTPServer(h)
+	if srv.ReadHeaderTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout=%v IdleTimeout=%v, want both bounded", srv.ReadHeaderTimeout, srv.IdleTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout=%v, want none: it would cut off streamed profiles", srv.WriteTimeout)
+	}
+	if srv.Handler == nil {
+		t.Error("handler not installed")
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"sisyphus/internal/causal/dag"
-	"sisyphus/internal/causal/data"
 	"sisyphus/internal/causal/estimate"
 	"sisyphus/internal/mathx"
 	"sisyphus/internal/netsim/bgp"
@@ -53,65 +51,38 @@ func (r *ConfoundingResult) Render() string {
 // obtained by pinning the route both ways at every sampled hour. The world
 // comes from o.Scenario (default the South Africa world) and must cast a
 // multihomed eyeball.
+//
+// It is the default causal query — R → L, adjustment identified from
+// QueryDefaultGraph — over the same cached substrate, under the
+// experiment's own horizon: the served hour bounds guard /query's input,
+// not this. Hours ≤ 0 means 1500.
 func RunConfounding(ctx context.Context, pool parallel.Pool, seed uint64, o WorldOptions) (*ConfoundingResult, error) {
 	hours := o.Hours
 	if hours <= 0 {
 		hours = 1500
 	}
-	res := &ConfoundingResult{Hours: hours}
-	var sim *confoundingSim
-	var f *data.Frame
-	err := stagedRun(ctx, "confounding", func(ctx context.Context) error {
-		var err error
-		sim, err = confoundingScenario(ctx, pool, scenarioOr(o.Scenario), seed, hours)
-		return err
-	}, func(ctx context.Context) error {
-		var err error
-		f, err = data.FromColumns(map[string][]float64{
-			"R": sim.rCol, "L": sim.lCol, "C": sim.cCol, "hour": sim.hourCol,
-		})
-		return err
-	}, func(ctx context.Context) error {
-		var err error
-		res.RouteShare = sim.altShare / float64(len(sim.rCol))
-		if res.Naive, err = estimate.NaiveAssociation(f, "R", "L"); err != nil {
-			return err
-		}
-		if res.Stratified, err = estimate.Stratified(f, "R", "L", []string{"C"}, 10); err != nil {
-			return err
-		}
-		if res.Regression, err = estimate.Regression(f, "R", "L", []string{"C"}); err != nil {
-			return err
-		}
-		if res.IPW, err = estimate.IPW(f, "R", "L", []string{"C"}, 0.01); err != nil {
-			return err
-		}
-		res.TrueEffect = sim.trueSum / float64(sim.trueN)
-		return nil
-	}, func(ctx context.Context) error {
-		// The planning-side DAG analysis the paper advocates doing first.
-		g := dag.MustParse("C -> R; C -> L; R -> L")
-		sets, err := g.MinimalAdjustmentSets("R", "L")
-		if err != nil {
-			return err
-		}
-		res.DAGAnalysis = fmt.Sprintf("  graph: C -> R; C -> L; R -> L\n  backdoor paths: %v\n  minimal adjustment sets: %v\n",
-			pathStrings(g.BackdoorPaths("R", "L")), sets)
-		return nil
-	})
+	plan, err := planQuery(CausalQuery{
+		Treatment: "R", Outcome: "L", Auto: true,
+		Scenario: scenarioOr(o.Scenario), Seed: seed, Hours: hours,
+	}.withDefaults())
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
-}
-
-// confoundingSim holds the raw per-hour observational columns plus the
-// interventional ground-truth accumulators the scenario stage produces.
-type confoundingSim struct {
-	rCol, lCol, cCol, hourCol []float64
-	altShare                  float64
-	trueSum                   float64
-	trueN                     int
+	qr, err := runQueryPlan(ctx, "confounding", pool, plan)
+	if err != nil {
+		return nil, err
+	}
+	est := qr.Estimates // naive, stratified, regression, IPW
+	return &ConfoundingResult{
+		Hours:       hours,
+		RouteShare:  qr.TreatedShare,
+		Naive:       est[0],
+		Stratified:  est[1],
+		Regression:  est[2],
+		IPW:         est[3],
+		TrueEffect:  float64(qr.TrueEffect),
+		DAGAnalysis: fmt.Sprintf("  graph: %s\n  backdoor paths: %v\n  minimal adjustment sets: %v\n", plan.Query.Graph, plan.BackdoorPaths, plan.AdjustmentSets),
+	}, nil
 }
 
 // confoundingScenario builds the named world with a load-adaptive egress,
@@ -119,7 +90,7 @@ type confoundingSim struct {
 // forced-route ground-truth contrast. The world must cast a multihomed
 // eyeball (scenario.EyeballCast); worlds without one refuse with
 // scenario.ErrCastingMissing.
-func confoundingScenario(ctx context.Context, pool parallel.Pool, scenarioID string, seed uint64, hours int) (*confoundingSim, error) {
+func confoundingScenario(ctx context.Context, pool parallel.Pool, scenarioID string, seed uint64, hours int) (*queryFrame, error) {
 	s, rib, err := fetchWorld(ctx, pool, scenarioID)
 	if err != nil {
 		return nil, err
@@ -160,7 +131,7 @@ func confoundingScenario(ctx context.Context, pool parallel.Pool, scenarioID str
 	// confounding lives.
 	flipRNG := mathx.NewRNG(seed + 7)
 
-	sim := &confoundingSim{}
+	sim := &queryFrame{}
 	for e.Hour() < float64(hours) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -195,19 +166,19 @@ func confoundingScenario(ctx context.Context, pool parallel.Pool, scenarioID str
 				onAlt = 1
 			}
 		}
-		sim.altShare += onAlt
-		sim.rCol = append(sim.rCol, onAlt)
-		sim.lCol = append(sim.lCol, perf.RTTms)
-		sim.cCol = append(sim.cCol, e.Utilization(primary))
-		sim.hourCol = append(sim.hourCol, e.Hour())
+		sim.AltShare += onAlt
+		sim.R = append(sim.R, onAlt)
+		sim.L = append(sim.L, perf.RTTms)
+		sim.C = append(sim.C, e.Utilization(primary))
+		sim.Hour = append(sim.Hour, e.Hour())
 
 		// Ground truth: force each route in turn, same instant, same noise.
 		prefA, prefB, err := forcedContrast(e, cast, dst, src)
 		if err != nil {
 			return nil, err
 		}
-		sim.trueSum += prefA - prefB
-		sim.trueN++
+		sim.TrueSum += prefA - prefB
+		sim.TrueN++
 	}
 	return sim, nil
 }
@@ -240,14 +211,6 @@ func forcedContrast(e *engine.Engine, cast scenario.EyeballCast, dst topo.ASN, s
 		return 0, 0, err
 	}
 	return a.RTTms, b.RTTms, nil
-}
-
-func pathStrings(ps []dag.Path) []string {
-	out := make([]string, len(ps))
-	for i, p := range ps {
-		out[i] = p.String()
-	}
-	return out
 }
 
 func init() {

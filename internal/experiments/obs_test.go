@@ -313,7 +313,11 @@ func TestForcedContrastRoutingWorkBound(t *testing.T) {
 		if _, err := e.Run(ctx, Config{Seed: 42, Opts: WorldOptions{Hours: 100}}); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		if got := rec.Metrics()[id]["bgp.destinations"]; got > forcedContrastDestBound {
+		got := rec.Metrics()[id]["bgp.destinations"]
+		if got == 0 {
+			t.Errorf("%s recorded no BGP destinations under its own scope: the bound below would pass vacuously", id)
+		}
+		if got > forcedContrastDestBound {
 			t.Errorf("%s converged %.0f BGP destinations at 100h, bound %d: forced contrasts recompute the internet again", id, got, forcedContrastDestBound)
 		}
 	}

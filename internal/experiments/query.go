@@ -214,9 +214,9 @@ type QueryPlan struct {
 	// Adjustment is the conditioning set the estimators will use (sorted,
 	// possibly empty).
 	Adjustment []string
-	// BackdoorPaths and MinimalSets are the identification evidence.
-	BackdoorPaths []string
-	MinimalSets   [][]string
+	// Identification is the graph analysis of Treatment → Outcome; its
+	// backdoor paths and minimal sets are the evidence the result carries.
+	*dag.Identification
 }
 
 // CompileCausalQuery checks a query against its DAG and the measured
@@ -247,6 +247,14 @@ func CompileCausalQuery(q CausalQuery) (*QueryPlan, error) {
 	if len(q.Graph) > 4096 {
 		return nil, queryInvalidf("graph exceeds 4096 bytes")
 	}
+	return planQuery(q)
+}
+
+// planQuery is compilation past the served knob bounds: it checks the
+// question against its graph and the measured columns, runs identification
+// and resolves the adjustment set. RunConfounding enters here directly, so
+// the experiment keeps accepting any horizon it always has.
+func planQuery(q CausalQuery) (*QueryPlan, error) {
 	g, err := dag.Parse(q.Graph)
 	if err != nil {
 		return nil, queryInvalidf("graph: %v", err)
@@ -293,15 +301,12 @@ func CompileCausalQuery(q CausalQuery) (*QueryPlan, error) {
 		}
 	}
 
-	sets, err := g.MinimalAdjustmentSets(q.Treatment, q.Outcome)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrNotIdentifiable, err)
+	id := g.Identify(q.Treatment, q.Outcome)
+	sets := id.AdjustmentSets
+	if sets == nil {
+		return nil, fmt.Errorf("%w: %s", ErrNotIdentifiable, id.BackdoorFailure)
 	}
-	plan := &QueryPlan{
-		Graph:         g,
-		BackdoorPaths: pathStrings(g.BackdoorPaths(q.Treatment, q.Outcome)),
-		MinimalSets:   sets,
-	}
+	plan := &QueryPlan{Graph: g, Identification: id}
 
 	if q.Auto {
 		// Identification proposes sets over graph nodes; the estimators need
@@ -396,16 +401,22 @@ func RunCausalQuery(ctx context.Context, cfg Config, q CausalQuery) (*QueryResul
 	if err != nil {
 		return nil, err
 	}
-	q = plan.Query
 	ctx = obs.Scoped(ctx, "query")
 	ctx = artifact.With(ctx, cfg.Artifacts)
+	return runQueryPlan(ctx, "query", cfg.Pool, plan)
+}
 
+// runQueryPlan runs a compiled plan through the pipeline stages named
+// stage/{scenario,dataset,estimator,report}: fetch the substrate, frame it,
+// fit the estimator panel, attach identification and ground truth.
+func runQueryPlan(ctx context.Context, stage string, pool parallel.Pool, plan *QueryPlan) (*QueryResult, error) {
+	q := plan.Query
 	res := &QueryResult{Query: q}
 	var frame *queryFrame
 	var f *data.Frame
-	err = stagedRun(ctx, "query", func(ctx context.Context) error {
+	err := stagedRun(ctx, stage, func(ctx context.Context) error {
 		var err error
-		frame, err = fetchQueryFrame(ctx, cfg.Pool, q.Scenario, q.Seed, q.Hours)
+		frame, err = fetchQueryFrame(ctx, pool, q.Scenario, q.Seed, q.Hours)
 		return err
 	}, func(ctx context.Context) error {
 		var err error
@@ -461,7 +472,7 @@ func RunCausalQuery(ctx context.Context, cfg Config, q CausalQuery) (*QueryResul
 		res.Identification = QueryIdentification{
 			Graph:                 q.Graph,
 			BackdoorPaths:         plan.BackdoorPaths,
-			MinimalAdjustmentSets: plan.MinimalSets,
+			MinimalAdjustmentSets: plan.AdjustmentSets,
 			Adjustment:            plan.Adjustment,
 			Auto:                  q.Auto,
 		}
@@ -499,21 +510,18 @@ const (
 // fetchQueryFrame returns a caller-owned observational frame for
 // ⟨scenario, seed, hours⟩, through the artifact store when one rides the
 // context (singleflight: concurrent identical queries share one simulation)
-// and by direct build otherwise — byte-identical either way. The scenario id
-// sits in the key's scenario coordinate, so the default-world key hashes
-// exactly as it did when the coordinate was hard-coded.
+// and by direct build otherwise (GetOrBuild on a nil store) — byte-identical
+// either way. The scenario id sits in the key's scenario coordinate, so the
+// default-world key hashes exactly as it did when the coordinate was
+// hard-coded. Both the confounding experiment and /query read through here.
 func fetchQueryFrame(ctx context.Context, pool parallel.Pool, scenarioID string, seed uint64, hours int) (*queryFrame, error) {
-	st := artifact.From(ctx)
-	if st == nil {
-		return buildQueryFrame(ctx, pool, scenarioID, seed, hours)
-	}
 	key, err := artifact.NewKey(kindQueryFrame, scenarioID, seed, struct{ Hours int }{hours})
 	if err != nil {
 		return nil, err
 	}
-	return artifact.GetOrBuild(ctx, st, key, artifact.Spec[*queryFrame]{
+	return artifact.GetOrBuild(ctx, artifact.From(ctx), key, artifact.Spec[*queryFrame]{
 		Build: func(ctx context.Context) (*queryFrame, error) {
-			return buildQueryFrame(ctx, pool, scenarioID, seed, hours)
+			return confoundingScenario(ctx, pool, scenarioID, seed, hours)
 		},
 		Fork: (*queryFrame).fork,
 		Size: (*queryFrame).sizeBytes,
@@ -532,22 +540,6 @@ func fetchQueryFrame(ctx context.Context, pool parallel.Pool, scenarioID string,
 			},
 		},
 	})
-}
-
-func buildQueryFrame(ctx context.Context, pool parallel.Pool, scenarioID string, seed uint64, hours int) (*queryFrame, error) {
-	sim, err := confoundingScenario(ctx, pool, scenarioID, seed, hours)
-	if err != nil {
-		return nil, err
-	}
-	return &queryFrame{
-		R:        sim.rCol,
-		L:        sim.lCol,
-		C:        sim.cCol,
-		Hour:     sim.hourCol,
-		AltShare: sim.altShare,
-		TrueSum:  sim.trueSum,
-		TrueN:    sim.trueN,
-	}, nil
 }
 
 // fork deep-copies: the frame has no Freeze hook, so the stored original

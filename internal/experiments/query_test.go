@@ -228,3 +228,50 @@ func TestRunCausalQueryNonBinaryTreatment(t *testing.T) {
 		t.Errorf("err = %v, want ErrQueryInvalid (non-binary treatment)", err)
 	}
 }
+
+// TestConfoundingIsDefaultQuery: the confounding experiment is the default
+// causal query R → L under its own horizon. On one store the two share a
+// single qframe build, report the same panel, truth and route share, and
+// the experiment still accepts horizons below the served query floor.
+func TestConfoundingIsDefaultQuery(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates 1500 hours")
+	}
+	store := artifact.NewStore()
+	cfg := Config{Seed: 7, Pool: parallel.Pool{}, Artifacts: store, Opts: WorldOptions{Hours: 1500}}
+	e, err := Get("confounding")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conf := res.(*ConfoundingResult)
+	qr, err := RunCausalQuery(context.Background(), cfg, CausalQuery{Treatment: "R", Outcome: "L", Auto: true, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var frames []artifact.KeyStats
+	for key, ks := range store.PerKey() {
+		if key.Kind == kindQueryFrame {
+			frames = append(frames, ks)
+		}
+	}
+	if len(frames) != 1 || frames[0].Builds != 1 || frames[0].Hits < 1 {
+		t.Errorf("qframe stats %+v: want one key, built once and hit at least once", frames)
+	}
+
+	panel := []any{conf.Naive, conf.Stratified, conf.Regression, conf.IPW, conf.TrueEffect, conf.RouteShare}
+	want := []any{qr.Estimates[0], qr.Estimates[1], qr.Estimates[2], qr.Estimates[3], float64(qr.TrueEffect), qr.TreatedShare}
+	if !reflect.DeepEqual(panel, want) {
+		t.Errorf("confounding panel differs from the default query:\n got %+v\nwant %+v", panel, want)
+	}
+
+	short := cfg
+	short.Artifacts, short.Opts = nil, WorldOptions{Hours: 50}
+	if _, err := e.Run(context.Background(), short); err != nil {
+		t.Errorf("confounding at 50 hours (below the served query floor): %v", err)
+	}
+}

@@ -26,6 +26,11 @@ const (
 	GenSpecPrefix = "gen:"
 	// GenGrammar documents the spec form, for error messages and usage.
 	GenGrammar = "gen:key=val[+key=val...] with keys tier1, tier2, access, content, treated, cities, multihome, peer, ixpcity, seed (omitted keys take defaults)"
+	// GenMaxCount caps every count a gen: spec spells out. Specs arrive from
+	// clients, and each count sizes the topology and the BGP fixed point
+	// built from it; the cap sits well above the defaults and every
+	// committed spec (largest: access=20, cities=16).
+	GenMaxCount = 64
 )
 
 // GenSpec is the complete identity of a generated world: the topology
@@ -342,8 +347,8 @@ func parseGenCount(v string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if n < 0 {
-		return 0, fmt.Errorf("must be >= 0 (got %d)", n)
+	if n < 0 || n > GenMaxCount {
+		return 0, fmt.Errorf("must be in [0, %d] (got %d)", GenMaxCount, n)
 	}
 	return n, nil
 }
@@ -353,7 +358,7 @@ func parseGenProb(v string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) { // also refuses NaN, which the spec's hash cannot encode
 		return 0, fmt.Errorf("must be in [0, 1] (got %g)", p)
 	}
 	return p, nil

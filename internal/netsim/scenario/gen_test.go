@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -161,22 +162,42 @@ func TestParseGenSpec(t *testing.T) {
 	}
 
 	for _, bad := range []string{
-		"notgen:",          // wrong prefix
-		"gen:access",       // no value
-		"gen:=5",           // no key
-		"gen:access=x",     // non-numeric count
-		"gen:access=-1",    // negative count
-		"gen:peer=1.5",     // probability out of range
-		"gen:seed=-3",      // negative seed
-		"gen:bogus=1",      // unknown key
-		"gen:access=5+",    // trailing separator
-		"gen:access=5,b=1", // comma is not the pair separator
+		"notgen:",             // wrong prefix
+		"gen:access",          // no value
+		"gen:=5",              // no key
+		"gen:access=x",        // non-numeric count
+		"gen:access=-1",       // negative count
+		"gen:peer=1.5",        // probability out of range
+		"gen:seed=-3",         // negative seed
+		"gen:bogus=1",         // unknown key
+		"gen:access=5+",       // trailing separator
+		"gen:access=5,b=1",    // comma is not the pair separator
+		"gen:access=10000000", // count over GenMaxCount
+		"gen:cities=65",       // count over GenMaxCount
+		"gen:multihome=NaN",   // NaN probability: the spec could not hash
 	} {
 		if _, err := ParseGenSpec(bad); err == nil {
 			t.Fatalf("spec %q accepted", bad)
 		} else if !strings.Contains(err.Error(), "gen:") {
 			t.Fatalf("spec %q error %q does not carry the grammar", bad, err)
 		}
+	}
+}
+
+// TestParseGenSpecCountCap: every count key stops at GenMaxCount, the error
+// names the cap, and the defaults sit inside it.
+func TestParseGenSpecCountCap(t *testing.T) {
+	for _, k := range []string{"tier1", "tier2", "access", "content", "treated", "cities"} {
+		if _, err := ParseGenSpec(fmt.Sprintf("gen:%s=%d", k, GenMaxCount)); err != nil {
+			t.Errorf("%s=%d (at the cap) refused: %v", k, GenMaxCount, err)
+		}
+		_, err := ParseGenSpec(fmt.Sprintf("gen:%s=%d", k, GenMaxCount+1))
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprint(GenMaxCount)) {
+			t.Errorf("%s=%d: error %v does not name the cap %d", k, GenMaxCount+1, err, GenMaxCount)
+		}
+	}
+	if err := genCountsWithinCap(DefaultGenSpec()); err != nil {
+		t.Errorf("default spec: %v", err)
 	}
 }
 

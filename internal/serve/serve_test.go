@@ -13,6 +13,7 @@ import (
 
 	"sisyphus/internal/artifact"
 	"sisyphus/internal/experiments"
+	"sisyphus/internal/netsim/scenario"
 	"sisyphus/internal/parallel"
 )
 
@@ -150,6 +151,8 @@ func TestExperimentHandlerValidation(t *testing.T) {
 		{"opts trailing garbage", "/experiment/mlab?opts={}{}", http.StatusBadRequest, "trailing data"},
 		{"scenario unknown id", "/experiment/table1?scenario=atlantis", http.StatusBadRequest, "atlantis"},
 		{"scenario bad gen spec", "/experiment/table1?scenario=gen:bogus%3D1", http.StatusBadRequest, "gen:"},
+		{"scenario gen count over cap", "/experiment/table1?scenario=gen:access%3D10000000", http.StatusBadRequest,
+			fmt.Sprintf("[0, %d]", scenario.GenMaxCount)},
 		{"scenario on incapable experiment", "/experiment/collider?scenario=southafrica", http.StatusBadRequest, "scenario-capable"},
 	}
 	for _, tc := range cases {
@@ -195,6 +198,8 @@ func TestQueryHandlerValidation(t *testing.T) {
 		{"hours out of range", `{"treatment":"R","outcome":"L","hours":5}`, http.StatusBadRequest, "hours"},
 		{"bins out of range", `{"treatment":"R","outcome":"L","bins":999}`, http.StatusBadRequest, "bins"},
 		{"bad scenario", `{"treatment":"R","outcome":"L","scenario":"atlantis"}`, http.StatusBadRequest, "scenario"},
+		{"gen count over cap", `{"treatment":"R","outcome":"L","scenario":"gen:access=10000000"}`, http.StatusBadRequest,
+			fmt.Sprintf("[0, %d]", scenario.GenMaxCount)},
 		{"bad adjustment type", `{"treatment":"R","outcome":"L","adjustment":7}`, http.StatusBadRequest, "adjustment"},
 		{"adjustment wrong string", `{"treatment":"R","outcome":"L","adjustment":"all"}`, http.StatusBadRequest, "adjustment"},
 		{"latent confounder", `{"graph":"U [latent]; U -> R; U -> L; R -> L","treatment":"R","outcome":"L"}`,

@@ -76,87 +76,16 @@ func (s *Study) Effect(treatment, outcome string) error {
 // nodes.
 func (s *Study) WithData(f *data.Frame) { s.frame = f }
 
-// Identification is the output of the identify step.
-type Identification struct {
-	Treatment, Outcome string
-	// BackdoorPaths are the confounding routes that must be blocked.
-	BackdoorPaths []string
-	// Confounders are observed variables on backdoor paths.
-	Confounders []string
-	// AdjustmentSets are the minimal observed backdoor adjustment sets
-	// (empty inner set = no adjustment needed). Nil when not identifiable
-	// by observed adjustment.
-	AdjustmentSets [][]string
-	// Instruments lists valid observed instrumental variables.
-	Instruments []string
-	// FrontdoorMediators holds a mediator set satisfying the frontdoor
-	// criterion, if any single observed node qualifies.
-	FrontdoorMediators []string
-	// ColliderWarnings are colliders that conditioning on common selection
-	// variables (any descendant of both treatment and outcome) would open.
-	ColliderWarnings []string
-	// Identifiable reports whether any strategy above applies.
-	Identifiable bool
-	// Strategy is the recommended estimation approach.
-	Strategy string
-}
+// Identification is the output of the identify step: the graph analysis
+// dag.Graph.Identify performs for the declared effect.
+type Identification = dag.Identification
 
 // Identify runs the graphical analysis for the declared effect.
 func (s *Study) Identify() (*Identification, error) {
 	if s.graph == nil || s.treatment == "" {
 		return nil, errors.New("sisyphus: Identify requires a graph and a declared effect")
 	}
-	id := &Identification{Treatment: s.treatment, Outcome: s.outcome}
-	for _, p := range s.graph.BackdoorPaths(s.treatment, s.outcome) {
-		id.BackdoorPaths = append(id.BackdoorPaths, p.String())
-	}
-	id.Confounders = s.graph.Confounders(s.treatment, s.outcome)
-
-	if sets, err := s.graph.MinimalAdjustmentSets(s.treatment, s.outcome); err == nil {
-		id.AdjustmentSets = sets
-	}
-	id.Instruments = s.graph.Instruments(s.treatment, s.outcome)
-	for _, m := range s.graph.ObservedNodes() {
-		if m == s.treatment || m == s.outcome {
-			continue
-		}
-		if s.graph.SatisfiesFrontdoor(s.treatment, s.outcome, []string{m}) {
-			id.FrontdoorMediators = append(id.FrontdoorMediators, m)
-		}
-	}
-	// Collider warnings: conditioning (selecting) on any common descendant
-	// of treatment and outcome — e.g. "a speed test ran" — biases the
-	// estimate even when the two are directly related, because it mixes a
-	// non-causal selection component into the observed association.
-	tDesc := map[string]bool{}
-	for _, d := range s.graph.Descendants(s.treatment) {
-		tDesc[d] = true
-	}
-	for _, d := range s.graph.Descendants(s.outcome) {
-		if tDesc[d] {
-			id.ColliderWarnings = append(id.ColliderWarnings,
-				fmt.Sprintf("conditioning on %q (a descendant of both %s and %s) induces selection bias",
-					d, s.treatment, s.outcome))
-		}
-	}
-
-	switch {
-	case len(id.AdjustmentSets) > 0 && len(id.AdjustmentSets[0]) == 0:
-		id.Identifiable = true
-		id.Strategy = "no confounding: a simple contrast identifies the effect"
-	case len(id.AdjustmentSets) > 0:
-		id.Identifiable = true
-		id.Strategy = fmt.Sprintf("backdoor adjustment for %v", id.AdjustmentSets[0])
-	case len(id.Instruments) > 0:
-		id.Identifiable = true
-		id.Strategy = fmt.Sprintf("instrumental variable via %v (2SLS)", id.Instruments)
-	case len(id.FrontdoorMediators) > 0:
-		id.Identifiable = true
-		id.Strategy = fmt.Sprintf("frontdoor adjustment through %v", id.FrontdoorMediators)
-	default:
-		id.Strategy = "not identifiable from observational data: design an intervention (randomize, or use a platform knob)"
-	}
-	return id, nil
+	return s.graph.Identify(s.treatment, s.outcome), nil
 }
 
 // ValidateImplications tests every conditional independence the DAG implies
