@@ -12,7 +12,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race verify verify-cache-off verify-warm-cache verify-sweep bench bench-stages bench-forks loadtest loadtest-baseline
+.PHONY: build test vet race verify unreached verify-cache-off verify-warm-cache verify-sweep bench bench-stages bench-forks loadtest loadtest-baseline
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,12 @@ race:
 	$(GO) test -race -timeout 60m ./...
 
 verify: build vet race
+
+# The dead-code gate: build every binary with inlining off and fail on any
+# library function none of them links, unless the allowlist next to the
+# tool names it with a reason (test seams, oracles, public API).
+unreached:
+	$(GO) run ./internal/tools/unreached
 
 # The cache-off golden check: `-cache=off` must print byte-for-byte the
 # pinned seed-42 suite. The cached path is held to the same golden by the

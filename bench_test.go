@@ -252,10 +252,10 @@ func diskBenchStore(b *testing.B, dir string) *artifact.Store {
 
 // --- Fork benchmarks: the copy-on-write cache-hit primitives ---
 //
-// Each benchmark contrasts the frozen (copy-on-write, what every cache hit
-// pays) and mutable (eager deep copy, the pre-CoW cost) fork of the same
-// artifact. BENCH_sisyphus.json records both, and make bench-forks gates on
-// the cow variants regressing.
+// The world and campaign benchmarks contrast the frozen (copy-on-write,
+// what every cache hit pays) and mutable (eager deep copy, the pre-CoW
+// cost) fork of the same artifact. BENCH_sisyphus.json records both, and
+// make bench-forks gates on the cow variants regressing.
 
 // BenchmarkForkWorld forks the Table 1 scenario world.
 func BenchmarkForkWorld(b *testing.B) {
@@ -286,36 +286,23 @@ func BenchmarkForkWorld(b *testing.B) {
 
 // BenchmarkForkRIB forks the converged empty-policy RIB of the Table 1
 // world, rebound onto a fresh topology clone (exactly the artifact store's
-// fork recipe).
+// fork recipe). A converged RIB is immutable, so there is no deep variant:
+// every fork shares the route tables.
 func BenchmarkForkRIB(b *testing.B) {
-	build := func(b *testing.B) (*topo.Topology, *bgp.RIB) {
-		b.Helper()
-		s, err := scenario.Build(scenario.SouthAfricaID)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rib, err := bgp.Compute(context.Background(), parallel.Pool{}, s.Topo, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return s.Topo, rib
+	s, err := scenario.Build(scenario.SouthAfricaID)
+	if err != nil {
+		b.Fatal(err)
 	}
-	ftp, frozen := build(b)
-	ftp.Freeze()
-	frozen.Freeze()
-	fworld := ftp.Clone()
-	mtp, mutable := build(b)
-	mworld := mtp.Clone()
+	rib, err := bgp.Compute(context.Background(), parallel.Pool{}, s.Topo, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.Topo.Freeze()
+	world := s.Topo.Clone()
 	b.Run("cow", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			benchRIBSink = frozen.Fork(fworld)
-		}
-	})
-	b.Run("deep", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			benchRIBSink = mutable.Fork(mworld)
+			benchRIBSink = rib.Fork(world)
 		}
 	})
 }
@@ -479,38 +466,6 @@ func BenchmarkAblationAdjustmentMethods(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblationIncrementalBGP compares full route recomputation after a
-// single link failure against the incremental recompute.
-func BenchmarkAblationIncrementalBGP(b *testing.B) {
-	r := mathx.NewRNG(1)
-	cfg := topo.GenConfig{Tier1: 4, Tier2: 10, Access: 40, Content: 5, MultihomeProb: 0.5, PeerProb: 0.3}
-	tp, err := topo.Generate(r, cfg, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rib, err := bgp.Compute(context.Background(), parallel.Pool{}, tp, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	links := tp.Links()
-	b.Run("full", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pol := bgp.NewPolicy()
-			pol.DenyLink[links[i%len(links)].ID] = true
-			if _, err := bgp.Compute(context.Background(), parallel.Pool{}, tp, pol); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("incremental", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := rib.RecomputeAfterLinkFailure(context.Background(), links[i%len(links)].ID); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkAblationWhatIfRouting compares the two ways to answer a forced
@@ -696,7 +651,7 @@ func BenchmarkDiskCodecRIB(b *testing.B) {
 	b.Run("decode", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if benchRIBSink, err = experiments.DecodeRIBArtifact(data, s.Topo, pool); err != nil {
+			if benchRIBSink, err = experiments.DecodeRIBArtifact(data, s.Topo); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -54,6 +54,8 @@ func TestParseSeeds(t *testing.T) {
 		{spec: "1...4", wantErr: true},
 		{spec: "-1", wantErr: true},
 		{spec: "1..2000000000", wantErr: true}, // over the seed cap
+		{spec: "18446744073709551615..18446744073709551615", want: []uint64{18446744073709551615}},
+		{spec: "0..18446744073709551615", wantErr: true}, // span+1 wraps to 0
 	}
 	for _, c := range cases {
 		t.Run(c.spec, func(t *testing.T) {

@@ -59,11 +59,14 @@ func parseSeeds(spec string) ([]uint64, error) {
 		if b < a {
 			return nil, usage("descending range %q", tok)
 		}
-		if b-a+1 > maxSweepSeeds {
-			return nil, usage("range %q spans %d seeds (max %d)", tok, b-a+1, maxSweepSeeds)
+		// Count by offset from a: b-a cannot overflow, while b-a+1 and a
+		// loop on n <= b both wrap when b is the largest uint64.
+		span := b - a
+		if span >= maxSweepSeeds {
+			return nil, usage("range %q spans more than %d seeds", tok, maxSweepSeeds)
 		}
-		for n := a; n <= b; n++ {
-			seeds = append(seeds, n)
+		for i := uint64(0); i <= span; i++ {
+			seeds = append(seeds, a+i)
 		}
 	}
 	if len(seeds) > maxSweepSeeds {

@@ -37,7 +37,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -200,14 +199,6 @@ func WithMaxBytes(n int64) Option { return func(s *Store) { s.maxBytes = n } }
 // every failure mode on it (corruption, staleness, I/O errors) degrades to
 // a counted rebuild. Only Specs carrying a Codec participate.
 func WithDisk(d *Disk) Option { return func(s *Store) { s.disk = d } }
-
-// Disk returns the attached persistent tier, or nil.
-func (s *Store) Disk() *Disk {
-	if s == nil {
-		return nil
-	}
-	return s.disk
-}
 
 // NewStore returns an empty store with LRU bounds.
 func NewStore(opts ...Option) *Store {
@@ -546,23 +537,6 @@ func (s *Store) RenderStats() string {
 			st.DiskReadErrors+st.DiskWriteErrors)
 	}
 	return line
-}
-
-// Keys lists resident keys sorted by their full ID(), for tests and
-// debugging. The full hash matters even here: two configs whose hashes
-// share a 12-char prefix must list as two keys, not one repeated line.
-func (s *Store) Keys() []string {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.entries))
-	for k := range s.entries {
-		out = append(out, k.ID())
-	}
-	sort.Strings(out)
-	return out
 }
 
 func humanBytes(n int64) string {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -284,7 +285,7 @@ func TestGetOrBuildNilStore(t *testing.T) {
 	if builds.Load() != 3 {
 		t.Fatalf("nil store must build every time, built %d", builds.Load())
 	}
-	if (*Store)(nil).Stats() != (Stats{}) || (*Store)(nil).PerKey() != nil || (*Store)(nil).Keys() != nil {
+	if (*Store)(nil).Stats() != (Stats{}) || (*Store)(nil).PerKey() != nil {
 		t.Fatal("nil store accessors must return zero values")
 	}
 }
@@ -315,7 +316,7 @@ func TestLRUEvictsByEntryBound(t *testing.T) {
 	fetch("b")
 	fetch("a") // refresh a: b becomes least recent
 	fetch("c") // evicts b
-	keys := s.Keys()
+	keys := s.residentIDs()
 	if len(keys) != 2 {
 		t.Fatalf("resident keys = %v", keys)
 	}
@@ -423,4 +424,16 @@ func TestHumanBytes(t *testing.T) {
 			t.Errorf("humanBytes(%d) = %q, want %q", c.n, got, c.want)
 		}
 	}
+}
+
+// residentIDs lists the resident keys' full IDs, sorted.
+func (s *Store) residentIDs() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]string, 0, len(s.entries))
+	for k := range s.entries {
+		out = append(out, k.ID())
+	}
+	sort.Strings(out)
+	return out
 }

@@ -216,24 +216,3 @@ func TestCancelledWaiterStillFails(t *testing.T) {
 		t.Fatal("dead-context caller must fail, not loop or succeed")
 	}
 }
-
-// TestKeysReturnFullIDs is the regression test for the Keys() truncation
-// bug: the listing rendered via String(), whose 12-char hash prefix folds
-// distinct configs onto one line. Keys must list full ID()s, sorted.
-func TestKeysReturnFullIDs(t *testing.T) {
-	ctx := context.Background()
-	s := NewStore()
-	const prefix = "bbbbbbbbbbbb" // 12 chars — String() truncates here
-	k1 := Key{Kind: "world", Scenario: "s", Seed: 1, ConfigHash: prefix + "0000"}
-	k2 := Key{Kind: "world", Scenario: "s", Seed: 1, ConfigHash: prefix + "ffff"}
-	for _, k := range []Key{k2, k1} { // insert out of order to check sorting
-		if _, err := GetOrBuild(ctx, s, k, boxSpec(nil, []int{1})); err != nil {
-			t.Fatal(err)
-		}
-	}
-	keys := s.Keys()
-	want := []string{k1.ID(), k2.ID()}
-	if len(keys) != 2 || keys[0] != want[0] || keys[1] != want[1] {
-		t.Fatalf("Keys() = %v, want sorted full IDs %v", keys, want)
-	}
-}

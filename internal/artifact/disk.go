@@ -111,9 +111,6 @@ func OpenDisk(cfg DiskConfig) (*Disk, error) {
 	return d, nil
 }
 
-// Dir returns the cache directory.
-func (d *Disk) Dir() string { return d.dir }
-
 // logOnce emits one diagnostic per failure class per Disk: a corrupted
 // cache dir with a thousand files should not produce a thousand log lines,
 // just counters plus one explanation each for the first corruption, the

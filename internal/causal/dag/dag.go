@@ -107,13 +107,6 @@ func (g *Graph) AddEdge(from, to string) error {
 	return nil
 }
 
-// MustEdge is AddEdge that panics on error; for static graph literals.
-func (g *Graph) MustEdge(from, to string) {
-	if err := g.AddEdge(from, to); err != nil {
-		panic(err)
-	}
-}
-
 // RemoveEdge deletes the edge from → to if present.
 func (g *Graph) RemoveEdge(from, to string) {
 	if g.parents[to] != nil {
@@ -181,11 +174,6 @@ func (g *Graph) reaches(a, b string) bool {
 		}
 	}
 	return false
-}
-
-// Ancestors returns the set of strict ancestors of name, sorted.
-func (g *Graph) Ancestors(name string) []string {
-	return sortedKeys(g.ancestorSet(map[string]bool{name: true}, false))
 }
 
 // Descendants returns the set of strict descendants of name, sorted.

@@ -31,39 +31,6 @@ func (g *Graph) Instruments(x, y string) []string {
 	return out
 }
 
-// ConditionalInstruments returns observed variables that qualify as
-// instruments for x → y after conditioning on the given set W:
-// relevance and exclusion both hold given W, and W itself contains no
-// descendant of x (conditioning on a descendant of treatment can open
-// collider paths and manufacture a spurious instrument).
-func (g *Graph) ConditionalInstruments(x, y string, given []string) []string {
-	desc := toSet(g.Descendants(x))
-	for _, w := range given {
-		if w == x || w == y || desc[w] {
-			return nil
-		}
-	}
-	cut := g.Clone()
-	for _, c := range g.Children(x) {
-		cut.RemoveEdge(x, c)
-	}
-	inW := toSet(given)
-	var out []string
-	for _, z := range g.ObservedNodes() {
-		if z == x || z == y || inW[z] {
-			continue
-		}
-		if !g.DConnected(z, x, given) {
-			continue
-		}
-		if !cut.DSeparated(z, y, given) {
-			continue
-		}
-		out = append(out, z)
-	}
-	return out
-}
-
 // ExclusionViolations explains why candidate z fails the exclusion
 // restriction for x → y: it returns the active paths from z to y that do not
 // pass through x (computed in the graph with x's outgoing edges removed).

@@ -96,36 +96,6 @@ func (f *Frame) Row(i int) map[string]float64 {
 	return out
 }
 
-// AppendRow appends one row given values for every column.
-func (f *Frame) AppendRow(row map[string]float64) error {
-	if len(f.order) == 0 {
-		names := make([]string, 0, len(row))
-		for name := range row {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			f.order = append(f.order, name)
-			if f.cols == nil {
-				f.cols = make(map[string][]float64)
-			}
-			f.cols[name] = nil
-		}
-	}
-	for _, name := range f.order {
-		v, ok := row[name]
-		if !ok {
-			return fmt.Errorf("data: row missing column %q", name)
-		}
-		f.cols[name] = append(f.cols[name], v)
-	}
-	if len(row) != len(f.order) {
-		return fmt.Errorf("data: row has %d values, frame has %d columns", len(row), len(f.order))
-	}
-	f.n++
-	return nil
-}
-
 // Filter returns a new frame with the rows for which keep returns true.
 func (f *Frame) Filter(keep func(row map[string]float64) bool) *Frame {
 	out := New()
@@ -141,49 +111,6 @@ func (f *Frame) Filter(keep func(row map[string]float64) bool) *Frame {
 			}
 			out.n++
 		}
-	}
-	return out
-}
-
-// Select returns a new frame with only the named columns.
-func (f *Frame) Select(names ...string) (*Frame, error) {
-	out := New()
-	for _, name := range names {
-		col, ok := f.cols[name]
-		if !ok {
-			return nil, fmt.Errorf("data: no column %q", name)
-		}
-		if err := out.AddColumn(name, col); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// GroupBy partitions row indices by the (exact float) value of a column,
-// returning group keys in ascending order alongside their row indices.
-func (f *Frame) GroupBy(name string) (keys []float64, groups [][]int) {
-	col := f.MustColumn(name)
-	byKey := make(map[float64][]int)
-	for i, v := range col {
-		byKey[v] = append(byKey[v], i)
-	}
-	for k := range byKey {
-		keys = append(keys, k)
-	}
-	sort.Float64s(keys)
-	for _, k := range keys {
-		groups = append(groups, byKey[k])
-	}
-	return keys, groups
-}
-
-// Gather returns the values of column name at the given row indices.
-func (f *Frame) Gather(name string, idx []int) []float64 {
-	col := f.MustColumn(name)
-	out := make([]float64, len(idx))
-	for i, j := range idx {
-		out[i] = col[j]
 	}
 	return out
 }
@@ -205,43 +132,6 @@ func (f *Frame) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadCSV parses a frame written by WriteCSV (or any numeric CSV with a
-// header row).
-func ReadCSV(r io.Reader) (*Frame, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("data: reading header: %w", err)
-	}
-	cols := make([][]float64, len(header))
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if len(rec) != len(header) {
-			return nil, fmt.Errorf("data: row has %d fields, header has %d", len(rec), len(header))
-		}
-		for i, s := range rec {
-			v, err := strconv.ParseFloat(s, 64)
-			if err != nil {
-				return nil, fmt.Errorf("data: column %q: %w", header[i], err)
-			}
-			cols[i] = append(cols[i], v)
-		}
-	}
-	f := New()
-	for i, name := range header {
-		if err := f.AddColumn(name, cols[i]); err != nil {
-			return nil, err
-		}
-	}
-	return f, nil
 }
 
 // Describe returns a per-column summary rendered as an aligned text table:

@@ -43,12 +43,6 @@ func NewPDAG(nodes []string) *PDAG {
 // Nodes returns the node names.
 func (p *PDAG) Nodes() []string { return append([]string(nil), p.nodes...) }
 
-// HasUndirected reports an undirected edge between a and b.
-func (p *PDAG) HasUndirected(a, b string) bool { return p.und[a][b] }
-
-// HasDirected reports a directed edge a → b.
-func (p *PDAG) HasDirected(a, b string) bool { return p.dir[a][b] }
-
 // Adjacent reports any edge between a and b.
 func (p *PDAG) Adjacent(a, b string) bool {
 	return p.und[a][b] || p.dir[a][b] || p.dir[b][a]

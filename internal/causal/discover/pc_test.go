@@ -56,7 +56,7 @@ func TestPCRecoversVStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.HasDirected("X", "Z") || !p.HasDirected("Y", "Z") {
+	if !p.dir["X"]["Z"] || !p.dir["Y"]["Z"] {
 		t.Fatalf("v-structure not oriented: %v", p)
 	}
 	if p.Adjacent("X", "Y") {
@@ -113,7 +113,7 @@ func TestPCWiderGraphSHD(t *testing.T) {
 		t.Fatalf("wrong orientations: %+v", cmp)
 	}
 	// The A → C ← B collider must be found.
-	if !p.HasDirected("A", "C") || !p.HasDirected("B", "C") {
+	if !p.dir["A"]["C"] || !p.dir["B"]["C"] {
 		t.Fatalf("collider at C unoriented: %v", p)
 	}
 }
@@ -140,7 +140,7 @@ func TestPCErrorsAndAccessors(t *testing.T) {
 	p := NewPDAG([]string{"a", "b", "c"})
 	p.addUndirected("a", "b")
 	p.orient("a", "b")
-	if !p.HasDirected("a", "b") || p.HasUndirected("a", "b") {
+	if !p.dir["a"]["b"] || p.und["a"]["b"] {
 		t.Fatal("orientation bookkeeping broken")
 	}
 	if got := p.DirectedEdges(); len(got) != 1 || got[0] != [2]string{"a", "b"} {

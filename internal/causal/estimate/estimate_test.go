@@ -184,24 +184,6 @@ func TestIPWRemovesConfounding(t *testing.T) {
 	}
 }
 
-func TestMatchingRemovesConfounding(t *testing.T) {
-	f := confoundedSample(9, 4000, 3)
-	est, err := Matching(f, "R", "L", []string{"C"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(est.Effect-3) > 0.3 {
-		t.Fatalf("matching = %v want ≈3", est.Effect)
-	}
-}
-
-func TestMatchingNeedsCovariates(t *testing.T) {
-	f := confoundedSample(10, 100, 3)
-	if _, err := Matching(f, "R", "L", nil); err == nil {
-		t.Fatal("no covariates accepted")
-	}
-}
-
 // ivSample builds an endogenous-treatment world with a valid instrument:
 // latent u confounds t and y; z shifts t and touches y only through t.
 func ivSample(seed uint64, n int, effect float64) *data.Frame {
@@ -355,65 +337,6 @@ func TestNormalQuantileInvertsCDF(t *testing.T) {
 	}
 	if math.Abs(normalQuantile(0.975)-1.959964) > 1e-4 {
 		t.Fatalf("z(0.975) = %v", normalQuantile(0.975))
-	}
-}
-
-func TestAIPWDoublyRobust(t *testing.T) {
-	f := confoundedSample(16, 15000, 3)
-	est, err := AIPW(f, "R", "L", []string{"C"}, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(est.Effect-3) > 0.15 {
-		t.Fatalf("AIPW = %v want ≈3", est.Effect)
-	}
-	lo, hi := est.CI(0.95)
-	if lo > 3 || hi < 3 {
-		t.Fatalf("AIPW CI [%v, %v] misses truth", lo, hi)
-	}
-	if _, err := AIPW(f, "R", "L", nil, 0.01); err == nil {
-		t.Fatal("no covariates accepted")
-	}
-}
-
-func TestAIPWRobustToBrokenPropensityModel(t *testing.T) {
-	// Feed AIPW a useless propensity covariate alongside the real one via a
-	// nonlinear treatment rule: outcome model still correct ⇒ estimate holds.
-	r := mathx.NewRNG(17)
-	n := 12000
-	c := make([]float64, n)
-	tr := make([]float64, n)
-	l := make([]float64, n)
-	for i := 0; i < n; i++ {
-		c[i] = r.Normal(0, 1)
-		// Sharply nonlinear propensity — the logistic model is misspecified.
-		p := 0.05
-		if c[i] > 0.3 {
-			p = 0.95
-		}
-		if r.Bernoulli(p) {
-			tr[i] = 1
-		}
-		l[i] = 10 + 2*c[i] + 3*tr[i] + r.Normal(0, 0.5)
-	}
-	f, _ := data.FromColumns(map[string][]float64{"C": c, "R": tr, "L": l})
-	est, err := AIPW(f, "R", "L", []string{"C"}, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(est.Effect-3) > 0.25 {
-		t.Fatalf("AIPW under misspecified propensity = %v want ≈3", est.Effect)
-	}
-}
-
-func TestAIPWNoVariation(t *testing.T) {
-	f, _ := data.FromColumns(map[string][]float64{
-		"R": {1, 1, 1, 1, 1, 1},
-		"L": {1, 2, 3, 4, 5, 6},
-		"C": {0, 1, 0, 1, 0, 1},
-	})
-	if _, err := AIPW(f, "R", "L", []string{"C"}, 0.01); err == nil {
-		t.Fatal("single-arm data accepted")
 	}
 }
 

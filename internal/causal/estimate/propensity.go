@@ -165,70 +165,3 @@ func IPW(f *data.Frame, treatment, outcome string, adjust []string, clip float64
 		Detail: fmt.Sprintf("propensity clipped at %.3g", clip),
 	}, nil
 }
-
-// Matching estimates the ATT by 1-nearest-neighbour matching with
-// replacement on the adjustment covariates (Euclidean distance after
-// per-covariate standardization).
-func Matching(f *data.Frame, treatment, outcome string, adjust []string) (Estimate, error) {
-	if len(adjust) == 0 {
-		return Estimate{}, fmt.Errorf("estimate: matching needs at least one covariate")
-	}
-	tr := f.MustColumn(treatment)
-	y := f.MustColumn(outcome)
-	n := f.Len()
-
-	// Standardize covariates so distance is scale-free.
-	cov := make([][]float64, len(adjust))
-	for j, name := range adjust {
-		col, ok := f.Column(name)
-		if !ok {
-			return Estimate{}, fmt.Errorf("estimate: no column %q", name)
-		}
-		s := mathx.Summarize(col)
-		std := s.Std
-		if std == 0 {
-			std = 1
-		}
-		z := make([]float64, n)
-		for i, v := range col {
-			z[i] = (v - s.Mean) / std
-		}
-		cov[j] = z
-	}
-	var treatedIdx, controlIdx []int
-	for i, t := range tr {
-		switch t {
-		case 1:
-			treatedIdx = append(treatedIdx, i)
-		case 0:
-			controlIdx = append(controlIdx, i)
-		default:
-			return Estimate{}, fmt.Errorf("estimate: matching treatment must be binary, got %v", t)
-		}
-	}
-	if len(treatedIdx) == 0 || len(controlIdx) == 0 {
-		return Estimate{}, ErrNoVariation
-	}
-	diffs := make([]float64, 0, len(treatedIdx))
-	for _, ti := range treatedIdx {
-		best, bestD := -1, math.Inf(1)
-		for _, ci := range controlIdx {
-			var d float64
-			for j := range cov {
-				dd := cov[j][ti] - cov[j][ci]
-				d += dd * dd
-			}
-			if d < bestD {
-				bestD, best = d, ci
-			}
-		}
-		diffs = append(diffs, y[ti]-y[best])
-	}
-	s := mathx.Summarize(diffs)
-	return Estimate{
-		Method: "1-NN matching (ATT)",
-		Effect: s.Mean,
-		SE:     s.StandardError,
-		N:      len(diffs),
-	}, nil
-}

@@ -76,7 +76,7 @@ func FitLinear(g *dag.Graph, f *data.Frame) (*Model, error) {
 // by finite differencing, which is exact for linear models.
 func (m *Model) Coefficient(node, parent string) (float64, bool) {
 	eq, ok := m.eqs[node]
-	if !ok || !eq.additive {
+	if !ok {
 		return 0, false
 	}
 	hasParent := false

@@ -1,25 +1,19 @@
 // Package scm implements structural causal models: the third rung of
 // Pearl's ladder. A Model assigns each DAG node a mechanism X := f(pa(X), U)
-// with independent noise U. It supports sampling (rung 1), do-interventions
-// (rung 2), and abduction–action–prediction counterfactuals (rung 3) — the
-// reasoning the paper argues operators implicitly rely on when they ask
-// "would this degradation have happened without the routing change?".
+// with independent noise U. It supports sampling (rung 1) and
+// abduction–action–prediction counterfactuals under do-interventions
+// (rung 3) — the reasoning the paper argues operators implicitly rely on
+// when they ask "would this degradation have happened without the routing
+// change?".
 package scm
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
 	"sisyphus/internal/causal/dag"
 	"sisyphus/internal/mathx"
-	"sisyphus/internal/obs"
-	"sisyphus/internal/parallel"
 )
-
-// Mechanism computes a node's value from its parents' values and its
-// exogenous noise term.
-type Mechanism func(parents map[string]float64, noise float64) float64
 
 // NoiseFn draws a node's exogenous noise.
 type NoiseFn func(r *mathx.RNG) float64
@@ -34,20 +28,17 @@ func NoNoise() NoiseFn {
 	return func(*mathx.RNG) float64 { return 0 }
 }
 
-// equation is one structural assignment.
+// equation is one structural assignment of the additive form
+// X := base(pa(X)) + U, which is invertible in the noise and therefore
+// supports exact abduction.
 type equation struct {
 	parents []string
-	fn      Mechanism
 	noise   NoiseFn
-	// additive marks mechanisms of the form f(pa) + U, which are invertible
-	// in the noise and therefore support exact abduction.
-	additive bool
-	// base, for additive mechanisms, computes f(pa) without the noise.
-	base func(parents map[string]float64) float64
+	base    func(parents map[string]float64) float64
 }
 
-// Model is a structural causal model over a DAG. Build it with Define /
-// DefineLinear and query with Sample, Do, and Counterfactual.
+// Model is a structural causal model over a DAG. Build it with
+// DefineAdditive / DefineLinear and query with Sample and Counterfactual.
 type Model struct {
 	graph *dag.Graph
 	eqs   map[string]equation
@@ -58,29 +49,11 @@ func New() *Model {
 	return &Model{graph: dag.New(), eqs: make(map[string]equation)}
 }
 
-// Graph returns the model's causal DAG (shared; do not mutate).
-func (m *Model) Graph() *dag.Graph { return m.graph }
-
-// Define adds a node with an arbitrary mechanism. Arbitrary mechanisms do
-// not support exact counterfactual abduction (use DefineAdditive or
-// DefineLinear for that). Returns an error if the node exists or an edge
-// would create a cycle.
-func (m *Model) Define(node string, parents []string, fn Mechanism, noise NoiseFn) error {
-	return m.define(node, parents, equation{parents: parents, fn: fn, noise: noise})
-}
-
 // DefineAdditive adds a node whose mechanism is base(parents) + noise.
 // Additive mechanisms are invertible in the noise term, enabling exact
 // abduction for counterfactual queries.
 func (m *Model) DefineAdditive(node string, parents []string, base func(map[string]float64) float64, noise NoiseFn) error {
-	eq := equation{
-		parents:  parents,
-		fn:       func(pa map[string]float64, u float64) float64 { return base(pa) + u },
-		noise:    noise,
-		additive: true,
-		base:     base,
-	}
-	return m.define(node, parents, eq)
+	return m.define(node, parents, equation{parents: parents, noise: noise, base: base})
 }
 
 // DefineLinear adds a node with mechanism
@@ -147,16 +120,6 @@ type Assignment struct {
 
 // Sample draws one assignment from the observational distribution.
 func (m *Model) Sample(r *mathx.RNG) (Assignment, error) {
-	return m.sample(r, nil)
-}
-
-// SampleDo draws one assignment from the interventional distribution where
-// each node in do is held at the given value (the graph surgery of rung 2).
-func (m *Model) SampleDo(r *mathx.RNG, do map[string]float64) (Assignment, error) {
-	return m.sample(r, do)
-}
-
-func (m *Model) sample(r *mathx.RNG, do map[string]float64) (Assignment, error) {
 	if err := m.validate(); err != nil {
 		return Assignment{}, err
 	}
@@ -166,15 +129,11 @@ func (m *Model) sample(r *mathx.RNG, do map[string]float64) (Assignment, error) 
 		eq := m.eqs[n]
 		u := eq.noise(r)
 		noise[n] = u
-		if v, ok := do[n]; ok {
-			vals[n] = v
-			continue
-		}
 		pa := make(map[string]float64, len(eq.parents))
 		for _, p := range eq.parents {
 			pa[p] = vals[p]
 		}
-		vals[n] = eq.fn(pa, u)
+		vals[n] = eq.base(pa) + u
 	}
 	return Assignment{Values: vals, Noise: noise}, nil
 }
@@ -195,56 +154,11 @@ func (m *Model) SampleN(r *mathx.RNG, n int) (map[string][]float64, error) {
 	return out, nil
 }
 
-// ATE estimates the average treatment effect E[y | do(x=hi)] − E[y | do(x=lo)]
-// by Monte Carlo with n draws per arm.
-//
-// Draws shard across pool. Each draw i consumes its own RNG stream,
-// pre-split from r in index order before dispatch (the DESIGN.md
-// determinism rule), and the per-draw contributions are summed in index
-// order afterwards — so the estimate is bit-identical for any worker count,
-// including the sequential width-1 path. Cancelling ctx stops scheduling
-// further draws and returns ctx.Err().
-func (m *Model) ATE(ctx context.Context, pool parallel.Pool, r *mathx.RNG, x string, lo, hi float64, y string, n int) (float64, error) {
-	if err := m.validate(); err != nil {
-		return 0, err
-	}
-	rngs := make([]*mathx.RNG, n)
-	for i := range rngs {
-		rngs[i] = r.Split()
-	}
-	doHi := map[string]float64{x: hi}
-	doLo := map[string]float64{x: lo}
-	type arms struct{ hi, lo float64 }
-	draws, err := parallel.Map(ctx, pool, n, func(i int) (arms, error) {
-		a, err := m.sample(rngs[i], doHi)
-		if err != nil {
-			return arms{}, err
-		}
-		b, err := m.sample(rngs[i], doLo)
-		if err != nil {
-			return arms{}, err
-		}
-		return arms{hi: a.Values[y], lo: b.Values[y]}, nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	var sumHi, sumLo float64
-	for _, d := range draws {
-		sumHi += d.hi
-		sumLo += d.lo
-	}
-	// Monte-Carlo shard accounting (no-op without a recorder on ctx).
-	obs.Add(ctx, "scm.mc_draws", int64(n))
-	return (sumHi - sumLo) / float64(n), nil
-}
-
 // Counterfactual answers rung-3 queries for additive-noise models via
 // abduction–action–prediction:
 //
 //	abduction:  recover each node's noise from the fully observed factual
-//	            assignment (requires every mechanism on the path to be
-//	            additive);
+//	            assignment;
 //	action:     apply the do-intervention;
 //	prediction: re-evaluate the mechanisms with the recovered noise.
 //
@@ -261,9 +175,6 @@ func (m *Model) Counterfactual(observed map[string]float64, do map[string]float6
 		x, ok := observed[n]
 		if !ok {
 			return nil, fmt.Errorf("scm: counterfactual requires observed value for %q", n)
-		}
-		if !eq.additive {
-			return nil, fmt.Errorf("scm: node %q has a non-additive mechanism; exact abduction unavailable", n)
 		}
 		pa := make(map[string]float64, len(eq.parents))
 		for _, p := range eq.parents {
@@ -284,33 +195,6 @@ func (m *Model) Counterfactual(observed map[string]float64, do map[string]float6
 			pa[p] = vals[p]
 		}
 		vals[n] = eq.base(pa) + noise[n]
-	}
-	return vals, nil
-}
-
-// Replay re-evaluates the model with a fixed noise assignment under an
-// optional intervention. It is the simulation analogue of Counterfactual
-// when the true noise is known (e.g. recorded by a simulator).
-func (m *Model) Replay(noise map[string]float64, do map[string]float64) (map[string]float64, error) {
-	if err := m.validate(); err != nil {
-		return nil, err
-	}
-	vals := make(map[string]float64)
-	for _, n := range m.graph.TopologicalOrder() {
-		if v, ok := do[n]; ok {
-			vals[n] = v
-			continue
-		}
-		eq := m.eqs[n]
-		pa := make(map[string]float64, len(eq.parents))
-		for _, p := range eq.parents {
-			pa[p] = vals[p]
-		}
-		u, ok := noise[n]
-		if !ok {
-			return nil, fmt.Errorf("scm: replay missing noise for %q", n)
-		}
-		vals[n] = eq.fn(pa, u)
 	}
 	return vals, nil
 }

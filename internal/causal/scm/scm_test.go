@@ -1,7 +1,6 @@
 package scm
 
 import (
-	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -9,7 +8,6 @@ import (
 	"sisyphus/internal/causal/dag"
 	"sisyphus/internal/causal/data"
 	"sisyphus/internal/mathx"
-	"sisyphus/internal/parallel"
 )
 
 // runningExample builds the paper's C → {R, L}, R → L model with known
@@ -72,41 +70,10 @@ func TestObservationalMoments(t *testing.T) {
 	if got := mathx.Correlation(cols["C"], cols["R"]); got < 0.7 {
 		t.Fatalf("corr(C,R) = %v", got)
 	}
-}
-
-func TestDoBreaksConfounding(t *testing.T) {
-	m := runningExample(0.5)
-	r := mathx.NewRNG(7)
-	// Under do(R=r0), R no longer depends on C; corr(C, R) must be 0 and
-	// E[L | do(R=1)] - E[L | do(R=0)] must equal the structural coefficient 5.
-	ate, err := m.ATE(context.Background(), parallel.Pool{}, r, "R", 0, 1, "L", 20000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(ate-5) > 0.1 {
-		t.Fatalf("ATE = %v want 5", ate)
-	}
-	// Naive observational contrast is biased upward: R and L share cause C.
-	cols, _ := m.SampleN(mathx.NewRNG(8), 20000)
-	// Regression slope of L on R without adjusting C:
-	slope := mathx.Covariance(cols["R"], cols["L"]) / mathx.Variance(cols["R"])
-	if slope < 5.5 {
+	// The naive slope of L on R is biased above the structural 5: R and L
+	// share the cause C.
+	if slope := mathx.Covariance(cols["R"], cols["L"]) / mathx.Variance(cols["R"]); slope < 5.5 {
 		t.Fatalf("naive slope = %v; expected confounding bias above 5", slope)
-	}
-}
-
-func TestSampleDoOverridesMechanism(t *testing.T) {
-	m := runningExample(0)
-	a, err := m.SampleDo(mathx.NewRNG(3), map[string]float64{"R": 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Values["R"] != 9 {
-		t.Fatalf("do(R=9) gave R=%v", a.Values["R"])
-	}
-	wantL := 10 + 2*a.Values["C"] + 5*9
-	if math.Abs(a.Values["L"]-wantL) > 1e-9 {
-		t.Fatalf("L = %v want %v", a.Values["L"], wantL)
 	}
 }
 
@@ -166,58 +133,6 @@ func TestCounterfactualRequiresFullObservation(t *testing.T) {
 	}
 }
 
-func TestCounterfactualRejectsNonAdditive(t *testing.T) {
-	m := New()
-	_ = m.DefineLinear("X", nil, 0, GaussianNoise(1))
-	err := m.Define("Y", []string{"X"}, func(pa map[string]float64, u float64) float64 {
-		return pa["X"] * u // multiplicative noise: not invertible by our abduction
-	}, GaussianNoise(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Counterfactual(map[string]float64{"X": 1, "Y": 2}, map[string]float64{"X": 0}); err == nil {
-		t.Fatal("non-additive mechanism accepted for abduction")
-	}
-}
-
-func TestReplayMatchesSample(t *testing.T) {
-	m := runningExample(1)
-	a, err := m.Sample(mathx.NewRNG(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	re, err := m.Replay(a.Noise, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, v := range a.Values {
-		if math.Abs(re[k]-v) > 1e-12 {
-			t.Fatalf("replay %s = %v want %v", k, re[k], v)
-		}
-	}
-	// Replay under do(R=0) equals the counterfactual computed by abduction.
-	cf, err := m.Counterfactual(a.Values, map[string]float64{"R": 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	re0, err := m.Replay(a.Noise, map[string]float64{"R": 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range cf {
-		if math.Abs(cf[k]-re0[k]) > 1e-9 {
-			t.Fatalf("abduction vs replay mismatch on %s: %v vs %v", k, cf[k], re0[k])
-		}
-	}
-}
-
-func TestReplayMissingNoise(t *testing.T) {
-	m := runningExample(1)
-	if _, err := m.Replay(map[string]float64{"C": 0}, nil); err == nil {
-		t.Fatal("missing noise accepted")
-	}
-}
-
 func TestFitLinearRecoversCoefficients(t *testing.T) {
 	truth := runningExample(0.5)
 	cols, err := truth.SampleN(mathx.NewRNG(11), 5000)
@@ -241,14 +156,6 @@ func TestFitLinearRecoversCoefficients(t *testing.T) {
 	}
 	if c, ok := fit.Coefficient("R", "C"); !ok || math.Abs(c-0.8) > 0.1 {
 		t.Fatalf("fitted R~C coefficient = %v want 0.8", c)
-	}
-	// ATE from the fitted model should match the structural truth.
-	ate, err := fit.ATE(context.Background(), parallel.Pool{}, mathx.NewRNG(12), "R", 0, 1, "L", 5000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(ate-5) > 0.2 {
-		t.Fatalf("fitted ATE = %v want 5", ate)
 	}
 }
 

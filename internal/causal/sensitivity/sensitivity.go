@@ -4,9 +4,9 @@
 //
 //   - E-values (VanderWeele & Ding): the minimum strength of association an
 //     unmeasured confounder would need with both treatment and outcome to
-//     explain away an observed effect;
-//   - bias bounds for a hypothesized confounder of given strength; and
-//   - placebo-treatment and bootstrap refuters for estimator outputs.
+//     explain away an observed effect; and
+//   - placebo-treatment, random-common-cause and data-subset refuters for
+//     estimator outputs.
 package sensitivity
 
 import (
@@ -62,33 +62,6 @@ func EValueFromEstimate(e estimate.Estimate, outcomeSD float64) (point, ci float
 	}
 	ci, err = EValue(bound)
 	return point, ci, err
-}
-
-// ConfounderBias returns the maximum bias (on the risk-ratio scale) that an
-// unmeasured confounder with treatment-association rrTU and
-// outcome-association rrUY could induce: the Ding–VanderWeele bounding
-// factor rrTU·rrUY / (rrTU + rrUY − 1).
-func ConfounderBias(rrTU, rrUY float64) (float64, error) {
-	if rrTU < 1 || rrUY < 1 {
-		return 0, errors.New("sensitivity: confounder associations are expressed as risk ratios >= 1")
-	}
-	return rrTU * rrUY / (rrTU + rrUY - 1), nil
-}
-
-// ExplainsAway reports whether a confounder of the given strength could
-// move an observed risk ratio all the way to the null.
-func ExplainsAway(observedRR, rrTU, rrUY float64) (bool, error) {
-	if observedRR <= 0 {
-		return false, errors.New("sensitivity: observed RR must be positive")
-	}
-	if observedRR < 1 {
-		observedRR = 1 / observedRR
-	}
-	b, err := ConfounderBias(rrTU, rrUY)
-	if err != nil {
-		return false, err
-	}
-	return b >= observedRR, nil
 }
 
 // Refutation is the outcome of a refuter run.
@@ -233,45 +206,4 @@ func DataSubset(f *data.Frame, est Estimator, r *mathx.RNG, reps int) (Refutatio
 		Passed: passed,
 		Detail: fmt.Sprintf("subset sd=%.4f over %d half-samples", s.Std, reps),
 	}, nil
-}
-
-// Bootstrap returns percentile bootstrap confidence bounds for an estimator
-// by resampling rows with replacement.
-func Bootstrap(f *data.Frame, est Estimator, r *mathx.RNG, reps int, level float64) (lo, hi float64, err error) {
-	if reps <= 0 {
-		reps = 200
-	}
-	if level <= 0 || level >= 1 {
-		return 0, 0, errors.New("sensitivity: level must be in (0,1)")
-	}
-	n := f.Len()
-	cols := f.Columns()
-	var effects []float64
-	for rep := 0; rep < reps; rep++ {
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = r.Intn(n)
-		}
-		g := data.New()
-		for _, name := range cols {
-			src := f.MustColumn(name)
-			col := make([]float64, n)
-			for i, j := range idx {
-				col[i] = src[j]
-			}
-			if err := g.AddColumn(name, col); err != nil {
-				return 0, 0, err
-			}
-		}
-		e, err := est(g)
-		if err != nil {
-			continue // resamples can be degenerate (e.g. one-arm); skip
-		}
-		effects = append(effects, e.Effect)
-	}
-	if len(effects) < reps/2 {
-		return 0, 0, fmt.Errorf("sensitivity: only %d/%d bootstrap replicates succeeded", len(effects), reps)
-	}
-	alpha := (1 - level) / 2
-	return mathx.Quantile(effects, alpha), mathx.Quantile(effects, 1-alpha), nil
 }

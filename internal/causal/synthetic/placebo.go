@@ -162,27 +162,3 @@ func PrePostTTest(p *Panel, treated string, t0 int) (delta, pvalue float64, err 
 	_, pvalue = mathx.WelchT(post, pre)
 	return mathx.Mean(post) - mathx.Mean(pre), pvalue, nil
 }
-
-// PlaceboInTime is the backdating diagnostic: refit the synthetic control
-// pretending treatment happened at an earlier time fakeT0 < t0, evaluating
-// the "post" period only up to the real treatment. A sound design finds no
-// effect there; a nonzero backdated ATT signals pre-trend divergence that
-// would contaminate the real estimate.
-func PlaceboInTime(p *Panel, treated string, realT0, fakeT0 int, cfg Config) (*Result, error) {
-	if fakeT0 >= realT0 {
-		return nil, fmt.Errorf("synthetic: fake treatment time %d must precede the real one %d", fakeT0, realT0)
-	}
-	// Truncate the panel at the real treatment so the genuine effect never
-	// enters the placebo window.
-	trunc := mathx.NewMatrix(len(p.Units), realT0)
-	for i := 0; i < len(p.Units); i++ {
-		for t := 0; t < realT0; t++ {
-			trunc.Set(i, t, p.Y.At(i, t))
-		}
-	}
-	sub, err := NewPanel(p.Units, p.Times[:realT0], trunc)
-	if err != nil {
-		return nil, err
-	}
-	return Fit(sub, treated, fakeT0, cfg)
-}

@@ -6,40 +6,8 @@ import (
 	"strings"
 )
 
-// sparkRunes are the eight block heights used for terminal sparklines.
+// sparkRunes are the eight block heights Render draws series with.
 var sparkRunes = []rune("▁▂▃▄▅▆▇█")
-
-// Sparkline renders a series as unicode blocks scaled to its own range.
-func Sparkline(xs []float64) string {
-	if len(xs) == 0 {
-		return ""
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, x := range xs {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	var sb strings.Builder
-	span := hi - lo
-	for _, x := range xs {
-		idx := 0
-		if span > 0 {
-			idx = int((x - lo) / span * float64(len(sparkRunes)-1))
-		}
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(sparkRunes) {
-			idx = len(sparkRunes) - 1
-		}
-		sb.WriteRune(sparkRunes[idx])
-	}
-	return sb.String()
-}
 
 // Render prints the fitted synthetic control as a compact terminal chart:
 // the actual and synthetic trajectories (shared scale), a treatment marker,

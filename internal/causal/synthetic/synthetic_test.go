@@ -295,51 +295,7 @@ func TestMethodString(t *testing.T) {
 	}
 }
 
-func TestJackknifeCICoversEffect(t *testing.T) {
-	p := factorPanel(20, 14, 60, 40, -5, 0.5)
-	ci, err := Jackknife(p, "a", 40, Config{Method: Classic}, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Jackknife measures donor-dependence: the interval brackets the point
-	// ATT, and a tight interval here is correct (no single donor dominates).
-	if ci.Lo > ci.ATT || ci.Hi < ci.ATT {
-		t.Fatalf("jackknife CI [%v, %v] excludes its own ATT %v", ci.Lo, ci.Hi, ci.ATT)
-	}
-	if math.Abs(ci.ATT-(-5)) > 0.5 {
-		t.Fatalf("ATT = %v want ≈ -5", ci.ATT)
-	}
-	if ci.SE <= 0 || ci.Hi-ci.Lo > 2 {
-		t.Fatalf("se = %v, width = %v", ci.SE, ci.Hi-ci.Lo)
-	}
-	if len(ci.Replicas) < 10 {
-		t.Fatalf("replicas = %d", len(ci.Replicas))
-	}
-}
-
-func TestJackknifeErrors(t *testing.T) {
-	p := factorPanel(21, 4, 40, 30, -3, 0.3)
-	if _, err := Jackknife(p, "a", 30, Config{}, 1.5); err == nil {
-		t.Fatal("bad level accepted")
-	}
-	small := factorPanel(22, 3, 40, 30, -3, 0.3)
-	if _, err := Jackknife(small, "a", 30, Config{}, 0.95); err == nil {
-		t.Fatal("two-donor jackknife accepted")
-	}
-}
-
-func TestSparklineAndRender(t *testing.T) {
-	if s := Sparkline(nil); s != "" {
-		t.Fatalf("empty sparkline = %q", s)
-	}
-	if s := Sparkline([]float64{1, 1, 1}); len([]rune(s)) != 3 {
-		t.Fatalf("flat sparkline = %q", s)
-	}
-	s := Sparkline([]float64{0, 1, 2, 3, 4, 5, 6, 7})
-	runes := []rune(s)
-	if runes[0] != '▁' || runes[7] != '█' {
-		t.Fatalf("ramp sparkline = %q", s)
-	}
+func TestResultRender(t *testing.T) {
 	p := factorPanel(30, 8, 40, 30, -5, 0.3)
 	res, err := Fit(p, "a", 30, Config{Method: Classic})
 	if err != nil {
@@ -350,27 +306,5 @@ func TestSparklineAndRender(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestPlaceboInTimeFindsNothingForSoundDesign(t *testing.T) {
-	p := factorPanel(31, 14, 80, 60, -6, 0.4)
-	res, err := PlaceboInTime(p, "a", 60, 40, Config{Method: Classic})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.ATT) > 0.8 {
-		t.Fatalf("backdated ATT = %v; should be ≈ 0 before the real treatment", res.ATT)
-	}
-	// The real fit still finds the effect.
-	real, err := Fit(p, "a", 60, Config{Method: Classic})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(real.ATT-(-6)) > 1 {
-		t.Fatalf("real ATT = %v", real.ATT)
-	}
-	if _, err := PlaceboInTime(p, "a", 40, 60, Config{}); err == nil {
-		t.Fatal("fake time after real time accepted")
 	}
 }

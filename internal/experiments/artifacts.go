@@ -62,7 +62,7 @@ func fetchWorld(ctx context.Context, pool parallel.Pool, id string) (*scenario.W
 	}
 	rib, err := artifact.GetOrBuild(ctx, st, rkey, artifact.Spec[*bgp.RIB]{
 		// The stored RIB is computed over its own private world build so no
-		// caller-owned topology leaks into the frozen artifact; the empty
+		// caller-owned topology leaks into the stored artifact; the empty
 		// policy matches what a fresh engine computes on first use.
 		Build: func(ctx context.Context) (*bgp.RIB, error) {
 			w, err := scenario.Build(id)
@@ -71,13 +71,10 @@ func fetchWorld(ctx context.Context, pool parallel.Pool, id string) (*scenario.W
 			}
 			return bgp.Compute(ctx, pool, w.Topo, nil)
 		},
-		// Rebind each fork onto the caller's own world fork. The stored
-		// original is frozen, so this is a copy-on-write view: per-dest
-		// route tables stay shared until a fork writes through
-		// MutableLookup.
-		Fork:   func(r *bgp.RIB) *bgp.RIB { return r.Fork(s.Topo) },
-		Freeze: (*bgp.RIB).Freeze,
-		Size:   (*bgp.RIB).SizeBytes,
+		// Rebind each fork onto the caller's own world fork; a converged
+		// RIB is immutable, so every fork shares its route tables.
+		Fork: func(r *bgp.RIB) *bgp.RIB { return r.Fork(s.Topo) },
+		Size: (*bgp.RIB).SizeBytes,
 		Codec: &artifact.Codec[*bgp.RIB]{
 			Version: ribCodecVersion,
 			Encode:  EncodeRIBArtifact,
@@ -89,7 +86,7 @@ func fetchWorld(ctx context.Context, pool parallel.Pool, id string) (*scenario.W
 				if err != nil {
 					return nil, err
 				}
-				return DecodeRIBArtifact(b, w.Topo, pool)
+				return DecodeRIBArtifact(b, w.Topo)
 			},
 		},
 	})

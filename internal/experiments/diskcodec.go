@@ -8,7 +8,6 @@ import (
 	"sisyphus/internal/netsim/bgp"
 	"sisyphus/internal/netsim/scenario"
 	"sisyphus/internal/netsim/topo"
-	"sisyphus/internal/parallel"
 	"sisyphus/internal/platform"
 	"sisyphus/internal/probe"
 )
@@ -77,14 +76,14 @@ func EncodeRIBArtifact(r *bgp.RIB) ([]byte, error) {
 }
 
 // DecodeRIBArtifact reconstructs a RIB from EncodeRIBArtifact bytes,
-// rebound onto t with pool for incremental recomputation — mirroring how
-// the RIB artifact's Build computes over its own private world.
-func DecodeRIBArtifact(b []byte, t *topo.Topology, pool parallel.Pool) (*bgp.RIB, error) {
+// rebound onto t — mirroring how the RIB artifact's Build computes over its
+// own private world.
+func DecodeRIBArtifact(b []byte, t *topo.Topology) (*bgp.RIB, error) {
 	var e bgp.Export
 	if err := gobDecode(b, &e); err != nil {
 		return nil, fmt.Errorf("rib artifact: %w", err)
 	}
-	return bgp.Import(&e, t, pool)
+	return bgp.Import(&e, t)
 }
 
 // campaignExport is the campaign artifact's payload: the post-simulation

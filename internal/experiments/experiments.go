@@ -101,9 +101,6 @@ type ScenarioChoice struct {
 	Scenario string `json:"-"`
 }
 
-// ScenarioID returns the chosen world id ("" = the default world).
-func (c ScenarioChoice) ScenarioID() string { return c.Scenario }
-
 // scenarioOr resolves an options scenario field to a concrete world id:
 // empty means the default Table 1 world.
 func scenarioOr(id string) string {
@@ -119,8 +116,6 @@ func scenarioOr(id string) string {
 // hard-coded list of capable experiment ids.
 type ScenarioOptions interface {
 	Options
-	// ScenarioID is the chosen world id; empty means the default world.
-	ScenarioID() string
 	// WithScenario returns a copy of the options retargeted at the world.
 	WithScenario(id string) Options
 }
@@ -287,10 +282,6 @@ type RunOutcome struct {
 	Res Renderable
 	Err error
 }
-
-// Completed reports whether the experiment actually ran: a cancelled suite
-// leaves unscheduled outcomes with neither a result nor an error.
-func (o RunOutcome) Completed() bool { return o.Res != nil || o.Err != nil }
 
 // RunAll runs the suite — every registered experiment, or cfg.Only — with
 // the same seed and returns outcomes in ID order. The experiments are

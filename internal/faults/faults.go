@@ -134,9 +134,6 @@ func New(cfg Config) *Injector {
 // ID so clones never collide with originals in a Store.
 const dupIDBase = 1 << 30
 
-// Config returns the injector's configuration.
-func (in *Injector) Config() Config { return in.cfg }
-
 // stream returns the pre-split RNG stream for one fault decision. The seed
 // mix folds the fault kind and the per-measurement keys into the injector
 // seed; mathx.NewRNG then SplitMix-expands it, so streams for adjacent keys
@@ -275,22 +272,4 @@ func (in *Injector) VantageDown(src topo.PoPID, hour float64) bool {
 	// First window ending after hour is the only candidate.
 	i := sort.Search(len(sc.windows), func(i int) bool { return sc.windows[i].End > hour })
 	return i < len(sc.windows) && sc.windows[i].Start <= hour
-}
-
-// OutageWindows materializes the vantage's outage windows up to horizon —
-// exposed for tests and for coverage reports that want to distinguish
-// "vantage was dead" gaps from sampling gaps.
-func (in *Injector) OutageWindows(src topo.PoPID, horizon float64) []Window {
-	if in.cfg.OutagesPerKiloHour <= 0 {
-		return nil
-	}
-	sc := in.schedule(src)
-	in.extend(sc, horizon)
-	var out []Window
-	for _, w := range sc.windows {
-		if w.Start < horizon {
-			out = append(out, w)
-		}
-	}
-	return out
 }

@@ -109,7 +109,7 @@ func TestOutageWindows(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			in := New(c.cfg)
 			src := topo.PoPID(5)
-			ws := in.OutageWindows(src, c.horizon)
+			ws := in.outageWindows(src, c.horizon)
 			if len(ws) == 0 {
 				t.Fatalf("no outage windows in %v hours at %v/kh", c.horizon, c.cfg.OutagesPerKiloHour)
 			}
@@ -154,7 +154,7 @@ func TestOutageScheduleQueryOrderInvariance(t *testing.T) {
 	hours := []float64{900, 10, 450, 2000, 0, 1999.5, 33.3}
 
 	eager := New(cfg)
-	eager.OutageWindows(src, 2500) // materialize everything first
+	eager.outageWindows(src, 2500) // materialize everything first
 	lazy := New(cfg)               // extends incrementally, out of order
 	for _, h := range hours {
 		if eager.VantageDown(src, h) != lazy.VantageDown(src, h) {
@@ -164,7 +164,7 @@ func TestOutageScheduleQueryOrderInvariance(t *testing.T) {
 	// Two vantages get independent schedules from their own streams.
 	other := topo.PoPID(4)
 	allSame := true
-	for _, w := range eager.OutageWindows(src, 2500) {
+	for _, w := range eager.outageWindows(src, 2500) {
 		if eager.VantageDown(other, (w.Start+w.End)/2) != true {
 			allSame = false
 		}
@@ -179,7 +179,7 @@ func TestVantageDownDisabledWithoutOutages(t *testing.T) {
 	if in.VantageDown(topo.PoPID(1), 100) {
 		t.Fatal("outages fired with OutagesPerKiloHour = 0")
 	}
-	if ws := in.OutageWindows(topo.PoPID(1), 1000); ws != nil {
+	if ws := in.outageWindows(topo.PoPID(1), 1000); ws != nil {
 		t.Fatalf("windows materialized while disabled: %v", ws)
 	}
 }
@@ -307,4 +307,21 @@ func TestScaledGrid(t *testing.T) {
 	if over := Scaled(5, 3); over != full {
 		t.Fatalf("intensity must clamp at 1: %+v vs %+v", over, full)
 	}
+}
+
+// outageWindows materializes the vantage's outage windows up to horizon, so
+// tests can check VantageDown against the schedule it consults.
+func (in *Injector) outageWindows(src topo.PoPID, horizon float64) []Window {
+	if in.cfg.OutagesPerKiloHour <= 0 {
+		return nil
+	}
+	sc := in.schedule(src)
+	in.extend(sc, horizon)
+	var out []Window
+	for _, w := range sc.windows {
+		if w.Start < horizon {
+			out = append(out, w)
+		}
+	}
+	return out
 }

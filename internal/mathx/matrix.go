@@ -2,8 +2,6 @@ package mathx
 
 import (
 	"fmt"
-	"math"
-	"strings"
 )
 
 // Matrix is a dense, row-major matrix of float64 values.
@@ -18,23 +16,6 @@ func NewMatrix(r, c int) *Matrix {
 		panic(fmt.Sprintf("mathx: invalid matrix dims %dx%d", r, c))
 	}
 	return &Matrix{Rows: r, Cols: c, Data: make([]float64, r*c)}
-}
-
-// MatrixFromRows builds a matrix from a slice of equal-length rows.
-func MatrixFromRows(rows [][]float64) *Matrix {
-	r := len(rows)
-	if r == 0 {
-		return NewMatrix(0, 0)
-	}
-	c := len(rows[0])
-	m := NewMatrix(r, c)
-	for i, row := range rows {
-		if len(row) != c {
-			panic(fmt.Sprintf("mathx: ragged rows: row %d has %d cols, want %d", i, len(row), c))
-		}
-		copy(m.Data[i*c:(i+1)*c], row)
-	}
-	return m
 }
 
 // Identity returns the n-by-n identity matrix.
@@ -141,26 +122,6 @@ func (m *Matrix) MulVec(v Vector) Vector {
 	return out
 }
 
-// Add returns m + b as a new matrix.
-func (m *Matrix) Add(b *Matrix) *Matrix {
-	m.mustSameShape(b, "add")
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] += b.Data[i]
-	}
-	return out
-}
-
-// Sub returns m - b as a new matrix.
-func (m *Matrix) Sub(b *Matrix) *Matrix {
-	m.mustSameShape(b, "sub")
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] -= b.Data[i]
-	}
-	return out
-}
-
 // Scale returns a*m as a new matrix.
 func (m *Matrix) Scale(a float64) *Matrix {
 	out := m.Clone()
@@ -168,45 +129,4 @@ func (m *Matrix) Scale(a float64) *Matrix {
 		out.Data[i] *= a
 	}
 	return out
-}
-
-// FrobeniusNorm returns the Frobenius norm of m.
-func (m *Matrix) FrobeniusNorm() float64 {
-	var s float64
-	for _, x := range m.Data {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
-// MaxAbs returns the largest absolute element of m.
-func (m *Matrix) MaxAbs() float64 {
-	var mx float64
-	for _, x := range m.Data {
-		if a := math.Abs(x); a > mx {
-			mx = a
-		}
-	}
-	return mx
-}
-
-func (m *Matrix) mustSameShape(b *Matrix, op string) {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic(fmt.Sprintf("mathx: %s of %dx%d with %dx%d", op, m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-}
-
-// String renders the matrix for debugging.
-func (m *Matrix) String() string {
-	var sb strings.Builder
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			if j > 0 {
-				sb.WriteByte(' ')
-			}
-			fmt.Fprintf(&sb, "%9.4f", m.At(i, j))
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }

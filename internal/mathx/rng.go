@@ -106,11 +106,6 @@ func (r *RNG) Normal(mean, std float64) float64 {
 	return mean + std*z
 }
 
-// LogNormal returns a draw whose logarithm is N(mu, sigma²).
-func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(r.Normal(mu, sigma))
-}
-
 // Exponential returns a draw from Exp(rate).
 func (r *RNG) Exponential(rate float64) float64 {
 	u := r.Float64()
@@ -118,16 +113,6 @@ func (r *RNG) Exponential(rate float64) float64 {
 		u = r.Float64()
 	}
 	return -math.Log(u) / rate
-}
-
-// Pareto returns a draw from a Pareto distribution with scale xm and shape
-// alpha. Heavy-tailed; used for flow sizes and flash-crowd magnitudes.
-func (r *RNG) Pareto(xm, alpha float64) float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
 }
 
 // Bernoulli returns true with probability p.
@@ -156,27 +141,4 @@ func (r *RNG) Poisson(lambda float64) int {
 		}
 		k++
 	}
-}
-
-// Choice returns a uniformly random index into a slice of length n weighted
-// by w (which need not be normalized). It panics on empty or all-zero w.
-func (r *RNG) Choice(w []float64) int {
-	var total float64
-	for _, x := range w {
-		if x < 0 {
-			panic("mathx: negative weight")
-		}
-		total += x
-	}
-	if total <= 0 {
-		panic("mathx: Choice with zero total weight")
-	}
-	target := r.Float64() * total
-	for i, x := range w {
-		target -= x
-		if target < 0 {
-			return i
-		}
-	}
-	return len(w) - 1
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestSolveLinearKnown(t *testing.T) {
-	a := MatrixFromRows([][]float64{
+	a := matrixFromRows([][]float64{
 		{2, 1, -1},
 		{-3, -1, 2},
 		{-2, 1, 2},
@@ -26,7 +26,7 @@ func TestSolveLinearKnown(t *testing.T) {
 }
 
 func TestSolveLinearSingular(t *testing.T) {
-	a := MatrixFromRows([][]float64{{1, 2}, {2, 4}})
+	a := matrixFromRows([][]float64{{1, 2}, {2, 4}})
 	if _, err := SolveLinear(a, Vector{1, 2}); err == nil {
 		t.Fatal("expected ErrSingular")
 	}
@@ -66,7 +66,7 @@ func TestSolveLinearRandomRoundTrip(t *testing.T) {
 }
 
 func TestInvert(t *testing.T) {
-	a := MatrixFromRows([][]float64{{4, 7}, {2, 6}})
+	a := matrixFromRows([][]float64{{4, 7}, {2, 6}})
 	inv, err := Invert(a)
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestLeastSquaresRecoversCoefficients(t *testing.T) {
 
 func TestLeastSquaresRankDeficientFallsBackToRidge(t *testing.T) {
 	// Two identical columns: AᵀA singular, ridge fallback must still return.
-	a := MatrixFromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
+	a := matrixFromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
 	b := Vector{2, 4, 6}
 	x, err := LeastSquares(a, b)
 	if err != nil {
@@ -159,7 +159,7 @@ func TestSVDReconstruction(t *testing.T) {
 		}
 		d := ComputeSVD(m)
 		rec := d.Reconstruct(0)
-		return rec.Sub(m).MaxAbs() < 1e-8
+		return maxAbsDiff(rec, m) < 1e-8
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -216,21 +216,21 @@ func TestSVDOrthonormalColumns(t *testing.T) {
 
 func TestSVDLowRankTruncation(t *testing.T) {
 	// Build an exactly rank-2 matrix; truncation at k=2 must be exact.
-	u := MatrixFromRows([][]float64{{1, 0}, {0, 1}, {1, 1}, {2, -1}})
-	v := MatrixFromRows([][]float64{{1, 2, 3}, {-1, 0, 1}})
+	u := matrixFromRows([][]float64{{1, 0}, {0, 1}, {1, 1}, {2, -1}})
+	v := matrixFromRows([][]float64{{1, 2, 3}, {-1, 0, 1}})
 	m := u.Mul(v)
 	d := ComputeSVD(m)
-	if rank := d.Rank(1e-10); rank != 2 {
-		t.Fatalf("rank = %d want 2", rank)
+	if len(d.S) != 3 || d.S[1] <= 1e-10*d.S[0] || d.S[2] > 1e-10*d.S[0] {
+		t.Fatalf("singular values = %v, want exactly two above tolerance", d.S)
 	}
 	rec := d.Reconstruct(2)
-	if rec.Sub(m).MaxAbs() > 1e-8 {
+	if maxAbsDiff(rec, m) > 1e-8 {
 		t.Fatal("rank-2 truncation not exact on rank-2 matrix")
 	}
 }
 
 func TestSVDHardThreshold(t *testing.T) {
-	m := MatrixFromRows([][]float64{{10, 0}, {0, 0.001}})
+	m := matrixFromRows([][]float64{{10, 0}, {0, 0.001}})
 	d := ComputeSVD(m)
 	den := d.HardThreshold(1)
 	if !almostEqual(den.At(0, 0), 10, 1e-9) {

@@ -155,19 +155,3 @@ func (d SVD) HardThreshold(tau float64) *Matrix {
 	}
 	return d.Reconstruct(k)
 }
-
-// Rank returns the number of singular values above tol relative to the
-// largest singular value.
-func (d SVD) Rank(tol float64) int {
-	if len(d.S) == 0 {
-		return 0
-	}
-	thresh := tol * d.S[0]
-	n := 0
-	for _, sv := range d.S {
-		if sv > thresh {
-			n++
-		}
-	}
-	return n
-}

@@ -18,9 +18,6 @@ import (
 // Vector is a dense column vector of float64 values.
 type Vector []float64
 
-// NewVector returns a zero vector of length n.
-func NewVector(n int) Vector { return make(Vector, n) }
-
 // Clone returns an independent copy of v.
 func (v Vector) Clone() Vector {
 	out := make(Vector, len(v))
@@ -67,14 +64,6 @@ func (v Vector) AddScaled(a float64, w Vector) Vector {
 	}
 	for i := range v {
 		v[i] += a * w[i]
-	}
-	return v
-}
-
-// Scale multiplies every element of v by a in place and returns v.
-func (v Vector) Scale(a float64) Vector {
-	for i := range v {
-		v[i] *= a
 	}
 	return v
 }

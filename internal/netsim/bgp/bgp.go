@@ -109,39 +109,17 @@ func (p *Policy) Clone() *Policy {
 // RIB is the converged set of routing tables: for every destination AS, the
 // best route at every AS that can reach it.
 //
-// Per-destination tables are immutable once converged: Compute and
-// RecomputeAfterLinkFailure always build fresh tables, never write old ones
-// in place. That invariant is what lets Fork on a frozen RIB copy only the
-// outer destination map (O(destinations) pointers) while sharing every
-// table and route with the frozen original, and lets incremental
-// recomputation share every unaffected table. The one sanctioned way to
-// edit routes in place is MutableLookup, which promotes the destination's
-// table to a private copy first — per-destination copy-on-write.
+// A RIB is immutable once Compute, ComputeDests or Import returns it:
+// nothing writes its tables or routes afterwards, which is what lets Fork
+// share them outright. Lookup's routes must be treated as read-only.
 type RIB struct {
 	Topo *topo.Topology
 	Rel  *topo.ASRelationships
-	// best[dest][as] is as's chosen route to dest. The outer map is always
-	// owned by this RIB; inner tables may be shared with other RIBs.
+	// best[dest][as] is as's chosen route to dest.
 	best map[topo.ASN]map[topo.ASN]*Route
-	// promoted marks destinations whose inner table (and routes) are
-	// private to this RIB because MutableLookup copied them.
-	promoted map[topo.ASN]bool
-	// frozen marks the immutable original the artifact store holds: Fork
-	// becomes pointer-cheap and MutableLookup panics.
-	frozen bool
 	// policy used (for data-plane link filtering).
 	policy *Policy
-	// pool computed this RIB and is reused by incremental recomputation.
-	pool parallel.Pool
 }
-
-// Freeze marks the RIB immutable: MutableLookup panics on it, and Fork
-// switches from deep copies to pointer-cheap table sharing. The artifact
-// store freezes each converged RIB once, before any fork escapes.
-func (r *RIB) Freeze() { r.frozen = true }
-
-// Frozen reports whether Freeze was called.
-func (r *RIB) Frozen() bool { return r.frozen }
 
 // Lookup returns a's route to dest, or nil if unreachable.
 func (r *RIB) Lookup(a, dest topo.ASN) *Route {
@@ -150,16 +128,6 @@ func (r *RIB) Lookup(a, dest topo.ASN) *Route {
 		return nil
 	}
 	return m[a]
-}
-
-// ASPath returns the full AS path from a to dest including both endpoints,
-// with any poisoned ASNs included as they appear in the announcement.
-func (r *RIB) ASPath(a, dest topo.ASN) ([]topo.ASN, error) {
-	rt := r.Lookup(a, dest)
-	if rt == nil {
-		return nil, fmt.Errorf("bgp: AS%d has no route to AS%d", a, dest)
-	}
-	return append([]topo.ASN{a}, rt.Path...), nil
 }
 
 // maxSweeps bounds convergence iterations; Gao–Rexford systems settle in
@@ -189,9 +157,8 @@ func Compute(ctx context.Context, pool parallel.Pool, t *topo.Topology, pol *Pol
 // Destinations fan out across pool; tables come back in list order and are
 // assembled sequentially, so the result is identical to the sequential
 // loop. Cancelling ctx stops scheduling further destinations and returns
-// ctx.Err(); the pool is retained by the RIB for incremental recomputation.
-// A destination that is not in the topology, or is listed twice, is an
-// error.
+// ctx.Err(). A destination that is not in the topology, or is listed twice,
+// is an error.
 func ComputeDests(ctx context.Context, pool parallel.Pool, t *topo.Topology, pol *Policy, dests []topo.ASN) (*RIB, error) {
 	if pol == nil {
 		pol = NewPolicy()
@@ -210,7 +177,7 @@ func ComputeDests(ctx context.Context, pool parallel.Pool, t *topo.Topology, pol
 	if err != nil {
 		return nil, err
 	}
-	rib := &RIB{Topo: t, Rel: rel, best: make(map[topo.ASN]map[topo.ASN]*Route, len(dests)), policy: pol, pool: pool}
+	rib := &RIB{Topo: t, Rel: rel, best: make(map[topo.ASN]map[topo.ASN]*Route, len(dests)), policy: pol}
 	tables, err := parallel.Map(ctx, pool, len(dests), func(i int) (destTable, error) {
 		return computeDest(t, rel, pol, dests[i])
 	})

@@ -94,10 +94,11 @@ func TestProviderExportsEverythingToCustomer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path, err := rib.ASPath(3741, 300)
-	if err != nil {
-		t.Fatal(err)
+	rt := rib.Lookup(3741, 300)
+	if rt == nil {
+		t.Fatal("AS3741 has no route to AS300")
 	}
+	path := append([]topo.ASN{3741}, rt.Path...)
 	want := []topo.ASN{3741, 200, 100, 300}
 	if len(path) != len(want) {
 		t.Fatalf("path = %v", path)
@@ -378,7 +379,7 @@ func TestForwardingMatchesControlPlane(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		pops := tp.PoPs()
+		pops := tp.Export().PoPs
 		for trial := 0; trial < 10; trial++ {
 			src := pops[r.Intn(len(pops))].ID
 			dst := pops[r.Intn(len(pops))].ID
@@ -483,26 +484,6 @@ func TestScaleLargeTopology(t *testing.T) {
 		path := append([]topo.ASN{src}, rt.Path...)
 		if !ValleyFree(rel, path) {
 			t.Fatalf("valley in %v", path)
-		}
-	}
-	// Incremental recomputation must agree with full on a sampled failure.
-	links := tp.Links()
-	failed := links[r.Intn(len(links))].ID
-	inc, err := rib.RecomputeAfterLinkFailure(context.Background(), failed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pol := NewPolicy()
-	pol.DenyLink[failed] = true
-	full, err := Compute(context.Background(), parallel.Pool{}, tp, pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 100; trial++ {
-		src := ases[r.Intn(len(ases))].ASN
-		dst := ases[r.Intn(len(ases))].ASN
-		if !routesEqual(inc.Lookup(src, dst), full.Lookup(src, dst)) {
-			t.Fatalf("incremental mismatch at AS%d→AS%d", src, dst)
 		}
 	}
 }

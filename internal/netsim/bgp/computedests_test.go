@@ -36,7 +36,7 @@ func randomPolicy(r *mathx.RNG, tp *topo.Topology, rel *topo.ASRelationships) *P
 			pol.SetLocalPref(a, n, 1+r.Intn(299))
 		}
 	}
-	links := tp.Links()
+	links := tp.Export().Links
 	for i := 0; i < r.Intn(4); i++ {
 		pol.DenyLink[links[r.Intn(len(links))].ID] = true
 	}

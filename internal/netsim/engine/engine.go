@@ -152,12 +152,6 @@ func (e *Engine) Schedule(ev Event) {
 // Hour returns the current simulated UTC hour since start.
 func (e *Engine) Hour() float64 { return e.hour }
 
-// StepIndex returns how many steps have elapsed.
-func (e *Engine) StepIndex() int { return e.step }
-
-// EventLog returns the names of events fired so far.
-func (e *Engine) EventLog() []string { return append([]string(nil), e.eventLg...) }
-
 // RIB returns the current converged routing state, recomputing if needed.
 func (e *Engine) RIB() (*bgp.RIB, error) {
 	if e.dirty || e.rib == nil {

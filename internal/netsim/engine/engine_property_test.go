@@ -23,7 +23,7 @@ func TestPerfInvariants(t *testing.T) {
 		if err := e.RunUntil(5); err != nil {
 			return false
 		}
-		pops := tp.PoPs()
+		pops := tp.Export().PoPs
 		for trial := 0; trial < 12; trial++ {
 			src := pops[r.Intn(len(pops))].ID
 			dst := pops[r.Intn(len(pops))].ID
@@ -126,7 +126,7 @@ func TestEngineReplayAcrossFamilies(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := New(tp, 3, Config{})
-		pops := tp.PoPs()
+		pops := tp.Export().PoPs
 		var out []float64
 		for i := 0; i < 20; i++ {
 			if err := e.Step(); err != nil {

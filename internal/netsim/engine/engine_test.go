@@ -71,11 +71,11 @@ func TestStepFiresEventsInOrder(t *testing.T) {
 	if strings.Join(fired, ",") != "a,b,c" {
 		t.Fatalf("fired = %v", fired)
 	}
-	if got := e.EventLog(); len(got) != 3 {
+	if got := e.eventLg; len(got) != 3 {
 		t.Fatalf("event log = %v", got)
 	}
-	if e.Hour() != 10 || e.StepIndex() != 10 {
-		t.Fatalf("clock = %v / %v", e.Hour(), e.StepIndex())
+	if e.Hour() != 10 || e.step != 10 {
+		t.Fatalf("clock = %v / %v", e.Hour(), e.step)
 	}
 }
 
@@ -192,7 +192,7 @@ func TestAdaptiveEgressSwitchesUnderCongestion(t *testing.T) {
 	if !sawSwitch {
 		t.Fatal("adaptive egress never moved off the congested provider")
 	}
-	log := strings.Join(e.EventLog(), ";")
+	log := strings.Join(e.eventLg, ";")
 	if !strings.Contains(log, "egress-shift AS3741") {
 		t.Fatalf("no egress shift logged: %s", log)
 	}

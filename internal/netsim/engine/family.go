@@ -82,12 +82,3 @@ func (e *Engine) PerfFamily(src, dst topo.PoPID, f Family) (*PathPerf, error) {
 	}
 	return e.perfOn(rib, src, dst)
 }
-
-// PerfToASFamily is PerfToAS over the given family.
-func (e *Engine) PerfToASFamily(src topo.PoPID, asn topo.ASN, f Family) (*PathPerf, error) {
-	rib, err := e.RIBFamily(f)
-	if err != nil {
-		return nil, err
-	}
-	return e.perfToASOn(rib, src, asn)
-}

@@ -161,7 +161,7 @@ func TestPerfToASWithMatchesForcedRecompute(t *testing.T) {
 	if !pathsDiffered {
 		t.Fatal("pinning different providers never changed the path; the test is vacuous")
 	}
-	if log := strings.Join(e.EventLog(), ";"); !strings.Contains(log, fmt.Sprintf("egress-shift AS%d", asn)) {
+	if log := strings.Join(e.eventLg, ";"); !strings.Contains(log, fmt.Sprintf("egress-shift AS%d", asn)) {
 		t.Fatalf("adaptive egress never moved AS%d; the cloned policies carried no overrides: %s", asn, log)
 	}
 }

@@ -93,14 +93,6 @@ func RegisterGen(sp GenSpec) (string, error) {
 	return id, nil
 }
 
-// GenSpecFor returns the spec registered under a gen id.
-func GenSpecFor(id string) (GenSpec, bool) {
-	reg.RLock()
-	defer reg.RUnlock()
-	sp, ok := genSpecs[id]
-	return sp, ok
-}
-
 // validateGenSpec rejects specs that can never cast into a runnable world,
 // so a bad -scenarios flag fails at parse time rather than once per sweep
 // cell: the treatment needs an exchange, at least one joinable access AS,

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -44,8 +45,8 @@ func TestRegisterGenIdempotentAndBuildable(t *testing.T) {
 	if id1 != id2 {
 		t.Fatalf("idempotent registration returned %s then %s", id1, id2)
 	}
-	if got, ok := GenSpecFor(id1); !ok || got != sp {
-		t.Fatalf("GenSpecFor(%s) = %+v, %v", id1, got, ok)
+	if got, ok := genSpecs[id1]; !ok || got != sp {
+		t.Fatalf("registered spec for %s = %+v, %v", id1, got, ok)
 	}
 	s, err := Build(id1)
 	if err != nil {
@@ -76,7 +77,7 @@ func TestRegisterGenIdempotentAndBuildable(t *testing.T) {
 		}
 	}
 	for _, c := range s.ContentASNs {
-		if _, ok := s.Topo.IXPMemberIndex(s.IXPName, c); !ok {
+		if !slices.Contains(x.Members, c) {
 			t.Fatalf("content AS%d not a founding member", c)
 		}
 	}

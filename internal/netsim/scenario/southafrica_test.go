@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -28,8 +29,12 @@ func TestBuildSouthAfrica(t *testing.T) {
 		}
 	}
 	// Content networks are exchange members from the start.
+	x, err := s.Topo.IXP(s.IXPName)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range s.ContentASNs {
-		if _, ok := s.Topo.IXPMemberIndex(s.IXPName, c); !ok {
+		if !slices.Contains(x.Members, c) {
 			t.Fatalf("content AS%d is not an IXP member", c)
 		}
 	}

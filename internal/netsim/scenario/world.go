@@ -76,9 +76,6 @@ func (s *World) MeasureDst() topo.ASN { return s.ContentASNs[0] }
 // successful build, before any fork is handed out.
 func (s *World) Freeze() { s.Topo.Freeze() }
 
-// Frozen reports whether Freeze has been called.
-func (s *World) Frozen() bool { return s.Topo.Frozen() }
-
 // SizeBytes estimates the world's resident size for the artifact store's
 // byte bound: the topology dominates; the casting lists ride on a small flat
 // per-entry cost. An estimate, not an accounting — the LRU only needs

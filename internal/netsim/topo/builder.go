@@ -81,11 +81,6 @@ func WithBaseUtil(u float64) LinkOpt {
 	return func(l *Link) { l.BaseUtil = u }
 }
 
-// WithDelayMs overrides the geographic propagation delay.
-func WithDelayMs(ms float64) LinkOpt {
-	return func(l *Link) { l.DelayMs = ms }
-}
-
 // Connect links two PoPs, identified by (ASN, city) pairs, with the given
 // relationship read from the first side. Delay defaults to the geographic
 // propagation between the two cities; capacity defaults to 10 Gbps.
@@ -193,15 +188,4 @@ func (t *Topology) JoinIXP(name string, asn ASN) ([]LinkID, error) {
 	t.ixpMemberIdx[name][asn] = len(x.Members)
 	x.Members = append(x.Members, asn)
 	return created, nil
-}
-
-// IXPMemberIndex returns the LAN index of a member (for address assignment)
-// and whether the AS is a member.
-func (t *Topology) IXPMemberIndex(name string, asn ASN) (int, bool) {
-	m, ok := t.ixpMemberIdx[name]
-	if !ok {
-		return 0, false
-	}
-	idx, ok := m[asn]
-	return idx, ok
 }

@@ -12,7 +12,7 @@ import (
 func TestFrozenCloneSharesCore(t *testing.T) {
 	orig := tinyTopo(t)
 	orig.Freeze()
-	if !orig.Frozen() {
+	if !orig.frozen {
 		t.Fatal("Freeze did not stick")
 	}
 
@@ -27,7 +27,7 @@ func TestFrozenCloneSharesCore(t *testing.T) {
 	}
 
 	// Mutate clone a through both supported mutators.
-	linkID := orig.Links()[0].ID
+	linkID := orig.links[0].ID
 	a.SetLinkUp(linkID, false)
 	if _, err := a.JoinIXP("NAPAfrica-JNB", 100); err != nil {
 		t.Fatal(err)
@@ -37,7 +37,7 @@ func TestFrozenCloneSharesCore(t *testing.T) {
 	if a.Link(linkID).Up {
 		t.Fatal("clone a lost its own link-down")
 	}
-	if _, member := a.IXPMemberIndex("NAPAfrica-JNB", 100); !member {
+	if _, member := a.ixpMemberIdx["NAPAfrica-JNB"][100]; !member {
 		t.Fatal("clone a lost its own IXP join")
 	}
 	// The frozen original and sibling b are pristine.
@@ -45,11 +45,11 @@ func TestFrozenCloneSharesCore(t *testing.T) {
 		if !tp.Link(linkID).Up {
 			t.Fatalf("%s saw the clone's link-down", name)
 		}
-		if _, member := tp.IXPMemberIndex("NAPAfrica-JNB", 100); member {
+		if _, member := tp.ixpMemberIdx["NAPAfrica-JNB"][100]; member {
 			t.Fatalf("%s saw the clone's IXP join", name)
 		}
-		if len(tp.Links()) != len(a.Links())-1 {
-			t.Fatalf("%s link count drifted: %d vs clone's %d", name, len(tp.Links()), len(a.Links()))
+		if len(tp.links) != len(a.links)-1 {
+			t.Fatalf("%s link count drifted: %d vs clone's %d", name, len(tp.links), len(a.links))
 		}
 	}
 	// The immutable core stays shared even after promotion.
@@ -87,7 +87,7 @@ func TestMutatingFrozenTopologyPanics(t *testing.T) {
 func TestMutableCloneStaysDeep(t *testing.T) {
 	orig := tinyTopo(t)
 	c := orig.Clone()
-	linkID := orig.Links()[0].ID
+	linkID := orig.links[0].ID
 	orig.SetLinkUp(linkID, false)
 	if _, err := orig.JoinIXP("NAPAfrica-JNB", 100); err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestMutableCloneStaysDeep(t *testing.T) {
 	if !c.Link(linkID).Up {
 		t.Fatal("original's link-down leaked into a deep clone")
 	}
-	if _, member := c.IXPMemberIndex("NAPAfrica-JNB", 100); member {
+	if _, member := c.ixpMemberIdx["NAPAfrica-JNB"][100]; member {
 		t.Fatal("original's IXP join leaked into a deep clone")
 	}
 }

@@ -211,7 +211,7 @@ func TestGenerateIXPShape(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantExtra := cfg.Content * (cfg.Content - 1) / 2
-		if got := len(tp.Links()) - len(base.Links()); got != wantExtra {
+		if got := len(tp.links) - len(base.links); got != wantExtra {
 			t.Fatalf("IXP generation added %d links, want %d (founding-member peerings only)", got, wantExtra)
 		}
 	}

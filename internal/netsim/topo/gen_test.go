@@ -73,7 +73,7 @@ func TestGenerateDeterministicPerSeed(t *testing.T) {
 			t.Fatal(err)
 		}
 		var out [][2]string
-		for _, l := range tp.Links() {
+		for _, l := range tp.links {
 			a, b := tp.PoP(l.A), tp.PoP(l.B)
 			out = append(out, [2]string{a.City, b.City})
 		}
@@ -118,7 +118,7 @@ func TestGenerateAlwaysBuildsValidTopology(t *testing.T) {
 		if _, err := tp.Relationships(); err != nil {
 			return false
 		}
-		for _, l := range tp.Links() {
+		for _, l := range tp.links {
 			if l.DelayMs <= 0 || l.CapacityMbps <= 0 {
 				return false
 			}

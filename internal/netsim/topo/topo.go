@@ -157,9 +157,6 @@ type Topology struct {
 // first fork escapes; freezing is irreversible.
 func (t *Topology) Freeze() { t.frozen = true }
 
-// Frozen reports whether Freeze was called.
-func (t *Topology) Frozen() bool { return t.frozen }
-
 // mutable panics if the topology is frozen, and otherwise promotes the
 // shared overlay so the caller may write. Every mutator calls it first —
 // it is the single choke point enforcing the copy-on-write contract.
@@ -257,9 +254,6 @@ func (t *Topology) AS(asn ASN) (*AS, error) {
 // PoP returns the PoP record for id.
 func (t *Topology) PoP(id PoPID) PoP { return t.pops[int(id)] }
 
-// PoPs returns all PoPs.
-func (t *Topology) PoPs() []PoP { return append([]PoP(nil), t.pops...) }
-
 // FindPoP returns the PoP of asn in city.
 func (t *Topology) FindPoP(asn ASN, city string) (PoPID, error) {
 	id, ok := t.popIndex[popKey{asn, city}]
@@ -282,21 +276,6 @@ func (t *Topology) PoPsOf(asn ASN) []PoPID {
 
 // Link returns the link with the given ID.
 func (t *Topology) Link(id LinkID) *Link { return t.links[int(id)] }
-
-// Links returns all links.
-func (t *Topology) Links() []*Link { return append([]*Link(nil), t.links...) }
-
-// LinksAt returns the IDs of links incident to the PoP.
-func (t *Topology) LinksAt(p PoPID) []LinkID { return append([]LinkID(nil), t.adj[p]...) }
-
-// Neighbor returns the PoP on the far side of link id from p.
-func (t *Topology) Neighbor(id LinkID, p PoPID) PoPID {
-	l := t.links[int(id)]
-	if l.A == p {
-		return l.B
-	}
-	return l.A
-}
 
 // IXPs returns all exchange points sorted by name.
 func (t *Topology) IXPs() []*IXP {

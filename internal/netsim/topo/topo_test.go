@@ -32,7 +32,7 @@ func TestBuilderBasics(t *testing.T) {
 	if got := len(topo.ASes()); got != 3 {
 		t.Fatalf("ases = %d", got)
 	}
-	if got := len(topo.PoPs()); got != 5 {
+	if got := len(topo.pops); got != 5 {
 		t.Fatalf("pops = %d", got)
 	}
 	id, err := topo.FindPoP(200, "London")
@@ -186,22 +186,6 @@ func TestHopAddrUsesIXPLAN(t *testing.T) {
 	nonIXP := topo.Link(0)
 	if got := topo.HopAddr(nonIXP, p200j); !strings.HasPrefix(got, "10.0.200.") {
 		t.Fatalf("non-IXP hop = %s", got)
-	}
-}
-
-func TestNeighborAndLinksAt(t *testing.T) {
-	topo := tinyTopo(t)
-	p100, _ := topo.FindPoP(100, "Johannesburg")
-	ids := topo.LinksAt(p100)
-	if len(ids) != 1 {
-		t.Fatalf("links at 100/JNB = %v", ids)
-	}
-	other := topo.Neighbor(ids[0], p100)
-	if topo.PoP(other).AS != 200 {
-		t.Fatalf("neighbor = %+v", topo.PoP(other))
-	}
-	if back := topo.Neighbor(ids[0], other); back != p100 {
-		t.Fatal("neighbor not symmetric")
 	}
 }
 

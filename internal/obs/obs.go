@@ -52,9 +52,6 @@ type Span struct {
 	StartMs float64 `json:"start_ms"`
 	// DurMs is the span's wall-clock duration in milliseconds.
 	DurMs float64 `json:"dur_ms"`
-	// Items counts the units of work the span processed (panel units,
-	// sweep levels, scheduled tasks); zero when not meaningful.
-	Items int `json:"items,omitempty"`
 	// Err tags a failed span with its error text; empty on success.
 	Err string `json:"err,omitempty"`
 }
@@ -130,25 +127,16 @@ type ActiveSpan struct {
 	name  string
 	scope string
 	start time.Time
-	items int
 }
 
 // StartSpan begins a span. End must be called to record it; on the nil
-// recorder path the returned span is nil and End/SetItems are no-ops.
+// recorder path the returned span is nil and End is a no-op.
 func StartSpan(ctx context.Context, name string) *ActiveSpan {
 	r := From(ctx)
 	if r == nil {
 		return nil
 	}
 	return &ActiveSpan{rec: r, name: name, scope: ScopeOf(ctx), start: time.Now()}
-}
-
-// SetItems records how many units of work the span processed.
-func (s *ActiveSpan) SetItems(n int) {
-	if s == nil {
-		return
-	}
-	s.items = n
 }
 
 // End completes the span, tagging it with err's text when non-nil.
@@ -161,7 +149,6 @@ func (s *ActiveSpan) End(err error) {
 		Scope:   s.scope,
 		StartMs: float64(s.start.Sub(s.rec.epoch)) / float64(time.Millisecond),
 		DurMs:   float64(time.Since(s.start)) / float64(time.Millisecond),
-		Items:   s.items,
 	}
 	if err != nil {
 		sp.Err = err.Error()

@@ -24,7 +24,6 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	if sp != nil {
 		t.Fatalf("StartSpan without recorder = %v, want nil", sp)
 	}
-	sp.SetItems(3)
 	sp.End(errors.New("boom"))
 	Add(ctx, "c", 1)
 	Gauge(ctx, "g", 2)
@@ -54,7 +53,6 @@ func TestNilPathZeroAlloc(t *testing.T) {
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(200, func() {
 		sp := StartSpan(ctx, "stage")
-		sp.SetItems(7)
 		sp.End(nil)
 		Add(ctx, "counter", 1)
 		Gauge(ctx, "gauge", 3.5)
@@ -64,7 +62,7 @@ func TestNilPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSpanRecording covers the live path: scoping, item counts, error tags,
+// TestSpanRecording covers the live path: scoping, error tags,
 // and the monotone span clock.
 func TestSpanRecording(t *testing.T) {
 	rec := NewRecorder()
@@ -74,7 +72,6 @@ func TestSpanRecording(t *testing.T) {
 	}
 
 	sp := StartSpan(ctx, "exp1/estimator")
-	sp.SetItems(12)
 	sp.End(nil)
 	sp2 := StartSpan(ctx, "exp1/report")
 	sp2.End(errors.New("boom"))
@@ -84,7 +81,7 @@ func TestSpanRecording(t *testing.T) {
 		t.Fatalf("got %d spans, want 2", len(spans))
 	}
 	s0, s1 := spans[0], spans[1]
-	if s0.Name != "exp1/estimator" || s0.Scope != "exp1" || s0.Items != 12 || s0.Err != "" {
+	if s0.Name != "exp1/estimator" || s0.Scope != "exp1" || s0.Err != "" {
 		t.Fatalf("span 0 = %+v", s0)
 	}
 	if s1.Name != "exp1/report" || s1.Err != "boom" {
@@ -102,7 +99,6 @@ func TestWriteTraceJSONL(t *testing.T) {
 	ctx := Scoped(With(context.Background(), rec), "e")
 	for _, name := range []string{"e/scenario", "e/dataset"} {
 		sp := StartSpan(ctx, name)
-		sp.SetItems(1)
 		sp.End(nil)
 	}
 	var buf bytes.Buffer
@@ -118,7 +114,7 @@ func TestWriteTraceJSONL(t *testing.T) {
 		if err := json.Unmarshal([]byte(line), &m); err != nil {
 			t.Fatalf("line %d is not valid JSON: %v", i, err)
 		}
-		for _, key := range []string{"span", "scope", "start_ms", "dur_ms", "items"} {
+		for _, key := range []string{"span", "scope", "start_ms", "dur_ms"} {
 			if _, ok := m[key]; !ok {
 				t.Fatalf("line %d missing %q: %s", i, key, line)
 			}

@@ -64,9 +64,6 @@ func (p Pool) Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Workers reports the width of the default pool: runtime.GOMAXPROCS(0).
-func Workers() int { return Pool{}.Workers() }
-
 // ForEach runs fn(0), …, fn(n-1) across the pool and blocks until every
 // scheduled call returns.
 //

@@ -116,9 +116,6 @@ func TestPoolWidths(t *testing.T) {
 	if (Pool{}).Workers() != want {
 		t.Fatalf("default pool width = %d want GOMAXPROCS %d", (Pool{}).Workers(), want)
 	}
-	if Workers() != want {
-		t.Fatalf("Workers() = %d want GOMAXPROCS %d", Workers(), want)
-	}
 	if NewPool(0).Workers() != want || NewPool(-1).Workers() != want {
 		t.Fatalf("n <= 0 must resolve to the default width")
 	}

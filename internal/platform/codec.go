@@ -2,6 +2,7 @@ package platform
 
 import (
 	"fmt"
+	"math"
 
 	"sisyphus/internal/probe"
 )
@@ -32,4 +33,32 @@ func ImportStore(ms []*probe.Measurement) (*Store, error) {
 		return nil, fmt.Errorf("platform: import: %w", err)
 	}
 	return s, nil
+}
+
+// validateMeasurement rejects records whose numeric fields are not finite.
+// JSON itself has no NaN/Inf literal, but a decoder swap or a hand-edited
+// file can still smuggle them in; estimator math silently propagates them.
+func validateMeasurement(m *probe.Measurement) error {
+	fields := [...]struct {
+		name string
+		v    float64
+	}{
+		{"Hour", m.Hour},
+		{"RTTms", m.RTTms},
+		{"ThroughputMbps", m.ThroughputMbps},
+		{"LossRate", m.LossRate},
+		{"TrueRTTms", m.TrueRTTms},
+		{"TrueMaxUtil", m.TrueMaxUtil},
+	}
+	for _, f := range fields {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("field %s is not finite (%v)", f.name, f.v)
+		}
+	}
+	for i, h := range m.Hops {
+		if math.IsNaN(h.RTTms) || math.IsInf(h.RTTms, 0) {
+			return fmt.Errorf("hop %d RTTms is not finite (%v)", i, h.RTTms)
+		}
+	}
+	return nil
 }

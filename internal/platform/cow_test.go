@@ -30,7 +30,7 @@ func seededStore(t testing.TB, n int) *Store {
 func TestFrozenForkSharesMeasurements(t *testing.T) {
 	s := seededStore(t, 8)
 	s.Freeze()
-	if !s.Frozen() {
+	if !s.frozen {
 		t.Fatal("Freeze did not stick")
 	}
 
@@ -56,7 +56,7 @@ func TestFrozenForkSharesMeasurements(t *testing.T) {
 	if s.seen[100] || b.seen[100] {
 		t.Fatal("fork's dedup index write leaked")
 	}
-	if cov := s.Coverage()[probe.IntentUserInitiated]; cov.Scheduled != 0 {
+	if c := s.cov[probe.IntentUserInitiated]; c != nil && c.Scheduled != 0 {
 		t.Fatal("fork's coverage write leaked into the original")
 	}
 	// And the fork re-accepts dedup duty: the shared IDs are still seen.

@@ -1,7 +1,6 @@
 package platform
 
 import (
-	"context"
 	"testing"
 
 	"sisyphus/internal/netsim/engine"
@@ -9,69 +8,6 @@ import (
 	"sisyphus/internal/netsim/topo"
 	"sisyphus/internal/probe"
 )
-
-func TestCampaignCollectsAllStreams(t *testing.T) {
-	s, e, p := world(t)
-	src, _ := s.Topo.FindPoP(328745, "Johannesburg")
-	rib, _ := e.RIB()
-	dst, err := rib.NearestPoP(src, scenario.BigContent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var servers []topo.PoPID
-	for _, asn := range s.MLabServerASNs {
-		id, _ := s.Topo.FindPoP(asn, "Johannesburg")
-		servers = append(servers, id)
-	}
-	pool, err := NewMLabPool("jnb", servers, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	c := NewCampaign(p, nil)
-	c.KeepObservations = true
-	c.AddUsers(NewUserModel([]UserPop{{Src: src, Dst: scenario.BigContent, Size: 2}}, 4)).
-		AddBaseline(NewBaseline(src, scenario.BigContent, 2)).
-		AddWatch(NewBGPWatch(src, dst)).
-		AddPool(pool, src, 3)
-
-	// A route change mid-campaign for the watch to catch.
-	e.Schedule(engine.EvJoinIXP(10, s.IXPName, 328745, 0))
-
-	if err := c.RunUntil(context.Background(), 30); err != nil {
-		t.Fatal(err)
-	}
-	counts := c.IntentCounts()
-	if counts[probe.IntentBaseline] != 15 {
-		t.Fatalf("baseline count = %d want 15", counts[probe.IntentBaseline])
-	}
-	if counts[probe.IntentExperiment] != 10 {
-		t.Fatalf("pool count = %d want 10", counts[probe.IntentExperiment])
-	}
-	if counts[probe.IntentTriggered] == 0 {
-		t.Fatal("watch never fired despite the IXP join")
-	}
-	if counts[probe.IntentUserInitiated] == 0 {
-		t.Fatal("no user tests")
-	}
-	if len(c.Observations) != 30 {
-		t.Fatalf("observations = %d want 30 (one per step per pop)", len(c.Observations))
-	}
-	if c.Store.Len() == 0 {
-		t.Fatal("store empty")
-	}
-}
-
-func TestCampaignErrorPropagates(t *testing.T) {
-	s, _, p := world(t)
-	src, _ := s.Topo.FindPoP(328745, "Johannesburg")
-	c := NewCampaign(p, NewStore())
-	// User pop pointing at an unreachable AS errors at the first step.
-	c.AddUsers(NewUserModel([]UserPop{{Src: src, Dst: topo.ASN(99999), Size: 1}}, 5))
-	if err := c.Step(); err == nil {
-		t.Fatal("collector error swallowed")
-	}
-}
 
 func TestFamilyKnobSplitsPlanes(t *testing.T) {
 	s, e, p := world(t)

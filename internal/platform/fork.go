@@ -17,9 +17,6 @@ func (s *Store) Freeze() {
 	}
 }
 
-// Frozen reports whether Freeze has been called.
-func (s *Store) Frozen() bool { return s.frozen }
-
 // Fork returns an independent store the caller may extend and mutate.
 //
 // On a frozen store (the artifact cache's case) the fork is pointer-cheap:
@@ -113,8 +110,8 @@ func (s *Store) SizeBytes() int64 {
 	const perMeasurement = 240
 	const perHop = 48
 	const perPathEntry = 4
-	const perSeenEntry = 16  // map[int]bool entry
-	const perCovEntry = 112  // map entry + StreamCoverage + intent string
+	const perSeenEntry = 16 // map[int]bool entry
+	const perCovEntry = 112 // map entry + StreamCoverage + intent string
 	var n int64
 	for _, m := range s.ms {
 		n += perMeasurement

@@ -127,30 +127,17 @@ func NewKnobs(pr *probe.Prober, seed uint64) *Knobs {
 	return &Knobs{pr: pr, rng: mathx.NewRNG(seed)}
 }
 
-// RotateResolver emulates switching DNS resolvers: it returns a destination
-// AS drawn uniformly from the candidate content ASes, shifting which edge
-// the client reaches independent of network conditions.
-func (k *Knobs) RotateResolver(candidates []topo.ASN) topo.ASN {
-	return candidates[k.rng.Intn(len(candidates))]
-}
-
-// ForceUpstream pins an access AS's egress to one provider by local-pref
-// override (the PEERING-style announcement control) on the v4 plane; the
-// v6 routes are left converged. Returns a release function restoring the
-// default. The variation is exogenous because the
-// caller decides when to flip it (e.g. on a coin toss), not the network.
-func (k *Knobs) ForceUpstream(asn, provider topo.ASN) (release func(), err error) {
-	return k.ForceUpstreamFamily(engine.V4, asn, provider)
-}
-
 // CoinFlip returns true with probability 0.5 from the knob RNG — the
 // randomization device for designed experiments.
 func (k *Knobs) CoinFlip() bool { return k.rng.Bernoulli(0.5) }
 
-// ForceUpstreamFamily is ForceUpstream for one address family: it pins the
-// AS's egress on that family only, leaving the other untouched. Flipping a
-// client between families then induces exogenous AS-path variation — the
-// paper's "toggling IPv4 vs IPv6 to alter AS paths" knob.
+// ForceUpstreamFamily pins an access AS's egress on one address family to
+// one provider by local-pref override (the PEERING-style announcement
+// control), leaving the other family's routes converged. It returns a
+// release function restoring the default. The variation is exogenous
+// because the caller decides when to flip it (e.g. on a coin toss), not the
+// network; flipping a client between families induces AS-path variation —
+// the paper's "toggling IPv4 vs IPv6 to alter AS paths" knob.
 func (k *Knobs) ForceUpstreamFamily(family engine.Family, asn, provider topo.ASN) (release func(), err error) {
 	rel, err := k.pr.Engine.Topo.Relationships()
 	if err != nil {

@@ -1,9 +1,7 @@
 package platform
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 
 	"sisyphus/internal/mathx"
@@ -277,49 +275,40 @@ func TestKnobsForceUpstream(t *testing.T) {
 
 	// 3741 is multihomed to Transit-A and Transit-B. Force each and check
 	// the AS path follows the knob.
-	release, err := k.ForceUpstream(3741, scenario.ZATransitA)
+	release, err := k.ForceUpstreamFamily(engine.V4, 3741, scenario.ZATransitA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rib, _ := e.RIB()
-	path, err := rib.ASPath(3741, scenario.BigContent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if path[1] != scenario.ZATransitA {
-		t.Fatalf("forced path = %v", path)
+	rt := rib.Lookup(3741, scenario.BigContent)
+	if rt == nil || rt.Path[0] != scenario.ZATransitA {
+		t.Fatalf("forced route = %+v", rt)
 	}
 	if got, _ := e.RIBFamily(engine.V6); got != rib6 {
 		t.Fatal("forcing the v4 upstream recomputed the v6 RIB")
 	}
 	release()
 	rib2, _ := e.RIB()
-	if _, err := rib2.ASPath(3741, scenario.BigContent); err != nil {
-		t.Fatal(err)
+	if rib2.Lookup(3741, scenario.BigContent) == nil {
+		t.Fatal("AS3741 lost its route after release")
 	}
 	if got, _ := e.RIBFamily(engine.V6); got != rib6 {
 		t.Fatal("releasing the v4 upstream recomputed the v6 RIB")
 	}
 	// Unknown provider rejected.
-	if _, err := k.ForceUpstream(3741, 9999); err == nil {
+	if _, err := k.ForceUpstreamFamily(engine.V4, 3741, 9999); err == nil {
 		t.Fatal("bogus provider accepted")
 	}
 }
 
-func TestKnobsRotateResolverAndCoin(t *testing.T) {
+func TestKnobsCoinFlip(t *testing.T) {
 	_, _, p := world(t)
 	k := NewKnobs(p, 6)
-	cands := []topo.ASN{scenario.BigContent, scenario.VideoCDN}
-	seen := map[topo.ASN]int{}
 	heads := 0
 	for i := 0; i < 200; i++ {
-		seen[k.RotateResolver(cands)]++
 		if k.CoinFlip() {
 			heads++
 		}
-	}
-	if seen[scenario.BigContent] < 60 || seen[scenario.VideoCDN] < 60 {
-		t.Fatalf("rotation skewed: %v", seen)
 	}
 	if heads < 60 || heads > 140 {
 		t.Fatalf("coin flips = %d/200", heads)
@@ -375,40 +364,5 @@ func TestFrameDeterministicAcrossRuns(t *testing.T) {
 	s := mathx.Summarize(a)
 	if s.Std == 0 {
 		t.Fatal("RTT series is suspiciously constant")
-	}
-}
-
-func TestJSONLRoundTrip(t *testing.T) {
-	s, _, p := world(t)
-	st := NewStore()
-	src, _ := s.Topo.FindPoP(37053, "Cape Town")
-	for i := 0; i < 5; i++ {
-		m, err := p.SpeedTest(src, scenario.BigContent, probe.IntentBaseline, "t")
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.Add(m)
-	}
-	var buf bytes.Buffer
-	if err := st.SaveJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(buf.String(), "\n"); lines != 5 {
-		t.Fatalf("jsonl lines = %d", lines)
-	}
-	st2 := NewStore()
-	if err := st2.LoadJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if st2.Len() != 5 {
-		t.Fatalf("round trip len = %d", st2.Len())
-	}
-	a, b := st.All()[2], st2.All()[2]
-	if a.RTTms != b.RTTms || a.SrcASN != b.SrcASN || a.Intent != b.Intent ||
-		len(a.Hops) != len(b.Hops) || a.Hops[0].Addr != b.Hops[0].Addr {
-		t.Fatalf("measurement mangled: %+v vs %+v", a, b)
-	}
-	if err := st2.LoadJSONL(strings.NewReader("{not json")); err == nil {
-		t.Fatal("garbage accepted")
 	}
 }

@@ -84,7 +84,7 @@ func NewStore() *Store {
 // Add appends measurements, rejecting any whose ID the store has already
 // seen. On error the offending record and everything after it are not
 // added; earlier records in the same call remain (the caller is mid-crash
-// anyway — Campaign surfaces the error and stops the run).
+// anyway — the campaign runner surfaces the error and stops the run).
 func (s *Store) Add(ms ...*probe.Measurement) error {
 	if s.frozen {
 		return fmt.Errorf("platform: Add on frozen store (mutate a Fork instead)")
@@ -110,15 +110,6 @@ func (s *Store) Len() int { return len(s.ms) }
 
 // All returns all measurements (shared backing slice; do not mutate).
 func (s *Store) All() []*probe.Measurement { return s.ms }
-
-// Coverage returns a copy of the per-intent stream coverage counters.
-func (s *Store) Coverage() map[probe.Intent]StreamCoverage {
-	out := make(map[probe.Intent]StreamCoverage, len(s.cov))
-	for in, c := range s.cov {
-		out[in] = *c
-	}
-	return out
-}
 
 // TotalCoverage sums coverage across every intent stream.
 func (s *Store) TotalCoverage() StreamCoverage {
@@ -147,12 +138,6 @@ func (s *Store) Filter(keep func(*probe.Measurement) bool) []*probe.Measurement 
 // ByIntent returns measurements with the given intent tag.
 func (s *Store) ByIntent(in probe.Intent) []*probe.Measurement {
 	return s.Filter(func(m *probe.Measurement) bool { return m.Intent == in })
-}
-
-// Delivered returns the measurements that actually produced data (Failed
-// markers excluded) — what estimators should consume.
-func (s *Store) Delivered() []*probe.Measurement {
-	return s.Filter(func(m *probe.Measurement) bool { return !m.Failed })
 }
 
 // Unit identifies an ⟨ASN, city⟩ aggregation unit — the granularity of the

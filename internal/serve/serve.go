@@ -283,6 +283,8 @@ func (renderableJSON) Render() string                 { return "" }
 // allowedExperimentParams is the closed set of query parameters
 // GET /experiment accepts; anything else is a 400, not silently ignored —
 // a misspelled ?sede=7 must not serve seed-42 bytes as if it had worked.
+// For the same reason each may appear at most once: ?seed=7&seed=8 must not
+// serve the seed-7 bytes and drop the second seed.
 var allowedExperimentParams = map[string]bool{
 	"seed": true, "scenario": true, "opts": true, "workers": true,
 }
@@ -320,10 +322,15 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	params := r.URL.Query()
-	for p := range params {
+	for p, vals := range params {
 		if !allowedExperimentParams[p] {
 			writeError(w, http.StatusBadRequest,
 				fmt.Sprintf("unknown query parameter %q (allowed: opts, scenario, seed, workers)", p))
+			return
+		}
+		if len(vals) > 1 {
+			writeError(w, http.StatusBadRequest,
+				fmt.Sprintf("query parameter %q given %d times; give it once", p, len(vals)))
 			return
 		}
 	}

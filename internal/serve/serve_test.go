@@ -142,6 +142,11 @@ func TestExperimentHandlerValidation(t *testing.T) {
 		{"seed overflow", "/experiment/mlab?seed=18446744073709551616", http.StatusBadRequest, "seed"},
 		{"seed trailing garbage", "/experiment/mlab?seed=42x", http.StatusBadRequest, "seed"},
 		{"unknown parameter", "/experiment/mlab?sede=42", http.StatusBadRequest, "unknown query parameter"},
+		{"seed repeated", "/experiment/mlab?seed=7&seed=8", http.StatusBadRequest, `"seed" given 2 times`},
+		{"seed repeated with same value", "/experiment/mlab?seed=7&seed=7", http.StatusBadRequest, `"seed" given 2 times`},
+		{"scenario repeated", "/experiment/table1?scenario=southafrica&scenario=trombone", http.StatusBadRequest, `"scenario" given 2 times`},
+		{"opts repeated", "/experiment/mlab?opts={}&opts={}", http.StatusBadRequest, `"opts" given 2 times`},
+		{"workers repeated", "/experiment/mlab?workers=1&workers=2", http.StatusBadRequest, `"workers" given 2 times`},
 		{"workers not a number", "/experiment/mlab?workers=many", http.StatusBadRequest, "workers"},
 		{"workers zero", "/experiment/mlab?workers=0", http.StatusBadRequest, "workers"},
 		{"workers too wide", "/experiment/mlab?workers=65", http.StatusBadRequest, "workers"},

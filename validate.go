@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"sisyphus/internal/causal/dag"
 	"sisyphus/internal/causal/data"
 	"sisyphus/internal/causal/discover"
 	"sisyphus/internal/causal/estimate"
@@ -116,19 +115,4 @@ func (s *Study) StructureCheck() (discover.CompareResult, *discover.PDAG, error)
 		return discover.CompareResult{}, nil, err
 	}
 	return discover.Compare(p, s.graph), p, nil
-}
-
-// observedSubgraph is a helper exposing the observed part of the study DAG;
-// used by reports and tests.
-func (s *Study) observedSubgraph() *dag.Graph {
-	g := dag.New()
-	for _, n := range s.graph.ObservedNodes() {
-		g.AddNode(n)
-	}
-	for _, e := range s.graph.Edges() {
-		if !s.graph.IsLatent(e[0]) && !s.graph.IsLatent(e[1]) {
-			g.MustEdge(e[0], e[1])
-		}
-	}
-	return g
 }

@@ -113,15 +113,3 @@ func TestStructureCheckGuards(t *testing.T) {
 		t.Fatal("no data accepted")
 	}
 }
-
-func TestObservedSubgraph(t *testing.T) {
-	s := NewStudy("x")
-	_ = s.WithGraphText("U [latent]; U -> R; C -> R; R -> L")
-	g := s.observedSubgraph()
-	if g.Has("U") {
-		t.Fatal("latent node leaked")
-	}
-	if !g.HasEdge("C", "R") || !g.HasEdge("R", "L") {
-		t.Fatal("observed edges lost")
-	}
-}
