@@ -48,12 +48,13 @@ func main() {
 		UnitNoise: 1.2, Method: synthetic.Robust,
 	}
 	fmt.Println("design: 18 donors, 6 weeks at 12h bins, ~1.2 ms unit noise")
-	for _, eff := range []float64{0.5, 1, 2, 3} {
-		p, err := design.Power(context.Background(), parallel.Default(), eff, 0.06, 80, 42)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  power to detect a %.1f ms effect: %.2f\n", eff, p)
+	effects := []float64{0.5, 1, 2, 3}
+	curve, err := design.Power(context.Background(), parallel.Default(), effects, 0.06, 80, 42)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i, eff := range effects {
+		fmt.Printf("  power to detect a %.1f ms effect: %.2f\n", eff, curve[i])
 	}
 	mde, err := design.MinDetectableEffect(context.Background(), parallel.Default(), 0.06, 0.8, 8, 40, 43)
 	if err != nil {

@@ -54,11 +54,9 @@ func (d SCDesign) withDefaults() (SCDesign, error) {
 	return d, nil
 }
 
-// simulate builds one synthetic panel under the design with the given
-// treatment effect and returns the placebo p-value. Each simulated trial is
-// one shard of the pool already; its inner placebo test runs sequentially
-// (width 1) so nested fan-out cannot oversubscribe the pool.
-func (d SCDesign) simulate(ctx context.Context, r *mathx.RNG, effect float64) (float64, error) {
+// panel draws one synthetic factor-model panel under the design, with no
+// treatment effect: unit "u0" is the treated unit, inside the donor hull.
+func (d SCDesign) panel(r *mathx.RNG) (*synthetic.Panel, error) {
 	nUnits := d.Donors + 1
 	nTimes := d.PrePeriods + d.PostPeriods
 	const nFactors = 3
@@ -92,9 +90,6 @@ func (d SCDesign) simulate(ctx context.Context, r *mathx.RNG, effect float64) (f
 	for i := range y.Data {
 		y.Data[i] += r.Normal(0, d.UnitNoise)
 	}
-	for t := d.PrePeriods; t < nTimes; t++ {
-		y.Set(0, t, y.At(0, t)+effect)
-	}
 	units := make([]string, nUnits)
 	for i := range units {
 		units[i] = fmt.Sprintf("u%d", i)
@@ -103,25 +98,48 @@ func (d SCDesign) simulate(ctx context.Context, r *mathx.RNG, effect float64) (f
 	for t := range times {
 		times[t] = float64(t)
 	}
-	panel, err := synthetic.NewPanel(units, times, y)
+	return synthetic.NewPanel(units, times, y)
+}
+
+// simulate draws one panel, runs the placebo test on it once, and returns
+// the p-value the test reports at each of effects. Scoring an effect shifts
+// the treated unit's post-period outcomes (PlaceboResult.PValueShifted),
+// which gives bit for bit the p-value of a panel drawn with that effect
+// added: the effect enters after every RNG draw and touches neither the
+// treated unit's pre-period weights nor the placebo fits. Each simulated
+// trial is one shard of the pool already; its inner placebo test runs
+// sequentially (width 1) so nested fan-out cannot oversubscribe the pool.
+func (d SCDesign) simulate(ctx context.Context, r *mathx.RNG, effects []float64) ([]float64, error) {
+	panel, err := d.panel(r)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	pl, err := synthetic.PlaceboTest(ctx, panel, "u0", d.PrePeriods,
 		synthetic.Config{Method: d.Method, Pool: parallel.NewPool(1)})
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	return pl.PValue, nil
+	pvals := make([]float64, len(effects))
+	for k, eff := range effects {
+		pvals[k] = pl.PValueShifted(eff)
+	}
+	return pvals, nil
 }
 
-// Power estimates the probability that the placebo test detects the given
-// effect at level alpha, over `trials` simulated panels. Trials shard across
-// pool; cancelling ctx stops scheduling further trials and returns ctx.Err().
-func (d SCDesign) Power(ctx context.Context, pool parallel.Pool, effect, alpha float64, trials int, seed uint64) (float64, error) {
+// Power estimates, for each of effects, the probability that the placebo
+// test detects that effect at level alpha, over `trials` simulated panels.
+// Every effect is scored on the same panels from one set of placebo fits
+// per trial, so a whole power curve costs what one point does; the result
+// is bit-identical to calling Power once per effect with the same seed.
+// Trials shard across pool; cancelling ctx stops scheduling further trials
+// and returns ctx.Err().
+func (d SCDesign) Power(ctx context.Context, pool parallel.Pool, effects []float64, alpha float64, trials int, seed uint64) ([]float64, error) {
 	dd, err := d.withDefaults()
 	if err != nil {
-		return 0, err
+		return nil, err
+	}
+	if len(effects) == 0 {
+		return nil, fmt.Errorf("power: no effects to score")
 	}
 	if trials <= 0 {
 		trials = 100
@@ -135,21 +153,25 @@ func (d SCDesign) Power(ctx context.Context, pool parallel.Pool, effect, alpha f
 	for i := range rngs {
 		rngs[i] = r.Split()
 	}
-	pvals, err := parallel.Map(ctx, pool, trials, func(i int) (float64, error) {
-		return dd.simulate(ctx, rngs[i], effect)
+	pvals, err := parallel.Map(ctx, pool, trials, func(i int) ([]float64, error) {
+		return dd.simulate(ctx, rngs[i], effects)
 	})
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	detected := 0
-	for _, p := range pvals {
-		if p <= alpha {
-			detected++
+	pw := make([]float64, len(effects))
+	for k := range effects {
+		detected := 0
+		for _, p := range pvals {
+			if p[k] <= alpha {
+				detected++
+			}
 		}
+		pw[k] = float64(detected) / float64(trials)
 	}
 	// Monte-Carlo shard accounting (no-op without a recorder on ctx).
 	obs.Add(ctx, "power.trials", int64(trials))
-	return float64(detected) / float64(trials), nil
+	return pw, nil
 }
 
 // MinDetectableEffect bisects the effect size until Power ≈ target at level
@@ -159,21 +181,21 @@ func (d SCDesign) MinDetectableEffect(ctx context.Context, pool parallel.Pool, a
 	if target <= 0 || target >= 1 {
 		return 0, fmt.Errorf("power: target must be in (0,1)")
 	}
-	hiPow, err := d.Power(ctx, pool, maxEffect, alpha, trials, seed)
+	hiPow, err := d.Power(ctx, pool, []float64{maxEffect}, alpha, trials, seed)
 	if err != nil {
 		return 0, err
 	}
-	if hiPow < target {
-		return 0, fmt.Errorf("power: even effect %v only reaches power %.2f < %.2f", maxEffect, hiPow, target)
+	if hiPow[0] < target {
+		return 0, fmt.Errorf("power: even effect %v only reaches power %.2f < %.2f", maxEffect, hiPow[0], target)
 	}
 	lo, hi := 0.0, maxEffect
 	for iter := 0; iter < 12; iter++ {
 		mid := (lo + hi) / 2
-		p, err := d.Power(ctx, pool, mid, alpha, trials, seed+uint64(iter)+1)
+		p, err := d.Power(ctx, pool, []float64{mid}, alpha, trials, seed+uint64(iter)+1)
 		if err != nil {
 			return 0, err
 		}
-		if p >= target {
+		if p[0] >= target {
 			hi = mid
 		} else {
 			lo = mid

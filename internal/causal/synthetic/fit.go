@@ -79,15 +79,21 @@ func Fit(p *Panel, treated string, t0 int, cfg Config) (*Result, error) {
 	}
 	res.PreRMSE = mathx.RMSE(actual[:t0], synth[:t0])
 	res.PostRMSE = mathx.RMSE(actual[t0:], synth[t0:])
-	if res.PreRMSE > 0 {
-		res.RMSERatio = res.PostRMSE / res.PreRMSE
-	} else {
-		res.RMSERatio = math.Inf(1)
-	}
+	res.RMSERatio = rmseRatio(res.PostRMSE, res.PreRMSE)
 	gap := res.Gap()[t0:]
 	res.ATT = gap.Mean()
 	res.MedianGap = mathx.Median(gap)
 	return res, nil
+}
+
+// rmseRatio is the post/pre RMSE ratio, +Inf when the pre-period fit is
+// exact (or its RMSE is NaN): a perfect pre-fit makes any post divergence
+// infinitely surprising.
+func rmseRatio(post, pre float64) float64 {
+	if pre > 0 {
+		return post / pre
+	}
+	return math.Inf(1)
 }
 
 // simplexWeights minimizes ||target − pre·w||² over the probability simplex

@@ -126,6 +126,24 @@ func PlaceboTest(ctx context.Context, p *Panel, treated string, t0 int, cfg Conf
 	}, nil
 }
 
+// PValueShifted is the p-value this placebo test would have reported had
+// the treated unit's post-period outcomes each been shifted by shift: a
+// shift of e scores the panel with an additive effect e, from fits already
+// made. It is exact, not an approximation. The treated unit's weights come
+// from pre-period data only and the placebos are fit on the panel without
+// the treated unit, so only the treated post-period RMSE moves with shift;
+// it is recomputed with the same float operations PlaceboTest would have
+// applied to the shifted panel, and ranked against the unchanged placebos.
+func (r *PlaceboResult) PValueShifted(shift float64) float64 {
+	tr := r.Treated
+	actual := make(mathx.Vector, len(tr.Actual)-tr.T0)
+	for i, y := range tr.Actual[tr.T0:] {
+		actual[i] = y + shift
+	}
+	ratio := rmseRatio(mathx.RMSE(actual, tr.Synthetic[tr.T0:]), tr.PreRMSE)
+	return placeboPValue(ratio, r.Ratios, len(r.Skipped))
+}
+
 // placeboPValue computes the rank-based p-value including the treated unit
 // itself. Skipped placebo units stay in the denominator and count as "at
 // least as extreme" (see the PValue doc):

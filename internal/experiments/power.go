@@ -65,15 +65,14 @@ func RunPower(ctx context.Context, pool parallel.Pool, seed uint64, trials int) 
 	res := &PowerResult{Design: d, Alpha: alpha}
 	err := stagedRun(ctx, "power", nil, nil, func(ctx context.Context) error {
 		// All the work is estimation: Monte-Carlo detection power across the
-		// effect grid, then the bisection for the minimum detectable effect.
-		for _, eff := range []float64{0, 0.5, 1, 1.5, 2, 3, 5} {
-			p, err := d.Power(ctx, pool, eff, alpha, trials, seed)
-			if err != nil {
-				return err
-			}
-			res.Effects = append(res.Effects, eff)
-			res.Power = append(res.Power, p)
+		// effect grid (one set of placebo fits per trial scores every grid
+		// point), then the bisection for the minimum detectable effect.
+		res.Effects = []float64{0, 0.5, 1, 1.5, 2, 3, 5}
+		p, err := d.Power(ctx, pool, res.Effects, alpha, trials, seed)
+		if err != nil {
+			return err
 		}
+		res.Power = p
 		mde, err := d.MinDetectableEffect(ctx, pool, alpha, 0.8, 8, trials/2, seed+1)
 		if err != nil {
 			return err

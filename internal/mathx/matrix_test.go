@@ -137,8 +137,8 @@ func TestIdentityIsMulNeutral(t *testing.T) {
 	for i := range m.Data {
 		m.Data[i] = r.Normal(0, 1)
 	}
-	p := m.Mul(Identity(4))
-	q := Identity(4).Mul(m)
+	p := m.Mul(identity(4))
+	q := identity(4).Mul(m)
 	for i := range m.Data {
 		if !almostEqual(p.Data[i], m.Data[i], 1e-12) || !almostEqual(q.Data[i], m.Data[i], 1e-12) {
 			t.Fatal("identity not neutral")
@@ -172,6 +172,15 @@ func TestMatrixScale(t *testing.T) {
 	if a.At(1, 1) != 4 {
 		t.Fatal("scale mutated its receiver")
 	}
+}
+
+// identity returns the n-by-n identity matrix.
+func identity(n int) *Matrix {
+	m := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
+	}
+	return m
 }
 
 // matrixFromRows builds a matrix from equal-length rows.

@@ -19,28 +19,49 @@ type SVD struct {
 // the columns of the taller orientation. One-sided Jacobi is slow in the
 // asymptotic sense but simple, numerically robust, and more than fast enough
 // for the donor-pool-sized matrices in this repository.
+//
+// The sweeps rotate pairs of columns, so the work matrix and the rotation
+// accumulator are held column-major: each column is one contiguous slice.
+// The row-major U and V are assembled once, after the sort.
 func ComputeSVD(a *Matrix) SVD {
-	transposed := false
-	work := a.Clone()
-	if work.Rows < work.Cols {
-		work = work.T()
-		transposed = true
+	transposed := a.Rows < a.Cols
+	r, c := a.Rows, a.Cols
+	if transposed {
+		r, c = c, r
 	}
-	r, c := work.Rows, work.Cols // r >= c
+	// work holds the r-by-c orientation column-major: column j is
+	// work[j*r:(j+1)*r]. Column j of Aᵀ is row j of A, already contiguous.
+	work := make([]float64, r*c)
+	if transposed {
+		copy(work, a.Data)
+	} else {
+		for i := 0; i < r; i++ {
+			for j, x := range a.Data[i*c : (i+1)*c] {
+				work[j*r+i] = x
+			}
+		}
+	}
+	col := func(j int) []float64 { return work[j*r : (j+1)*r] }
 
-	// v accumulates the right-side rotations: work_final = A * v.
-	v := Identity(c)
+	// v accumulates the right-side rotations (work_final = A * v), also
+	// column-major: column j is v[j*c:(j+1)*c].
+	v := make([]float64, c*c)
+	vcol := func(j int) []float64 { return v[j*c : (j+1)*c] }
+	for j := 0; j < c; j++ {
+		vcol(j)[j] = 1
+	}
 
 	const maxSweeps = 60
 	// Rotate pairs of columns until all are pairwise orthogonal.
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		off := 0.0
 		for p := 0; p < c-1; p++ {
+			wp := col(p)
 			for q := p + 1; q < c; q++ {
+				wq := col(q)
 				var alpha, beta, gamma float64
-				for i := 0; i < r; i++ {
-					xp := work.At(i, p)
-					xq := work.At(i, q)
+				for i, xp := range wp {
+					xq := wq[i]
 					alpha += xp * xp
 					beta += xq * xq
 					gamma += xp * xq
@@ -54,18 +75,8 @@ func ComputeSVD(a *Matrix) SVD {
 				t := sign(zeta) / (math.Abs(zeta) + math.Sqrt(1+zeta*zeta))
 				cs := 1 / math.Sqrt(1+t*t)
 				sn := cs * t
-				for i := 0; i < r; i++ {
-					xp := work.At(i, p)
-					xq := work.At(i, q)
-					work.Set(i, p, cs*xp-sn*xq)
-					work.Set(i, q, sn*xp+cs*xq)
-				}
-				for i := 0; i < c; i++ {
-					vp := v.At(i, p)
-					vq := v.At(i, q)
-					v.Set(i, p, cs*vp-sn*vq)
-					v.Set(i, q, sn*vp+cs*vq)
-				}
+				rotate(wp, wq, cs, sn)
+				rotate(vcol(p), vcol(q), cs, sn)
 			}
 		}
 		if off < 1e-30 {
@@ -73,18 +84,11 @@ func ComputeSVD(a *Matrix) SVD {
 		}
 	}
 
-	// Column norms are the singular values; normalized columns form U.
+	// Column norms are the singular values; normalized columns form U
+	// (assembled in sorted order below).
 	s := make(Vector, c)
-	u := NewMatrix(r, c)
-	for j := 0; j < c; j++ {
-		col := work.Col(j)
-		n := col.Norm()
-		s[j] = n
-		if n > 1e-300 {
-			for i := 0; i < r; i++ {
-				u.Set(i, j, work.At(i, j)/n)
-			}
-		}
+	for j := range s {
+		s[j] = Vector(col(j)).Norm()
 	}
 
 	// Sort by descending singular value.
@@ -97,9 +101,16 @@ func ComputeSVD(a *Matrix) SVD {
 	uSorted := NewMatrix(r, c)
 	vSorted := NewMatrix(c, c)
 	for newJ, oldJ := range idx {
-		sSorted[newJ] = s[oldJ]
-		uSorted.SetCol(newJ, u.Col(oldJ))
-		vSorted.SetCol(newJ, v.Col(oldJ))
+		n := s[oldJ]
+		sSorted[newJ] = n
+		if n > 1e-300 {
+			for i, x := range col(oldJ) {
+				uSorted.Data[i*c+newJ] = x / n
+			}
+		}
+		for i, x := range vcol(oldJ) {
+			vSorted.Data[i*c+newJ] = x
+		}
 	}
 
 	if transposed {
@@ -107,6 +118,17 @@ func ComputeSVD(a *Matrix) SVD {
 		return SVD{U: vSorted, S: sSorted, V: uSorted}
 	}
 	return SVD{U: uSorted, S: sSorted, V: vSorted}
+}
+
+// rotate applies the Jacobi rotation (cs, sn) to the column pair (x, y):
+// x ← cs·x − sn·y, y ← sn·x + cs·y.
+func rotate(x, y []float64, cs, sn float64) {
+	y = y[:len(x)]
+	for i, xp := range x {
+		xq := y[i]
+		x[i] = cs*xp - sn*xq
+		y[i] = sn*xp + cs*xq
+	}
 }
 
 func sign(x float64) float64 {
