@@ -112,13 +112,26 @@ func (p *Policy) Clone() *Policy {
 // A RIB is immutable once Compute, ComputeDests or Import returns it:
 // nothing writes its tables or routes afterwards, which is what lets Fork
 // share them outright. Lookup's routes must be treated as read-only.
+//
+// Forwarding is a pure function of the tables and the topology's link
+// state, so a RIB memoizes Forward and NearestPoP answers, flushing the
+// memo whenever the topology's Epoch moves. The Paths it hands out are
+// shared by every caller asking the same question and must be treated as
+// read-only too. The memo is unsynchronized: a RIB instance has one
+// forwarding owner — the engine it seeds, or the one-shot what-if query
+// that computed it. A RIB held for sharing (the artifact store's original)
+// is only ever forked, and each Fork starts with an empty memo.
 type RIB struct {
 	Topo *topo.Topology
 	Rel  *topo.ASRelationships
 	// best[dest][as] is as's chosen route to dest.
 	best map[topo.ASN]map[topo.ASN]*Route
-	// policy used (for data-plane link filtering).
-	policy *Policy
+	// The forwarding memo: Forward and NearestPoP answers, errors
+	// included, filled under topology epoch memoEpoch. Nil until the first
+	// query.
+	paths     map[[2]topo.PoPID]fwdAnswer
+	near      map[nearKey]nearAnswer
+	memoEpoch uint64
 }
 
 // Lookup returns a's route to dest, or nil if unreachable.
@@ -177,7 +190,7 @@ func ComputeDests(ctx context.Context, pool parallel.Pool, t *topo.Topology, pol
 	if err != nil {
 		return nil, err
 	}
-	rib := &RIB{Topo: t, Rel: rel, best: make(map[topo.ASN]map[topo.ASN]*Route, len(dests)), policy: pol}
+	rib := &RIB{Topo: t, Rel: rel, best: make(map[topo.ASN]map[topo.ASN]*Route, len(dests))}
 	tables, err := parallel.Map(ctx, pool, len(dests), func(i int) (destTable, error) {
 		return computeDest(t, rel, pol, dests[i])
 	})

@@ -10,9 +10,9 @@ import (
 // Export is the serialized form of a converged RIB: destinations ascending,
 // and within each destination the per-AS chosen routes ascending by AS.
 // Both levels are slices, not maps, so a deterministic encoder yields
-// identical bytes for identical fixed points. The topology, relationship
-// map and policy are not serialized — an imported RIB rebinds to a topology
-// the caller supplies, exactly like Fork does.
+// identical bytes for identical fixed points. The topology and relationship
+// map are not serialized — an imported RIB rebinds to a topology the caller
+// supplies, exactly like Fork does.
 type Export struct {
 	Dests []ExportDest
 }
@@ -67,9 +67,9 @@ func (r *RIB) Export() *Export {
 
 // Import reconstructs a RIB from its serialized form, rebinding it onto t —
 // which must be a topology equivalent to the one the fixed point was
-// computed over — with the default (empty) policy, mirroring what Compute
-// produces for the same inputs. Duplicate destinations or per-destination
-// ASes are rejected, never panicked on.
+// computed over — with the relationship map Compute builds under the
+// default (empty) policy. Duplicate destinations or per-destination ASes
+// are rejected, never panicked on.
 func Import(e *Export, t *topo.Topology) (*RIB, error) {
 	if e == nil {
 		return nil, fmt.Errorf("bgp: import: nil export")
@@ -82,10 +82,9 @@ func Import(e *Export, t *topo.Topology) (*RIB, error) {
 		return nil, fmt.Errorf("bgp: import: %w", err)
 	}
 	r := &RIB{
-		Topo:   t,
-		Rel:    rel,
-		best:   make(map[topo.ASN]map[topo.ASN]*Route, len(e.Dests)),
-		policy: NewPolicy(),
+		Topo: t,
+		Rel:  rel,
+		best: make(map[topo.ASN]map[topo.ASN]*Route, len(e.Dests)),
 	}
 	for _, ed := range e.Dests {
 		if _, ok := r.best[ed.Dest]; ok {

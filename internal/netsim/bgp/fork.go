@@ -8,10 +8,10 @@ import "sisyphus/internal/netsim/topo"
 //
 // A converged RIB is immutable — nothing writes its tables after Compute
 // or Import returns — so the fork shares the destination tables, every
-// route and the relationship map with the original, and copies only the
-// policy.
+// route and the relationship map with the original. It starts with an
+// empty forwarding memo: the fork's paths run over t's link state.
 func (r *RIB) Fork(t *topo.Topology) *RIB {
-	return &RIB{Topo: t, Rel: r.Rel, best: r.best, policy: r.policy.Clone()}
+	return &RIB{Topo: t, Rel: r.Rel, best: r.best}
 }
 
 // SizeBytes estimates the RIB's resident size for the artifact store's byte

@@ -44,12 +44,58 @@ func (p *Path) CrossesLink(id topo.LinkID) bool {
 	return false
 }
 
+type fwdAnswer struct {
+	path *Path
+	err  error
+}
+
+type nearKey struct {
+	src topo.PoPID
+	asn topo.ASN
+}
+
+type nearAnswer struct {
+	pop topo.PoPID
+	err error
+}
+
+// syncMemo makes the forwarding memo valid under the topology's current
+// epoch: it allocates the maps on first use and flushes them when link
+// state has changed since they were filled.
+func (r *RIB) syncMemo() {
+	epoch := r.Topo.Epoch()
+	switch {
+	case r.paths == nil:
+		r.paths = make(map[[2]topo.PoPID]fwdAnswer)
+		r.near = make(map[nearKey]nearAnswer)
+	case r.memoEpoch != epoch:
+		clear(r.paths)
+		clear(r.near)
+	}
+	r.memoEpoch = epoch
+}
+
 // Forward expands the RIB route from a source PoP to a destination PoP into
 // PoP-level hops. At each AS-level step it picks the available link between
 // the two ASes that minimizes intra-AS detour plus link delay (hot-potato
 // flavoured but latency-aware). Inside an AS, PoPs are assumed to form a
 // full mesh at geographic delay.
+//
+// Answers are memoized per topology epoch (see RIB): the returned Path is
+// shared with every later caller and must not be modified.
 func (r *RIB) Forward(src, dst topo.PoPID) (*Path, error) {
+	r.syncMemo()
+	k := [2]topo.PoPID{src, dst}
+	if a, ok := r.paths[k]; ok {
+		return a.path, a.err
+	}
+	p, err := r.forward(src, dst)
+	r.paths[k] = fwdAnswer{p, err}
+	return p, err
+}
+
+// forward is Forward without the memo.
+func (r *RIB) forward(src, dst topo.PoPID) (*Path, error) {
 	t := r.Topo
 	srcPoP := t.PoP(src)
 	dstPoP := t.PoP(dst)
@@ -86,7 +132,7 @@ func (r *RIB) Forward(src, dst topo.PoPID) (*Path, error) {
 		var bestNear, bestFar topo.PoPID
 		for _, id := range ids {
 			l := t.Link(id)
-			if !l.Up || r.policy.DenyLink[id] {
+			if !l.Up {
 				continue
 			}
 			near, far := l.A, l.B
@@ -134,8 +180,21 @@ func (r *RIB) intraDelay(a, b topo.PoPID) float64 {
 // NearestPoP returns the PoP of asn with the smallest forwarding
 // propagation delay from the source PoP — how anycast/CDN edge selection is
 // approximated when a measurement targets "the content AS" rather than a
-// specific PoP.
+// specific PoP. Answers are memoized like Forward's.
 func (r *RIB) NearestPoP(src topo.PoPID, asn topo.ASN) (topo.PoPID, error) {
+	r.syncMemo()
+	k := nearKey{src, asn}
+	if a, ok := r.near[k]; ok {
+		return a.pop, a.err
+	}
+	id, err := r.nearestPoP(src, asn)
+	r.near[k] = nearAnswer{id, err}
+	return id, err
+}
+
+// nearestPoP is NearestPoP without its own memo entry; the candidate paths
+// still go through Forward.
+func (r *RIB) nearestPoP(src topo.PoPID, asn topo.ASN) (topo.PoPID, error) {
 	var best topo.PoPID
 	bestDelay := -1.0
 	for _, id := range r.Topo.PoPsOf(asn) {

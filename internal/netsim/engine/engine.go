@@ -101,6 +101,8 @@ type Engine struct {
 
 	// Adaptive egress state: per AS, the provider currently de-preffed.
 	depreffed map[topo.ASN]topo.ASN
+	// egress is the provider plan of the RIB adaptEgress last ran on.
+	egress *egressPlan
 
 	// ctx is the run context set by Bind. An Engine is single-run scoped —
 	// built, stepped, and discarded inside one Scenario stage — so binding
@@ -211,6 +213,61 @@ func (e *Engine) Utilization(id topo.LinkID) float64 {
 	return e.Traffic.Utilization(id, e.hour, e.step)
 }
 
+// egressPlan is what adaptEgress reads of one RIB: every AS with at least
+// two providers, in topology order. It is a function of the RIB alone, so
+// it is built once per RIB rather than once per step.
+type egressPlan struct {
+	rib  *bgp.RIB
+	ases []egressAS
+}
+
+// egressAS is one multihomed AS's providers, ascending, and the provider a
+// currently uses most — approximated by the provider carrying the most
+// chosen routes, the lowest ASN on ties — with its route count.
+type egressAS struct {
+	asn       topo.ASN
+	providers []topo.ASN
+	active    topo.ASN
+	routes    int
+}
+
+// planEgress builds rib's egress plan over t's ASes.
+func planEgress(t *topo.Topology, rib *bgp.RIB) *egressPlan {
+	plan := &egressPlan{rib: rib}
+	ases := t.ASes()
+	for _, as := range ases {
+		a := as.ASN
+		// Collect provider neighbors (a is the customer).
+		var providers []topo.ASN
+		for n, k := range rib.Rel.Rel[a] {
+			if k == topo.RelCustomer {
+				providers = append(providers, n)
+			}
+		}
+		if len(providers) < 2 {
+			continue
+		}
+		sort.Slice(providers, func(i, j int) bool { return providers[i] < providers[j] })
+		use := make(map[topo.ASN]int, len(providers))
+		for _, dst := range ases {
+			if dst.ASN == a {
+				continue
+			}
+			if r := rib.Lookup(a, dst.ASN); r != nil {
+				use[r.NextHop()]++
+			}
+		}
+		p := egressAS{asn: a, providers: providers, routes: -1}
+		for _, n := range providers {
+			if use[n] > p.routes {
+				p.routes, p.active = use[n], n
+			}
+		}
+		plan.ases = append(plan.ases, p)
+	}
+	return plan
+}
+
 // adaptEgress mimics SDN egress controllers: a multihomed AS whose
 // currently-preferred provider link is congested shifts preference to its
 // least-loaded other provider; the override is released when the link
@@ -222,21 +279,13 @@ func (e *Engine) adaptEgress() error {
 	if err != nil {
 		return err
 	}
+	if e.egress == nil || e.egress.rib != rib {
+		e.egress = planEgress(e.Topo, rib)
+	}
 	rel := rib.Rel
 	changed := false
-	for _, as := range e.Topo.ASes() {
-		a := as.ASN
-		// Collect provider neighbors (a is the customer).
-		var providers []topo.ASN
-		for n, k := range rel.Rel[a] {
-			if k == topo.RelCustomer {
-				providers = append(providers, n)
-			}
-		}
-		if len(providers) < 2 {
-			continue
-		}
-		sort.Slice(providers, func(i, j int) bool { return providers[i] < providers[j] })
+	for _, plan := range e.egress.ases {
+		a, providers := plan.asn, plan.providers
 		// Utilization of the best (max across that neighbor's links, since
 		// any of them may carry the egress).
 		utilTo := func(n topo.ASN) float64 {
@@ -259,31 +308,10 @@ func (e *Engine) adaptEgress() error {
 			}
 			continue
 		}
-		// Which provider does a currently use most? Approximate with the
-		// provider carrying the most chosen routes.
-		use := make(map[topo.ASN]int)
-		for _, dst := range e.Topo.ASes() {
-			if dst.ASN == a {
-				continue
-			}
-			if r := rib.Lookup(a, dst.ASN); r != nil {
-				for _, p := range providers {
-					if r.NextHop() == p {
-						use[p]++
-					}
-				}
-			}
-		}
-		var active topo.ASN
-		best := -1
-		for _, p := range providers {
-			if use[p] > best {
-				best, active = use[p], p
-			}
-		}
-		if best <= 0 {
+		if plan.routes <= 0 {
 			continue
 		}
+		active := plan.active
 		if utilTo(active) < e.cfg.EgressHighUtil {
 			continue
 		}

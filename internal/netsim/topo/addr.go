@@ -13,19 +13,20 @@ import "fmt"
 //     interface is <prefix><m+1>.
 
 // PoPAddr returns the router address of a PoP inside its AS's prefix.
-func (t *Topology) PoPAddr(id PoPID) string {
-	p := t.pops[int(id)]
-	ord := 0
-	for _, q := range t.pops {
-		if q.AS != p.AS {
-			continue
-		}
-		if q.ID == id {
-			break
-		}
-		ord++
+func (t *Topology) PoPAddr(id PoPID) string { return t.addrs[int(id)] }
+
+// popAddrs derives every PoP's router address from the immutable core, in
+// one pass: a PoP's per-AS ordinal is the number of that AS's PoPs before
+// it in creation order. Build and Import call it once; clones share the
+// result like they share pops.
+func popAddrs(pops []PoP) []string {
+	ord := make(map[ASN]int)
+	out := make([]string, len(pops))
+	for i, p := range pops {
+		ord[p.AS]++
+		out[i] = fmt.Sprintf("10.%d.%d.%d", uint32(p.AS)/256, uint32(p.AS)%256, ord[p.AS])
 	}
-	return fmt.Sprintf("10.%d.%d.%d", uint32(p.AS)/256, uint32(p.AS)%256, ord+1)
+	return out
 }
 
 // IXPAddr returns asn's interface address on the named exchange LAN, or

@@ -150,6 +150,7 @@ func (b *Builder) Build() (*Topology, error) {
 	if _, err := b.t.Relationships(); err != nil {
 		return nil, err
 	}
+	b.t.addrs = popAddrs(b.t.pops)
 	return b.t, nil
 }
 

@@ -20,6 +20,7 @@ func (t *Topology) Clone() *Topology {
 			asOrder:      t.asOrder,
 			pops:         t.pops,
 			popIndex:     t.popIndex,
+			addrs:        t.addrs,
 			links:        t.links,
 			adj:          t.adj,
 			ixps:         t.ixps,
@@ -33,6 +34,7 @@ func (t *Topology) Clone() *Topology {
 		asOrder:      t.asOrder, // (nothing writes these after Build)
 		pops:         t.pops,
 		popIndex:     t.popIndex,
+		addrs:        t.addrs,
 		links:        make([]*Link, len(t.links)),
 		adj:          make(map[PoPID][]LinkID, len(t.adj)),
 		ixps:         make(map[string]*IXP, len(t.ixps)),

@@ -172,5 +172,6 @@ func Import(e *Export) (*Topology, error) {
 	if _, err := t.Relationships(); err != nil {
 		return nil, fmt.Errorf("topo: import: %w", err)
 	}
+	t.addrs = popAddrs(t.pops)
 	return t, nil
 }

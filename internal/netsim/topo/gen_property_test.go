@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -214,5 +215,50 @@ func TestGenerateIXPShape(t *testing.T) {
 		if got := len(tp.links) - len(base.links); got != wantExtra {
 			t.Fatalf("IXP generation added %d links, want %d (founding-member peerings only)", got, wantExtra)
 		}
+	}
+}
+
+// scanPoPAddr is PoPAddr as a scan: the PoP's per-AS ordinal counted over
+// every PoP before it.
+func scanPoPAddr(t *Topology, id PoPID) string {
+	p := t.pops[int(id)]
+	ord := 0
+	for _, q := range t.pops {
+		if q.AS != p.AS {
+			continue
+		}
+		if q.ID == id {
+			break
+		}
+		ord++
+	}
+	return fmt.Sprintf("10.%d.%d.%d", uint32(p.AS)/256, uint32(p.AS)%256, ord+1)
+}
+
+// TestPoPAddrMatchesScan: the addresses computed once per core equal the
+// per-call scan on every generated shape, through Import and through a
+// frozen topology's copy-on-write clone.
+func TestPoPAddrMatchesScan(t *testing.T) {
+	for _, c := range genPropertyConfigs {
+		t.Run(c.name, func(t *testing.T) {
+			for _, seed := range []uint64{1, 7, 42} {
+				g, err := Generate(mathx.NewRNG(seed), c.cfg, nil)
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				imp, err := Import(g.Export())
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				g.Freeze()
+				for _, tp := range []*Topology{g, imp, g.Clone()} {
+					for _, p := range tp.pops {
+						if got, want := tp.PoPAddr(p.ID), scanPoPAddr(tp, p.ID); got != want {
+							t.Fatalf("seed %d: PoPAddr(%d) = %s, scan %s", seed, p.ID, got, want)
+						}
+					}
+				}
+			}
+		})
 	}
 }

@@ -125,9 +125,9 @@ type IXP struct {
 //   - CoW view: a Clone of a frozen topology. Reads hit the shared frozen
 //     structures directly; the first mutation promotes the small mutable
 //     overlay (links, adjacency, IXP membership) into private copies. The
-//     immutable core — AS records, PoPs, their indexes, and the geo
-//     registry — is shared by reference forever: nothing mutates it after
-//     Build.
+//     immutable core — AS records, PoPs, their indexes and addresses, and
+//     the geo registry — is shared by reference forever: nothing mutates it
+//     after Build.
 type Topology struct {
 	Registry *geo.Registry
 	// Immutable core: never written after Build, shared by every clone.
@@ -135,6 +135,9 @@ type Topology struct {
 	asOrder  []ASN
 	pops     []PoP
 	popIndex map[popKey]PoPID
+	// addrs[id] is PoP id's router address (see PoPAddr), derived from
+	// pops once when the core is built.
+	addrs []string
 	// Mutable overlay: IXP membership (JoinIXP grows links/adj/ixps) and
 	// link operational state (SetLinkUp). CoW views copy these on first
 	// write; the frozen original's copies are never written again.
@@ -143,6 +146,9 @@ type Topology struct {
 	ixps  map[string]*IXP
 	// ixpMemberIdx[name][asn] is the member's index on the LAN (for IPs).
 	ixpMemberIdx map[string]map[ASN]int
+
+	// epoch counts overlay mutations (see Epoch).
+	epoch uint64
 
 	// frozen marks the immutable original the artifact store holds.
 	frozen bool
@@ -158,14 +164,21 @@ type Topology struct {
 func (t *Topology) Freeze() { t.frozen = true }
 
 // mutable panics if the topology is frozen, and otherwise promotes the
-// shared overlay so the caller may write. Every mutator calls it first —
-// it is the single choke point enforcing the copy-on-write contract.
+// shared overlay so the caller may write and advances the epoch. Every
+// mutator calls it first — it is the single choke point enforcing the
+// copy-on-write contract.
 func (t *Topology) mutable(op string) {
 	if t.frozen {
 		panic(fmt.Sprintf("topo: %s on frozen topology (mutate a Clone instead)", op))
 	}
 	t.promote()
+	t.epoch++
 }
+
+// Epoch counts the mutations of this topology's overlay (SetLinkUp,
+// JoinIXP). Anything derived from link state — a forwarded path — is
+// valid for as long as the epoch it was derived under is current.
+func (t *Topology) Epoch() uint64 { return t.epoch }
 
 // promote gives a CoW view private copies of the mutable overlay: links
 // (deep, so Up flips stay local), adjacency, and IXP membership. The

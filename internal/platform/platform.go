@@ -2,6 +2,7 @@ package platform
 
 import (
 	"fmt"
+	"slices"
 
 	"sisyphus/internal/mathx"
 	"sisyphus/internal/netsim/engine"
@@ -54,9 +55,10 @@ func (p *MLabPool) RunTest(pr *probe.Prober, user topo.PoPID) (*probe.Measuremen
 // records carry the trigger context so analysts can separate them from
 // baseline samples.
 type BGPWatch struct {
-	Src  topo.PoPID
-	Dst  topo.PoPID
-	last string
+	Src topo.PoPID
+	Dst topo.PoPID
+	// last is the AS path seen on the previous step, nil until armed.
+	last []topo.ASN
 }
 
 // NewBGPWatch monitors the route from src to dst.
@@ -75,15 +77,14 @@ func (w *BGPWatch) Step(pr *probe.Prober) (*probe.Measurement, error) {
 	if err != nil {
 		return nil, err
 	}
-	sig := fmt.Sprint(path.ASPath)
-	if w.last == "" {
-		w.last = sig
+	if w.last == nil {
+		w.last = path.ASPath
 		return nil, nil
 	}
-	if sig == w.last {
+	if slices.Equal(path.ASPath, w.last) {
 		return nil, nil
 	}
-	w.last = sig
+	w.last = path.ASPath
 	return pr.Traceroute(w.Src, w.Dst, probe.IntentTriggered, "bgp-change")
 }
 

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"fmt"
+	"slices"
 
 	"sisyphus/internal/mathx"
 	"sisyphus/internal/netsim/topo"
@@ -39,8 +40,10 @@ type UserModel struct {
 	// from the previous step (default 3).
 	ChangeBoost float64
 
-	emaRTT   map[topo.PoPID]float64
-	lastPath map[topo.PoPID]string
+	emaRTT map[topo.PoPID]float64
+	// lastPath is each population's AS path on the previous step: the
+	// memoized Path's own slice, read-only.
+	lastPath map[topo.PoPID][]topo.ASN
 }
 
 // NewUserModel returns a user model with its own RNG stream.
@@ -49,7 +52,7 @@ func NewUserModel(pops []UserPop, seed uint64) *UserModel {
 		Pops: pops, rng: mathx.NewRNG(seed),
 		BaseRate: 0.2, PerfBoost: 3, ChangeBoost: 3,
 		emaRTT:   make(map[topo.PoPID]float64),
-		lastPath: make(map[topo.PoPID]string),
+		lastPath: make(map[topo.PoPID][]topo.ASN),
 	}
 }
 
@@ -76,12 +79,10 @@ func (u *UserModel) Step(p *probe.Prober) ([]StepObservation, []*probe.Measureme
 		if err != nil {
 			return nil, nil, fmt.Errorf("platform: user pop %v: %w", pop, err)
 		}
-		pathSig := fmt.Sprint(perf.Path.ASPath)
-		changed := false
-		if prev, ok := u.lastPath[pop.Src]; ok && prev != pathSig {
-			changed = true
-		}
-		u.lastPath[pop.Src] = pathSig
+		path := perf.Path.ASPath
+		prev, ok := u.lastPath[pop.Src]
+		changed := ok && !slices.Equal(prev, path)
+		u.lastPath[pop.Src] = path
 
 		ema, ok := u.emaRTT[pop.Src]
 		if !ok {
