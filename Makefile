@@ -10,9 +10,11 @@
 # forced contrast recomputed the whole internet, 958 s once forced
 # contrasts became what-if queries that converge one destination,
 # 323 s (from 772 s) once the SVD went column-major and the power curve
-# scored every effect from one set of placebo fits per trial, and 242 s
+# scored every effect from one set of placebo fits per trial, 242 s
 # (from 301 s, measured back to back) once a RIB memoized its forwarding
-# answers.
+# answers, and 202 s (from 237 s, back to back) once Table 1 fit each
+# t0's placebo donors once and classic SC's Frank–Wolfe stopped
+# allocating per iteration.
 
 GO ?= go
 

@@ -98,16 +98,30 @@ func rmseRatio(post, pre float64) float64 {
 
 // simplexWeights minimizes ||target − pre·w||² over the probability simplex
 // using Frank–Wolfe with exact line search (the objective is quadratic).
+//
+// The iteration allocates nothing: the work vectors are made once per fit
+// and column j of pre is row j of the one transposed copy. Every value takes
+// the same float operations in the same order as in the allocating
+// simplexWeightsReference the tests hold it to, bit for bit. That includes
+// A·w, which is recomputed from w each iteration rather than updated along
+// d: the update would round differently.
 func simplexWeights(pre *mathx.Matrix, target mathx.Vector, maxIter int) mathx.Vector {
-	n := pre.Cols
+	m, n := pre.Rows, pre.Cols
 	w := make(mathx.Vector, n)
 	for i := range w {
 		w[i] = 1 / float64(n)
 	}
-	resid := pre.MulVec(w).Sub(target) // A w − b
+	grad := make(mathx.Vector, n)
+	aw := make(mathx.Vector, m)
+	ad := make(mathx.Vector, m)
+	resid := make(mathx.Vector, m)
+	pre.MulVecTo(aw, w)
+	for i := range resid {
+		resid[i] = aw[i] - target[i] // A w − b
+	}
 	preT := pre.T()
 	for iter := 0; iter < maxIter; iter++ {
-		grad := preT.MulVec(resid)
+		preT.MulVecTo(grad, resid)
 		// Linear minimization oracle over the simplex: the best vertex.
 		j := 0
 		for k := 1; k < n; k++ {
@@ -116,8 +130,12 @@ func simplexWeights(pre *mathx.Matrix, target mathx.Vector, maxIter int) mathx.V
 			}
 		}
 		// Direction d = e_j − w; step minimizes the quadratic along d.
-		// A d = A e_j − A w = col_j − (resid + b) ... compute directly.
-		ad := pre.Col(j).Sub(pre.MulVec(w))
+		// A d = A e_j − A w = col_j − A w.
+		col := preT.Data[j*m : (j+1)*m]
+		pre.MulVecTo(aw, w)
+		for i := range ad {
+			ad[i] = col[i] - aw[i]
+		}
 		denom := ad.Dot(ad)
 		if denom < 1e-18 {
 			break
@@ -133,7 +151,7 @@ func simplexWeights(pre *mathx.Matrix, target mathx.Vector, maxIter int) mathx.V
 			w[k] *= 1 - gamma
 		}
 		w[j] += gamma
-		resid = resid.AddScaled(gamma, ad)
+		resid.AddScaled(gamma, ad)
 		if gamma < 1e-12 {
 			break
 		}

@@ -42,6 +42,11 @@ type PlaceboResult struct {
 // are fit on the panel with the genuinely treated unit removed, so its
 // post-treatment behaviour cannot contaminate placebo donor pools.
 //
+// It is the composition of the test's two halves: the real Fit, the donor
+// side (FitPlacebos), and the treated side's rank (Placebos.Test). A caller
+// whose treated units share one treated-removed panel and t0 can fit the
+// donor side once and rank every unit against it.
+//
 // The placebo refits shard across cfg.Pool; cancelling ctx stops scheduling
 // further fits and returns ctx.Err() with no result.
 func PlaceboTest(ctx context.Context, p *Panel, treated string, t0 int, cfg Config) (*PlaceboResult, error) {
@@ -52,7 +57,31 @@ func PlaceboTest(ctx context.Context, p *Panel, treated string, t0 int, cfg Conf
 	if err != nil {
 		return nil, err
 	}
-	ti, _ := p.UnitIndex(treated)
+	pl, err := FitPlacebos(ctx, p, treated, t0, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return pl.Test(ctx, real), nil
+}
+
+// Placebos is the donor side of a placebo test: every donor of the
+// treated-removed panel refit as if it had been treated at t0. It depends on
+// that panel and t0 only, not on the treated unit's own row, and it is never
+// written after FitPlacebos returns, so any number of tests may share it.
+type Placebos struct {
+	// Ratios holds each placebo unit's post/pre RMSE ratio.
+	Ratios map[string]float64
+	// Skipped lists, sorted, the placebo units whose fit failed.
+	Skipped []string
+}
+
+// FitPlacebos fits the donor side of treated's placebo test: every other
+// unit of p, on the panel without treated, as if treated at t0.
+func FitPlacebos(ctx context.Context, p *Panel, treated string, t0 int, cfg Config) (*Placebos, error) {
+	ti, err := p.UnitIndex(treated)
+	if err != nil {
+		return nil, err
+	}
 
 	// Panel without the treated unit.
 	donorUnits := make([]string, 0, len(p.Units)-1)
@@ -110,20 +139,24 @@ func PlaceboTest(ctx context.Context, p *Panel, treated string, t0 int, cfg Conf
 	if len(ratios) == 0 {
 		return nil, fmt.Errorf("synthetic: all %d placebo fits failed", len(donorUnits))
 	}
-
-	pval := placeboPValue(real.RMSERatio, ratios, len(skipped))
 	sort.Strings(skipped)
-	// Run-trace accounting: the quantities this test computed and would
-	// otherwise discard. No-ops without a recorder on ctx.
-	obs.Add(ctx, "placebo.tests", 1)
+	// Run-trace accounting: the fits this donor side made. No-ops without a
+	// recorder on ctx.
 	obs.Add(ctx, "placebo.fits_attempted", int64(len(donorUnits)))
 	obs.Add(ctx, "placebo.fits_skipped", int64(len(skipped)))
+	return &Placebos{Ratios: ratios, Skipped: skipped}, nil
+}
+
+// Test is the treated side of a placebo test: it ranks the real fit's RMSE
+// ratio among the placebos. The result shares Ratios and Skipped with pl.
+func (pl *Placebos) Test(ctx context.Context, real *Result) *PlaceboResult {
+	obs.Add(ctx, "placebo.tests", 1)
 	return &PlaceboResult{
 		Treated: real,
-		Ratios:  ratios,
-		PValue:  pval,
-		Skipped: skipped,
-	}, nil
+		Ratios:  pl.Ratios,
+		PValue:  placeboPValue(real.RMSERatio, pl.Ratios, len(pl.Skipped)),
+		Skipped: pl.Skipped,
+	}
 }
 
 // PValueShifted is the p-value this placebo test would have reported had

@@ -6,6 +6,7 @@ import (
 
 	"sisyphus/internal/causal/data"
 	"sisyphus/internal/causal/estimate"
+	"sisyphus/internal/causal/synthetic"
 	"sisyphus/internal/netsim/scenario"
 	"sisyphus/internal/parallel"
 )
@@ -58,8 +59,10 @@ func (o DiDOptions) WithScenario(id string) Options {
 // The world comes from o.Scenario (default the South Africa world); any
 // world Table 1 runs on works here too.
 func RunDiD(ctx context.Context, pool parallel.Pool, seed uint64, o DiDOptions) (*DiDResult, error) {
+	// Classic (Frank–Wolfe) SC: its simplex weights average the donors, the
+	// per-unit counterpart of DiD's equal-weight donor pool.
 	cfg := Table1Config{
-		Weeks: 4, JoinWeek: 2, Seed: seed, WithTruth: true,
+		Weeks: 4, JoinWeek: 2, Seed: seed, Method: synthetic.Classic, WithTruth: true,
 		ScenarioChoice: ScenarioChoice{Scenario: o.Scenario},
 	}
 	t1, err := RunTable1(ctx, pool, cfg)

@@ -282,6 +282,7 @@ func RunTable1(ctx context.Context, pool parallel.Pool, cfg Table1Config) (*Tabl
 				times[i] = float64(i) * cfg.BinHours
 			}
 			faulty := cfg.Faults != nil && cfg.Faults.Enabled()
+			placebos := newSharedPlacebos(synthetic.Config{Method: cfg.Method, Pool: pool})
 			est := estimates{dataset: d}
 			for _, u := range d.s.Treated {
 				if err := ctx.Err(); err != nil {
@@ -327,7 +328,7 @@ func RunTable1(ctx context.Context, pool parallel.Pool, cfg Table1Config) (*Tabl
 				}
 				if err == nil {
 					var pl *synthetic.PlaceboResult
-					pl, err = synthetic.PlaceboTest(ctx, panel, u.String(), t0, synthetic.Config{Method: cfg.Method, Pool: pool})
+					pl, err = placebos.test(ctx, panel, u.String(), t0)
 					if err == nil {
 						row.RTTDelta = pl.Treated.ATT
 						row.RMSERatio = pl.Treated.RMSERatio
@@ -370,6 +371,51 @@ func RunTable1(ctx context.Context, pool parallel.Pool, cfg Table1Config) (*Tabl
 	run := pipeline.Then(pipeline.Then(scenarioStage, datasetStage),
 		pipeline.Then(estimatorStage, reportStage))
 	return run.Run(ctx, cfg)
+}
+
+// sharedPlacebos is one Table 1 estimator stage's placebo donor sides, one
+// per t0. Every treated unit's panel holds the same donor rows:
+// MaskedPanel.Apply drops and imputes each row on that row's own mask, and
+// the treated unit is kept regardless. Removing the treated unit therefore
+// leaves the same donor panel for every unit of the stage, and the donor
+// side of its placebo test depends on t0 alone.
+type sharedPlacebos struct {
+	cfg  synthetic.Config
+	byT0 map[int]placebosAt
+}
+
+// placebosAt is one t0's donor side, or the error fitting it returned.
+type placebosAt struct {
+	pl  *synthetic.Placebos
+	err error
+}
+
+func newSharedPlacebos(cfg synthetic.Config) *sharedPlacebos {
+	return &sharedPlacebos{cfg: cfg, byT0: make(map[int]placebosAt)}
+}
+
+// test is synthetic.PlaceboTest with the donor side fit once per t0, in the
+// same order: the real fit first, then the donor side, fit the first time
+// its t0 is needed. A failed donor side is remembered and its error returned
+// for every later unit at that t0 (a cancelled one too: cancellation aborts
+// the stage, so nothing asks again).
+func (s *sharedPlacebos) test(ctx context.Context, panel *synthetic.Panel, unit string, t0 int) (*synthetic.PlaceboResult, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	real, err := synthetic.Fit(panel, unit, t0, s.cfg)
+	if err != nil {
+		return nil, err
+	}
+	at, ok := s.byT0[t0]
+	if !ok {
+		at.pl, at.err = synthetic.FitPlacebos(ctx, panel, unit, t0, s.cfg)
+		s.byT0[t0] = at
+	}
+	if at.err != nil {
+		return nil, at.err
+	}
+	return at.pl.Test(ctx, real), nil
 }
 
 // trueDelta compares post-treatment median true RTT between the factual

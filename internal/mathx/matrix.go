@@ -38,15 +38,6 @@ func (m *Matrix) Row(i int) Vector {
 	return out
 }
 
-// Col returns a copy of column j as a Vector.
-func (m *Matrix) Col(j int) Vector {
-	out := make(Vector, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = m.At(i, j)
-	}
-	return out
-}
-
 // SetRow copies v into row i.
 func (m *Matrix) SetRow(i int, v Vector) {
 	if len(v) != m.Cols {
@@ -98,10 +89,17 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 
 // MulVec returns the matrix-vector product m * v.
 func (m *Matrix) MulVec(v Vector) Vector {
-	if m.Cols != len(v) {
-		panic(fmt.Sprintf("mathx: mulVec %dx%d by %d", m.Rows, m.Cols, len(v)))
-	}
 	out := make(Vector, m.Rows)
+	m.MulVecTo(out, v)
+	return out
+}
+
+// MulVecTo writes the matrix-vector product m * v into out, which must have
+// length m.Rows, without allocating.
+func (m *Matrix) MulVecTo(out, v Vector) {
+	if m.Cols != len(v) || m.Rows != len(out) {
+		panic(fmt.Sprintf("mathx: mulVec %dx%d by %d into %d", m.Rows, m.Cols, len(v), len(out)))
+	}
 	for i := 0; i < m.Rows; i++ {
 		var s float64
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
@@ -110,7 +108,6 @@ func (m *Matrix) MulVec(v Vector) Vector {
 		}
 		out[i] = s
 	}
-	return out
 }
 
 // Scale returns a*m as a new matrix.

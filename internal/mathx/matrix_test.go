@@ -119,8 +119,17 @@ func TestMatrixMulVecAgainstMul(t *testing.T) {
 		vm := NewMatrix(cols, 1)
 		vm.SetCol(0, v)
 		want := m.Mul(vm)
+		// MulVecTo overwrites a dirty buffer with the same bits.
+		into := make(Vector, rows)
+		for i := range into {
+			into[i] = math.NaN()
+		}
+		m.MulVecTo(into, v)
 		for i := 0; i < rows; i++ {
 			if !almostEqual(got[i], want.At(i, 0), 1e-9) {
+				return false
+			}
+			if math.Float64bits(into[i]) != math.Float64bits(got[i]) {
 				return false
 			}
 		}
@@ -151,7 +160,7 @@ func TestRowColRoundTrip(t *testing.T) {
 	if r := m.Row(1); r[0] != 4 || r[2] != 6 {
 		t.Fatalf("row = %v", r)
 	}
-	if c := m.Col(2); c[0] != 3 || c[1] != 6 {
+	if c := column(m, 2); c[0] != 3 || c[1] != 6 {
 		t.Fatalf("col = %v", c)
 	}
 	m.SetRow(0, Vector{7, 8, 9})
@@ -175,6 +184,15 @@ func TestMatrixScale(t *testing.T) {
 }
 
 // identity returns the n-by-n identity matrix.
+// column returns a copy of column j of m.
+func column(m *Matrix, j int) Vector {
+	out := make(Vector, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		out[i] = m.At(i, j)
+	}
+	return out
+}
+
 func identity(n int) *Matrix {
 	m := NewMatrix(n, n)
 	for i := 0; i < n; i++ {

@@ -69,7 +69,7 @@ func computeSVDReference(a *Matrix) SVD {
 	s := make(Vector, c)
 	u := NewMatrix(r, c)
 	for j := 0; j < c; j++ {
-		col := work.Col(j)
+		col := column(work, j)
 		n := col.Norm()
 		s[j] = n
 		if n > 1e-300 {
@@ -90,8 +90,8 @@ func computeSVDReference(a *Matrix) SVD {
 	vSorted := NewMatrix(c, c)
 	for newJ, oldJ := range idx {
 		sSorted[newJ] = s[oldJ]
-		uSorted.SetCol(newJ, u.Col(oldJ))
-		vSorted.SetCol(newJ, v.Col(oldJ))
+		uSorted.SetCol(newJ, column(u, oldJ))
+		vSorted.SetCol(newJ, column(v, oldJ))
 	}
 
 	if transposed {
@@ -139,7 +139,7 @@ func svdPropertyMatrix(r *RNG, rows, cols int, kind uint8) *Matrix {
 	case 2:
 		for k := 0; k < 1+cols/3; k++ {
 			from, to := r.Intn(cols), r.Intn(cols)
-			m.SetCol(to, m.Col(from))
+			m.SetCol(to, column(m, from))
 		}
 	case 3:
 		for k := 0; k < 1+cols/4; k++ {
