@@ -18,7 +18,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race verify unreached verify-cache-off verify-warm-cache verify-sweep bench bench-stages bench-forks loadtest loadtest-baseline
+.PHONY: build test vet race verify unreached verify-cache-off verify-warm-cache verify-sweep bench
 
 build:
 	$(GO) build ./...
@@ -87,51 +87,12 @@ verify-sweep:
 		-seeds 1..4 -workers 4 -json >$$dir/w4.json; \
 	cmp $$dir/w1.json $$dir/w4.json
 
-# The benchmarks backing DESIGN.md's ablation tables and CHANGES.md's
-# before/after numbers. Text output streams as usual; a machine-readable
-# BENCH_sisyphus.json is written alongside for CI trend tracking. Override
-# BENCHTIME (e.g. BENCHTIME=1x) for a quick smoke pass.
+# The micro-benchmarks backing DESIGN.md's ablation tables and CHANGES.md's
+# before/after numbers. Override BENCHTIME (e.g. BENCHTIME=1x) for a quick
+# smoke pass; every benchmark fails on a pipeline error, and with no pipe
+# after go test that failure is the target's exit status. End-to-end and
+# per-stage numbers come from the benchmark module instead:
+# `bash benchmark/run.sh --workload suite|sweep|serve --trace 0|1`.
 BENCHTIME ?= 1s
 bench:
-	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) -timeout 60m . | $(GO) run ./cmd/benchjson -out BENCH_sisyphus.json
-
-# Fold per-stage wall times from a traced suite run into the benchmark
-# report: spans from `sisyphus -trace` aggregate under a "stages" key in
-# BENCH_sisyphus.json, next to (and without disturbing) the micro-benchmark
-# results.
-TRACE ?= trace.jsonl
-bench-stages:
-	$(GO) run ./cmd/sisyphus -all -seed 42 -trace $(TRACE) > /dev/null
-	$(GO) run ./cmd/benchjson -merge $(TRACE) -out BENCH_sisyphus.json
-
-# The fork-benchmark regression gate: rerun just the copy-on-write fork
-# benchmarks and compare ns/op against the committed BENCH_sisyphus.json.
-# A cache hit's cost IS the fork cost, so a regression here silently taxes
-# every cached experiment. benchjson -compare exits 1 when any benchmark
-# slows by more than the threshold; added/removed benchmarks never fail.
-FORK_THRESHOLD ?= 0.50
-bench-forks:
-	$(GO) test -run='^$$' -bench='^BenchmarkFork' -benchtime=1000x -timeout 10m . \
-		| $(GO) run ./cmd/benchjson -out BENCH_forks_new.json
-	$(GO) run ./cmd/benchjson -compare -threshold $(FORK_THRESHOLD) BENCH_sisyphus.json BENCH_forks_new.json
-
-# The serving-path regression gate: drive the sisyphusd handler in-process
-# with a warm store and a fixed request mix, then compare per-route
-# throughput and p99 latency against the committed BENCH_sisyphus.json
-# load section. benchjson -compare exits 1 when p99 rises or RPS falls by
-# more than the threshold; the generous default absorbs machine-to-machine
-# noise while still catching an accidental O(n) on the serving path.
-# `make loadtest-baseline` reruns the driver and folds fresh numbers into
-# BENCH_sisyphus.json for committing after a deliberate serving change.
-LOAD_DURATION ?= 5s
-LOAD_CLIENTS ?= 4
-LOAD_THRESHOLD ?= 4.0
-loadtest:
-	$(GO) run ./cmd/loadtest -duration $(LOAD_DURATION) -clients $(LOAD_CLIENTS) -out LOAD_new.json
-	rm -f BENCH_load_new.json
-	$(GO) run ./cmd/benchjson -merge-load LOAD_new.json -out BENCH_load_new.json
-	$(GO) run ./cmd/benchjson -compare -threshold $(LOAD_THRESHOLD) BENCH_sisyphus.json BENCH_load_new.json
-
-loadtest-baseline:
-	$(GO) run ./cmd/loadtest -duration $(LOAD_DURATION) -clients $(LOAD_CLIENTS) -out LOAD_new.json
-	$(GO) run ./cmd/benchjson -merge-load LOAD_new.json -out BENCH_sisyphus.json
+	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) -timeout 60m .

@@ -3,7 +3,10 @@
 // Each Benchmark runs the full pipeline per iteration at a reduced-but-
 // faithful scale; run with
 //
-//	go test -bench=. -benchmem
+//	make bench            # go test -run='^$' -bench=. -benchmem .
+//
+// End-to-end and per-stage numbers, with spread, come from the benchmark
+// module instead: bash benchmark/run.sh --workload suite|sweep|serve.
 package sisyphus
 
 import (
@@ -113,9 +116,9 @@ func BenchmarkIntentTagging(b *testing.B) {
 }
 
 // BenchmarkAllSuite runs the full experiment suite with and without the
-// artifact cache, so BENCH_sisyphus.json records the cached-vs-uncached
-// delta (the shared worlds, RIBs, and campaigns are the entire difference —
-// output bytes are identical, which the golden equivalence tests pin).
+// artifact cache, so the cached-vs-uncached delta is measured (the shared
+// worlds, RIBs, and campaigns are the entire difference — output bytes are
+// identical, which the golden equivalence tests pin).
 func BenchmarkAllSuite(b *testing.B) {
 	run := func(b *testing.B, store *artifact.Store) {
 		b.Helper()
@@ -172,36 +175,10 @@ func BenchmarkAllSuite(b *testing.B) {
 }
 
 // BenchmarkSweepGrid runs the sweep driver over a small but real grid — the
-// canned Table 1 world plus a generated internet, four seeds each — so
-// BENCH_sisyphus.json records the cost of a distributional-report cell
-// matrix with shared world artifacts.
-func BenchmarkSweepGrid(b *testing.B) {
-	genID, err := scenario.RegisterGen(func() scenario.GenSpec {
-		sp := scenario.DefaultGenSpec()
-		sp.Config.Access = 10
-		sp.Config.Treated = 2
-		sp.Seed = 3
-		return sp
-	}())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		rep, err := sweep.Run(context.Background(), sweep.GridConfig{
-			Experiments: []string{"table1"},
-			Scenarios:   []string{scenario.SouthAfricaID, genID},
-			Seeds:       []uint64{1, 2, 3, 4},
-			Pool:        parallel.Pool{},
-			Artifacts:   artifact.NewStore(),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rep.Failures) != 0 {
-			b.Fatalf("sweep cells failed: %+v", rep.Failures)
-		}
-	}
-}
+// canned Table 1 world plus a generated internet, four seeds each — to
+// measure the cost of a distributional-report cell matrix with shared world
+// artifacts.
+func BenchmarkSweepGrid(b *testing.B) { benchSweep(b, "table1") }
 
 // BenchmarkSweepGridWide runs the full-breadth grid the scenario-generic
 // experiment layer unlocked: Table 1 plus three of the newly
@@ -210,6 +187,12 @@ func BenchmarkSweepGrid(b *testing.B) {
 // grid's marginal cost over BenchmarkSweepGrid is mostly the extra
 // analysis — the number that justifies sweeping the widened set by default.
 func BenchmarkSweepGridWide(b *testing.B) {
+	benchSweep(b, "table1", "did", "exposure", "rootcause")
+}
+
+// benchSweep runs the experiments over southafrica and a small generated
+// world at seeds 1–4, on a fresh store per iteration.
+func benchSweep(b *testing.B, experiments ...string) {
 	genID, err := scenario.RegisterGen(func() scenario.GenSpec {
 		sp := scenario.DefaultGenSpec()
 		sp.Config.Access = 10
@@ -222,7 +205,7 @@ func BenchmarkSweepGridWide(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		rep, err := sweep.Run(context.Background(), sweep.GridConfig{
-			Experiments: []string{"table1", "did", "exposure", "rootcause"},
+			Experiments: experiments,
 			Scenarios:   []string{scenario.SouthAfricaID, genID},
 			Seeds:       []uint64{1, 2, 3, 4},
 			Pool:        parallel.Pool{},
@@ -254,8 +237,10 @@ func diskBenchStore(b *testing.B, dir string) *artifact.Store {
 //
 // The world and campaign benchmarks contrast the frozen (copy-on-write,
 // what every cache hit pays) and mutable (eager deep copy, the pre-CoW
-// cost) fork of the same artifact. BENCH_sisyphus.json records both, and
-// make bench-forks gates on the cow variants regressing.
+// cost) fork of the same artifact. Timings are not gated; allocation tests
+// hold each frozen fork to a size-independent allocation count
+// (bgp/platform.TestFrozenForkAllocations, topo.TestFrozenCloneAllocations,
+// scenario.TestFrozenWorldForkAllocations).
 
 // BenchmarkForkWorld forks the Table 1 scenario world.
 func BenchmarkForkWorld(b *testing.B) {
@@ -311,30 +296,10 @@ func BenchmarkForkRIB(b *testing.B) {
 // measurement store of campaign scale (one simulated record per ~20 minutes
 // over six weeks, the Table 1 volume).
 func BenchmarkForkCampaign(b *testing.B) {
-	build := func(b *testing.B) (*scenario.World, *platform.Store) {
-		b.Helper()
-		s, err := scenario.Build(scenario.SouthAfricaID)
-		if err != nil {
-			b.Fatal(err)
-		}
-		st := platform.NewStore()
-		for i := 0; i < 3000; i++ {
-			m := &probe.Measurement{
-				ID: i + 1, Intent: probe.IntentBaseline, Hour: float64(i) / 3,
-				SrcASN: 3741, SrcCity: "Johannesburg", DstASN: 300,
-				RTTms: 180, ThroughputMbps: 40,
-				Hops: make([]probe.HopRecord, 6),
-			}
-			if err := st.Add(m); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return s, st
-	}
-	fw, fs := build(b)
+	fw, fs := benchCampaign(b)
 	fw.Freeze()
 	fs.Freeze()
-	mw, ms := build(b)
+	mw, ms := benchCampaign(b)
 	b.Run("cow", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -349,6 +314,29 @@ func BenchmarkForkCampaign(b *testing.B) {
 			benchStoreSink = ms.Fork()
 		}
 	})
+}
+
+// benchCampaign builds the campaign the fork and codec benchmarks share:
+// the Table 1 world and 3000 synthetic measurements.
+func benchCampaign(b *testing.B) (*scenario.World, *platform.Store) {
+	b.Helper()
+	s, err := scenario.Build(scenario.SouthAfricaID)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := platform.NewStore()
+	for i := 0; i < 3000; i++ {
+		m := &probe.Measurement{
+			ID: i + 1, Intent: probe.IntentBaseline, Hour: float64(i) / 3,
+			SrcASN: 3741, SrcCity: "Johannesburg", DstASN: 300,
+			RTTms: 180, ThroughputMbps: 40,
+			Hops: make([]probe.HopRecord, 6),
+		}
+		if err := st.Add(m); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return s, st
 }
 
 // Package-level sinks keep the compiler from eliding the forks.
@@ -659,24 +647,9 @@ func BenchmarkDiskCodecRIB(b *testing.B) {
 }
 
 func BenchmarkDiskCodecCampaign(b *testing.B) {
-	// The same synthetic 3000-measurement campaign BenchmarkForkCampaign
-	// forks, so the codec and fork numbers decompose the same artifact.
-	s, err := scenario.Build(scenario.SouthAfricaID)
-	if err != nil {
-		b.Fatal(err)
-	}
-	st := platform.NewStore()
-	for i := 0; i < 3000; i++ {
-		m := &probe.Measurement{
-			ID: i + 1, Intent: probe.IntentBaseline, Hour: float64(i) / 3,
-			SrcASN: 3741, SrcCity: "Johannesburg", DstASN: 300,
-			RTTms: 180, ThroughputMbps: 40,
-			Hops: make([]probe.HopRecord, 6),
-		}
-		if err := st.Add(m); err != nil {
-			b.Fatal(err)
-		}
-	}
+	// The campaign BenchmarkForkCampaign forks, so the codec and fork
+	// numbers decompose the same artifact.
+	s, st := benchCampaign(b)
 	data, err := experiments.EncodeCampaignArtifact(s, st)
 	if err != nil {
 		b.Fatal(err)
