@@ -235,11 +235,12 @@ func diskBenchStore(b *testing.B, dir string) *artifact.Store {
 
 // --- Fork benchmarks: the copy-on-write cache-hit primitives ---
 //
-// The world and campaign benchmarks contrast the frozen (copy-on-write,
-// what every cache hit pays) and mutable (eager deep copy, the pre-CoW
-// cost) fork of the same artifact. Timings are not gated; allocation tests
-// hold each frozen fork to a size-independent allocation count
-// (bgp/platform.TestFrozenForkAllocations, topo.TestFrozenCloneAllocations,
+// The world benchmark contrasts the frozen (copy-on-write, what every cache
+// hit pays) and mutable (private overlay copies) fork of the same world. A
+// campaign hit pays exactly a world fork: its frozen measurement store is
+// shared, not forked. Timings are not gated; allocation tests hold each
+// frozen fork to a size-independent allocation count
+// (bgp.TestFrozenForkAllocations, topo.TestFrozenCloneAllocations,
 // scenario.TestFrozenWorldForkAllocations).
 
 // BenchmarkForkWorld forks the Table 1 scenario world.
@@ -292,32 +293,9 @@ func BenchmarkForkRIB(b *testing.B) {
 	})
 }
 
-// BenchmarkForkCampaign forks a campaign-shaped artifact: the world plus a
-// measurement store of campaign scale (one simulated record per ~20 minutes
-// over six weeks, the Table 1 volume).
-func BenchmarkForkCampaign(b *testing.B) {
-	fw, fs := benchCampaign(b)
-	fw.Freeze()
-	fs.Freeze()
-	mw, ms := benchCampaign(b)
-	b.Run("cow", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			benchWorldSink = fw.Fork()
-			benchStoreSink = fs.Fork()
-		}
-	})
-	b.Run("deep", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			benchWorldSink = mw.Fork()
-			benchStoreSink = ms.Fork()
-		}
-	})
-}
-
-// benchCampaign builds the campaign the fork and codec benchmarks share:
-// the Table 1 world and 3000 synthetic measurements.
+// benchCampaign builds the campaign the codec benchmark encodes: the Table 1
+// world and 3000 synthetic measurements (one simulated record per ~20
+// minutes over six weeks, the Table 1 volume).
 func benchCampaign(b *testing.B) (*scenario.World, *platform.Store) {
 	b.Helper()
 	s, err := scenario.Build(scenario.SouthAfricaID)
@@ -647,8 +625,6 @@ func BenchmarkDiskCodecRIB(b *testing.B) {
 }
 
 func BenchmarkDiskCodecCampaign(b *testing.B) {
-	// The campaign BenchmarkForkCampaign forks, so the codec and fork
-	// numbers decompose the same artifact.
 	s, st := benchCampaign(b)
 	data, err := experiments.EncodeCampaignArtifact(s, st)
 	if err != nil {

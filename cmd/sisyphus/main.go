@@ -5,9 +5,13 @@
 //
 //	sisyphus -list
 //	sisyphus -experiment table1 [-seed 42]
-//	sisyphus -all [-parallel] [-workers 8] [-timeout 5m]
+//	sisyphus -all [-workers 8] [-timeout 5m]
 //	sisyphus -all -cache-dir ~/.cache/sisyphus
 //	sisyphus -all -trace run.jsonl -metrics [-pprof localhost:6060]
+//
+// -all runs the experiments concurrently on the -workers pool and prints
+// them in ID order once all are done; -workers 1 is the sequential run, and
+// every width prints the same bytes.
 //
 // The whole run is governed by one context: SIGINT (Ctrl-C) or an elapsed
 // -timeout cancels it, experiments stop at their next pipeline-stage
@@ -43,16 +47,13 @@ import (
 	"sisyphus/internal/sweep"
 )
 
-// validateFlags rejects flag combinations that would otherwise be silently
-// ignored: a negative worker count is never meaningful, and -workers sizes
-// the pool that only -parallel and -sweep use, so passing it alone is
-// almost certainly a mistake the user should hear about.
-func validateFlags(workersSet bool, workers int, parallelMode, sweepMode bool) error {
+// validateFlags rejects a negative worker count, which is never
+// meaningful. Any other -workers value applies to every run mode: the pool
+// it sizes runs -all's experiments, a sweep's cells and each experiment's
+// own parallel stages (Table 1's placebo fits, for one).
+func validateFlags(workers int) error {
 	if workers < 0 {
 		return fmt.Errorf("-workers must be >= 0 (got %d)", workers)
-	}
-	if workersSet && !parallelMode && !sweepMode {
-		return fmt.Errorf("-workers only applies with -parallel or -sweep; add one or drop -workers")
 	}
 	return nil
 }
@@ -164,8 +165,7 @@ func main() {
 		all       = flag.Bool("all", false, "run every experiment")
 		seed      = flag.Uint64("seed", 42, "random seed")
 		asJSON    = flag.Bool("json", false, "emit results as JSON instead of tables")
-		par       = flag.Bool("parallel", false, "with -all, run independent experiments concurrently (output is bit-identical to sequential)")
-		nworkers  = flag.Int("workers", 0, "worker-pool width for parallel stages (0 = GOMAXPROCS)")
+		nworkers  = flag.Int("workers", 0, "worker-pool width for -all, -sweep and parallel stages (0 = GOMAXPROCS, 1 = sequential; output is bit-identical at every width)")
 		timeout   = flag.Duration("timeout", 0, "abort the run after this duration (e.g. 90s, 10m); 0 = no limit")
 		traceFile = flag.String("trace", "", "write a JSONL span trace of the run to this file")
 		metrics   = flag.Bool("metrics", false, "print a metrics summary after the run (a \"metrics\" JSON object with -json)")
@@ -180,18 +180,16 @@ func main() {
 		cellTO    = flag.Duration("cell-timeout", 0, "with -sweep, per-cell wall-clock bound; a cell exceeding it is reported failed, the grid continues (0 = none)")
 	)
 	flag.Parse()
-	workersSet, expsSet, scenesSet := false, false, false
+	expsSet, scenesSet := false, false
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "workers":
-			workersSet = true
 		case "experiments":
 			expsSet = true
 		case "scenarios":
 			scenesSet = true
 		}
 	})
-	if err := validateFlags(workersSet, *nworkers, *par, *sweepMode); err != nil {
+	if err := validateFlags(*nworkers); err != nil {
 		fmt.Fprintln(os.Stderr, "sisyphus:", err)
 		os.Exit(2)
 	}
@@ -335,9 +333,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "sisyphus: sweep: %d of %d cells failed (see report)\n",
 				len(rep.Failures), rep.Cells)
 		}
-	case *all && *par:
-		// Concurrent suite: experiments fan out across the pool, results
-		// print in ID order once all are done — same bytes as sequential.
+	case *all:
+		// The suite: experiments fan out across the pool, results print in
+		// ID order once all are done — the same bytes at every width.
 		outs, runErr := experiments.RunAll(ctx, cfg)
 		var completed, notRun []string
 		for _, oc := range outs {
@@ -361,26 +359,6 @@ func main() {
 			}
 			fmt.Fprintln(os.Stderr, "sisyphus:", runErr)
 			os.Exit(1)
-		}
-	case *all:
-		exps := experiments.All()
-		var completed []string
-		for i, e := range exps {
-			fmt.Print(e.Header())
-			res, err := e.Run(ctx, cfg)
-			if err != nil {
-				if canceled(err) {
-					var notRun []string
-					for _, rest := range exps[i:] {
-						notRun = append(notRun, rest.ID)
-					}
-					exitCancelled(err, completed, notRun)
-				}
-				fmt.Fprintf(os.Stderr, "sisyphus: %s: %v\n", e.ID, err)
-				os.Exit(1)
-			}
-			emit(res)
-			completed = append(completed, e.ID)
 		}
 	case *exp != "":
 		e, err := experiments.Get(*exp)

@@ -2,30 +2,27 @@ package main
 
 import "testing"
 
+// TestValidateFlags: only a negative -workers is refused. Each case names
+// the command line it stands for; -workers sizes the pool of every run
+// mode, so it is valid with -all, -sweep and -experiment alike.
 func TestValidateFlags(t *testing.T) {
 	cases := []struct {
-		name       string
-		workersSet bool
-		workers    int
-		parallel   bool
-		sweep      bool
-		wantErr    bool
+		name    string
+		workers int
+		wantErr bool
 	}{
-		{"defaults", false, 0, false, false, false},
-		{"parallel without workers", false, 0, true, false, false},
-		{"workers with parallel", true, 8, true, false, false},
-		{"workers zero with parallel", true, 0, true, false, false},
-		{"workers with sweep", true, 4, false, true, false},
-		{"workers without parallel or sweep", true, 8, false, false, true},
-		{"negative workers", true, -1, true, false, true},
-		{"negative workers without parallel", true, -3, false, false, true},
+		{"defaults", 0, false},                          // sisyphus -all
+		{"workers with all", 8, false},                  // sisyphus -all -workers 8
+		{"workers one with all", 1, false},              // sisyphus -all -workers 1: the sequential run
+		{"workers with sweep", 4, false},                // sisyphus -sweep -workers 4 ...
+		{"workers without parallel or sweep", 8, false}, // sisyphus -experiment mlab -workers 8
+		{"negative workers", -1, true},
+		{"negative workers without parallel", -3, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := validateFlags(c.workersSet, c.workers, c.parallel, c.sweep)
-			if (err != nil) != c.wantErr {
-				t.Fatalf("validateFlags(%v, %d, %v, %v) error = %v, wantErr %v",
-					c.workersSet, c.workers, c.parallel, c.sweep, err, c.wantErr)
+			if err := validateFlags(c.workers); (err != nil) != c.wantErr {
+				t.Fatalf("validateFlags(%d) error = %v, wantErr %v", c.workers, err, c.wantErr)
 			}
 		})
 	}

@@ -18,11 +18,13 @@
 //     single build. Errors are never cached — a failed build is removed and
 //     every waiter sees the error, so the next request retries.
 //
-//   - Frozen-on-insert / copy-on-read: the store keeps the builder's
-//     original and every fetch (including the builder's own return value)
-//     gets a deep fork, so no caller can mutate a shared artifact. The fork
-//     discipline is what lets campaigns mutate their world (IXP joins,
-//     link flaps) without perturbing anyone else's fetch.
+//   - Frozen-on-insert / fork-on-read: the store keeps the builder's
+//     frozen original and every fetch (including the builder's own return
+//     value) passes through the kind's Fork, so no caller can mutate a
+//     shared artifact. Fork copies what callers write — copy-on-write where
+//     the original is frozen — and shares what refuses writes: a campaign
+//     fetch gets its own world fork (IXP joins, link flaps stay private)
+//     and the one frozen measurement store.
 //
 // A nil *Store is the universal off switch: GetOrBuild builds directly and
 // returns the value unforked — exactly the code path the experiments ran
@@ -102,11 +104,12 @@ type Spec[T any] struct {
 	// Build constructs the artifact from scratch. It must be a pure
 	// function of the key's coordinates: equal keys must build equal values.
 	Build func(ctx context.Context) (T, error)
-	// Fork returns an independent copy sharing no *mutable* state with its
-	// argument. Every GetOrBuild return value passes through Fork, so
-	// callers own what they get. With a Freeze hook the stored original is
+	// Fork returns a value sharing no *writable* state with its argument.
+	// Every GetOrBuild return value passes through Fork, so callers may
+	// write what they get. With a Freeze hook the stored original is
 	// immutable, so Fork may be a pointer-cheap copy-on-write view rather
-	// than a deep copy. Required when the store is non-nil.
+	// than a deep copy, and may share outright any part that refuses
+	// writes once frozen. Required when the store is non-nil.
 	Fork func(T) T
 	// Freeze, if non-nil, runs exactly once on the freshly built value —
 	// after a successful Build, before the value is stored or any Fork is
@@ -230,7 +233,10 @@ func (s *Store) Stats() Stats {
 // PerKey returns a snapshot of per-key counters keyed by the full Key
 // value, letting tests assert the exactly-once build property per
 // coordinate. Keying by the comparable Key — not a rendered string — means
-// two configs whose hashes share a prefix can never fold onto one slot.
+// two configs whose hashes share a prefix can never fold onto one slot. A
+// key's counters live as long as its entry: eviction and a failed build
+// drop them, so the map is bounded by the entry bound plus in-flight
+// builds.
 func (s *Store) PerKey() map[Key]KeyStats {
 	if s == nil {
 		return nil
@@ -276,6 +282,7 @@ func (s *Store) evictLocked() {
 			return // everything resident is in flight
 		}
 		delete(s.entries, victim.key)
+		delete(s.perKey, victim.key)
 		s.bytes -= victim.size
 		s.stats.Evictions++
 	}
@@ -285,8 +292,8 @@ func (s *Store) evictLocked() {
 // residency: the first requester runs spec.Build, concurrent requesters for
 // the same key block on that build (honoring ctx while they wait), and
 // later requesters fork the cached value. Every successful return value is
-// spec.Fork of the stored original — callers own their copy and may mutate
-// it freely.
+// spec.Fork of the stored original — callers may mutate whatever the fork
+// gives them that does not refuse writes.
 //
 // With a disk tier attached (WithDisk) and a Codec on the spec, a memory
 // miss probes the disk before building — a verified file decodes, freezes
@@ -365,10 +372,12 @@ func GetOrBuild[T any](ctx context.Context, s *Store, key Key, spec Spec[T]) (T,
 
 	val, fromDisk, err := resolveMiss(ctx, s, key, spec)
 	if err != nil {
-		// Errors are never cached: remove the entry so the next request
-		// retries, then release every waiter with the error.
+		// Errors are never cached: remove the entry (and its counters) so
+		// the next request retries, then release every waiter with the
+		// error.
 		s.mu.Lock()
 		delete(s.entries, key)
+		delete(s.perKey, key)
 		e.err = err
 		close(e.ready)
 		s.mu.Unlock()

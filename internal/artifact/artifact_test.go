@@ -256,6 +256,9 @@ func TestGetOrBuildErrorsNotCached(t *testing.T) {
 	if st := s.Stats(); st.Entries != 0 {
 		t.Fatalf("failed build left a resident entry: %+v", st)
 	}
+	if pk := s.PerKey(); len(pk) != 0 {
+		t.Fatalf("failed build left per-key counters: %v", pk)
+	}
 	// The next request must retry the build, not replay the error.
 	fail = false
 	v, err := GetOrBuild(ctx, s, key, spec)
@@ -332,6 +335,14 @@ func TestLRUEvictsByEntryBound(t *testing.T) {
 	fetch("b")
 	if st := s.Stats(); st.Builds != 4 {
 		t.Fatalf("builds = %d, want 4 (a, b, c, b again)", st.Builds)
+	}
+	// Per-key counters leave with their entry: a client sweeping distinct
+	// keys cannot grow them past the entry bound.
+	for i := 0; i < 100; i++ {
+		fetch(fmt.Sprintf("k%d", i))
+	}
+	if n := len(s.PerKey()); n > 2 {
+		t.Fatalf("PerKey holds %d keys after 100 distinct fetches at 2 entries, want <= 2", n)
 	}
 }
 

@@ -45,8 +45,8 @@ func (OSFS) CreateTemp(dir, pattern string) (FSFile, error) {
 	}
 	return f, nil
 }
-func (OSFS) Rename(oldPath, newPath string) error     { return os.Rename(oldPath, newPath) }
-func (OSFS) Remove(path string) error                 { return os.Remove(path) }
+func (OSFS) Rename(oldPath, newPath string) error      { return os.Rename(oldPath, newPath) }
+func (OSFS) Remove(path string) error                  { return os.Remove(path) }
 func (OSFS) ReadDir(dir string) ([]os.DirEntry, error) { return os.ReadDir(dir) }
 func (OSFS) SyncDir(dir string) error {
 	f, err := os.Open(dir)
@@ -158,9 +158,9 @@ func (f *FaultFS) Rename(oldPath, newPath string) error {
 	return f.Base.Rename(oldPath, newPath)
 }
 
-func (f *FaultFS) Remove(path string) error                 { return f.Base.Remove(path) }
+func (f *FaultFS) Remove(path string) error                  { return f.Base.Remove(path) }
 func (f *FaultFS) ReadDir(dir string) ([]os.DirEntry, error) { return f.Base.ReadDir(dir) }
-func (f *FaultFS) SyncDir(dir string) error                 { return f.Base.SyncDir(dir) }
+func (f *FaultFS) SyncDir(dir string) error                  { return f.Base.SyncDir(dir) }
 
 // faultFile applies the write/sync faults to one temp file.
 type faultFile struct {

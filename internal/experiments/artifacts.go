@@ -252,9 +252,11 @@ func runCampaign(ctx context.Context, pool parallel.Pool, id string, seed uint64
 	return campaign{world: s, store: store}, nil
 }
 
-// fetchCampaign returns a caller-owned campaign — post-simulation world and
-// measurement store — through the artifact cache when one rides the
-// context, or by simulating directly when not. Params are normalized (see
+// fetchCampaign returns a campaign — a caller-owned post-simulation world
+// and the measurement store — through the artifact cache when one rides the
+// context, or by simulating directly when not. A cached store is the frozen
+// original itself, shared with every other fetch: it refuses Add, and its
+// measurements must not be written. Params are normalized (see
 // campaignParamsFrom) before both keying and building, so everyone who
 // shares a key also shares the exact build recipe.
 func fetchCampaign(ctx context.Context, pool parallel.Pool, id string, seed uint64, p campaignParams) (*scenario.World, *platform.Store, error) {
@@ -272,8 +274,11 @@ func fetchCampaign(ctx context.Context, pool parallel.Pool, id string, seed uint
 	}
 	c, err := artifact.GetOrBuild(ctx, st, key, artifact.Spec[campaign]{
 		Build: func(ctx context.Context) (campaign, error) { return runCampaign(ctx, pool, id, seed, p) },
+		// Only the world is forked: engines write its topology. The frozen
+		// store refuses writes, so sharing it is as safe as copying it.
 		Fork: func(c campaign) campaign {
-			return campaign{world: c.world.Fork(), store: c.store.Fork()}
+			c.store.VerifyFrozen()
+			return campaign{world: c.world.Fork(), store: c.store}
 		},
 		Freeze: func(c campaign) {
 			c.world.Freeze()

@@ -128,11 +128,7 @@ func familyKnobScenario(ctx context.Context, pool parallel.Pool, scenarioID stri
 	}
 
 	sim := &familyKnobSim{}
-	inCrowd := func(h float64) bool {
-		u := e.Utilization(primary)
-		_ = h
-		return u > 0.75
-	}
+	inCrowd := func() bool { return e.Utilization(primary) > 0.75 }
 	for e.Hour() < float64(hours) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -159,7 +155,7 @@ func familyKnobScenario(ctx context.Context, pool parallel.Pool, scenarioID stri
 		sim.rCol = append(sim.rCol, onAlt)
 		sim.lCol = append(sim.lCol, m.RTTms)
 
-		if !inCrowd(e.Hour()) {
+		if !inCrowd() {
 			va, vp, err := forcedContrast(e, cast, dst, src)
 			if err != nil {
 				return nil, err

@@ -49,7 +49,7 @@ func recordedSuiteForAssertions() (*recordedSuite, error) {
 	return obsSeqSuite()
 }
 
-// obsParSuite mirrors `-all -parallel -workers 4` with a live Recorder.
+// obsParSuite mirrors `-all -workers 4` with a live Recorder.
 var obsParSuite = sync.OnceValues(func() (*recordedSuite, error) {
 	rec := obs.NewRecorder()
 	ctx := obs.With(context.Background(), rec)

@@ -140,8 +140,7 @@ func BuildGenerated(sp GenSpec) (*World, error) {
 		IXPPrefix:   x.Prefix,
 		ContentASNs: append([]topo.ASN(nil), x.Members...),
 	}
-	for i, a := range t.ASes() {
-		_ = i
+	for _, a := range t.ASes() {
 		if a.Type != topo.Access {
 			continue
 		}

@@ -103,7 +103,7 @@ func (s *World) SizeBytes() int64 {
 // (so IXP joins and link flaps stay private to the copy) and every slice is
 // copied. On a frozen world the topology clone is pointer-cheap —
 // copy-on-write — so the fork costs only the small casting slices.
-// Required by the artifact store's copy-on-read rule.
+// Required by the artifact store's fork-on-read rule.
 func (s *World) Fork() *World {
 	out := &World{
 		Topo:              s.Topo.Clone(),

@@ -1,8 +1,12 @@
 package topo
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"testing/quick"
+
+	"sisyphus/internal/mathx"
 )
 
 // TestFrozenCloneSharesCore pins the copy-on-write contract: a clone of a
@@ -111,5 +115,120 @@ func TestFrozenCloneAllocations(t *testing.T) {
 	_ = sink
 	if allocs > 2 {
 		t.Fatalf("frozen Clone allocates %v objects per run, want <= 2 (one struct)", allocs)
+	}
+}
+
+// cloneDeepReference is the eager deep copy Clone made of a mutable
+// receiver before it had one body: the immutable core shared, the overlay
+// (links, adjacency, IXPs and their member indexes) copied field by field.
+// TestCloneMatchesDeepReference holds Clone to it.
+func cloneDeepReference(t *Topology) *Topology {
+	out := &Topology{
+		Registry:     t.Registry,
+		ases:         t.ases,
+		asOrder:      t.asOrder,
+		pops:         t.pops,
+		popIndex:     t.popIndex,
+		addrs:        t.addrs,
+		links:        make([]*Link, len(t.links)),
+		adj:          make(map[PoPID][]LinkID, len(t.adj)),
+		ixps:         make(map[string]*IXP, len(t.ixps)),
+		ixpMemberIdx: make(map[string]map[ASN]int, len(t.ixpMemberIdx)),
+	}
+	for i, l := range t.links {
+		c := *l
+		out.links[i] = &c
+	}
+	for p, ids := range t.adj {
+		out.adj[p] = append([]LinkID(nil), ids...)
+	}
+	for name, x := range t.ixps {
+		c := *x
+		c.Members = append([]ASN(nil), x.Members...)
+		out.ixps[name] = &c
+	}
+	for name, m := range t.ixpMemberIdx {
+		cm := make(map[ASN]int, len(m))
+		for asn, i := range m {
+			cm[asn] = i
+		}
+		out.ixpMemberIdx[name] = cm
+	}
+	return out
+}
+
+// mutateRandomly applies n random overlay mutations — link flaps and IXP
+// joins, drawn from r — to every topology in tps alike, and reports whether
+// each JoinIXP failed or succeeded the same way on all of them.
+func mutateRandomly(r *mathx.RNG, n int, tps ...*Topology) bool {
+	for i := 0; i < n; i++ {
+		if r.Bernoulli(0.5) {
+			id := LinkID(r.Intn(len(tps[0].links)))
+			up := r.Bernoulli(0.5)
+			for _, tp := range tps {
+				tp.SetLinkUp(id, up)
+			}
+			continue
+		}
+		asn := tps[0].asOrder[r.Intn(len(tps[0].asOrder))]
+		_, want := tps[0].JoinIXP(GenIXPName, asn)
+		for _, tp := range tps[1:] {
+			if _, err := tp.JoinIXP(GenIXPName, asn); (err == nil) != (want == nil) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestCloneMatchesDeepReference holds Clone's one body to the eager deep
+// copy it replaced, over small generated worlds in random overlay states,
+// frozen and unfrozen: the clone exports the same as the reference before
+// and after the same mutations, the original never sees a mutation made on
+// the clone, and the clone never sees one made on the original.
+func TestCloneMatchesDeepReference(t *testing.T) {
+	f := func(seed uint64, freeze bool) bool {
+		r := mathx.NewRNG(seed)
+		cfg := GenConfig{Tier1: 1 + r.Intn(2), Tier2: 2 + r.Intn(2), Access: 3 + r.Intn(4), Content: 1 + r.Intn(2),
+			Cities: 6, MultihomeProb: 0.5, PeerProb: 0.3, IXP: true, Treated: 2}
+		orig, err := Generate(r, cfg, nil)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		mutateRandomly(r, r.Intn(6), orig)
+		if freeze {
+			orig.Freeze()
+		}
+		c, ref := orig.Clone(), cloneDeepReference(orig)
+		if c.Epoch() != 0 || !reflect.DeepEqual(c.Export(), ref.Export()) {
+			t.Log("fresh clone differs from the deep reference")
+			return false
+		}
+		if !freeze {
+			cloneBefore := c.Export()
+			mutateRandomly(r, 1+r.Intn(6), orig)
+			if !reflect.DeepEqual(c.Export(), cloneBefore) {
+				t.Log("the clone saw a mutation of the original")
+				return false
+			}
+		}
+		origBefore := orig.Export()
+		if !mutateRandomly(r, 1+r.Intn(6), c, ref) {
+			t.Log("JoinIXP outcome differs between clone and reference")
+			return false
+		}
+		if !reflect.DeepEqual(c.Export(), ref.Export()) {
+			t.Log("mutated clone differs from the mutated deep reference")
+			return false
+		}
+		if !reflect.DeepEqual(orig.Export(), origBefore) {
+			t.Log("the original saw a mutation of the clone")
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -118,7 +118,8 @@ type IXP struct {
 // A topology has three lifecycle states:
 //
 //   - mutable: what the builder returns. JoinIXP and SetLinkUp mutate in
-//     place; Clone deep-copies.
+//     place; Clone returns a view already promoted to private overlay
+//     copies.
 //   - frozen: after Freeze(). The topology is immutable — mutators panic —
 //     and Clone returns a copy-on-write view sharing every structure with
 //     the frozen original. This is what the artifact store keeps.
@@ -158,7 +159,8 @@ type Topology struct {
 }
 
 // Freeze marks the topology immutable: every subsequent mutation panics,
-// and Clone switches from deep copies to pointer-cheap copy-on-write views.
+// and Clone stops promoting its views, so they stay pointer-cheap until
+// their first write.
 // The artifact store freezes each built world exactly once, before the
 // first fork escapes; freezing is irreversible.
 func (t *Topology) Freeze() { t.frozen = true }
@@ -182,7 +184,9 @@ func (t *Topology) Epoch() uint64 { return t.epoch }
 
 // promote gives a CoW view private copies of the mutable overlay: links
 // (deep, so Up flips stay local), adjacency, and IXP membership. The
-// immutable core stays shared. No-op unless the view still shares.
+// immutable core stays shared. No-op unless the view still shares. It is
+// the only place the overlay is copied: Clone of a mutable topology calls
+// it at once, a frozen topology's views on their first write.
 func (t *Topology) promote() {
 	if !t.cow {
 		return

@@ -57,23 +57,18 @@ func (c *StreamCoverage) add(m *probe.Measurement) {
 // genuine duplicate deliveries (fault-injected retransmits) arrive as
 // distinct records with DuplicateOf set — and maintains per-intent coverage
 // counters so analyses can report how much data each stream stood on.
-// A Store has a freeze lifecycle mirroring the other artifact kinds: once a
-// campaign completes, the artifact cache calls Freeze and the store becomes
-// read-only — Add fails, and Fork degrades to sharing the measurement slice
-// by reference (measurements are never written after ingestion) while
-// copying only the dedup/coverage indexes. Under the race detector, Freeze
-// fingerprints the measurement interiors and later forks re-verify it, so
-// any illegal write through a shared *Measurement is caught loudly.
+// A Store has a freeze lifecycle: once a campaign completes, the artifact
+// cache calls Freeze and the store becomes read-only — Add fails — so every
+// fetch shares the one frozen store instead of copying it. Under the race
+// detector, Freeze fingerprints the measurement interiors and VerifyFrozen
+// re-checks them on every fetch, so any illegal write through a shared
+// *Measurement is caught loudly.
 type Store struct {
-	ms   []*probe.Measurement
-	seen map[int]bool
-	// frozenSeen is the read-only dedup base a copy-on-write fork shares
-	// with its frozen parent; seen holds only the fork's own additions. A
-	// dedup probe consults both. Nil on stores built from scratch.
-	frozenSeen map[int]bool
-	cov        map[probe.Intent]*StreamCoverage
-	frozen     bool
-	fp         uint64 // race builds only: interior fingerprint taken at Freeze
+	ms     []*probe.Measurement
+	seen   map[int]bool
+	cov    map[probe.Intent]*StreamCoverage
+	frozen bool
+	fp     uint64 // race builds only: interior fingerprint taken at Freeze
 }
 
 // NewStore returns an empty store.
@@ -87,10 +82,10 @@ func NewStore() *Store {
 // anyway — the campaign runner surfaces the error and stops the run).
 func (s *Store) Add(ms ...*probe.Measurement) error {
 	if s.frozen {
-		return fmt.Errorf("platform: Add on frozen store (mutate a Fork instead)")
+		return fmt.Errorf("platform: Add on frozen store (build a new store instead)")
 	}
 	for _, m := range ms {
-		if s.seen[m.ID] || s.frozenSeen[m.ID] {
+		if s.seen[m.ID] {
 			return fmt.Errorf("platform: duplicate measurement ID %d (intent %s, hour %.2f)", m.ID, m.Intent, m.Hour)
 		}
 		s.seen[m.ID] = true
