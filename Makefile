@@ -12,9 +12,12 @@
 # 323 s (from 772 s) once the SVD went column-major and the power curve
 # scored every effect from one set of placebo fits per trial, 242 s
 # (from 301 s, measured back to back) once a RIB memoized its forwarding
-# answers, and 202 s (from 237 s, back to back) once Table 1 fit each
+# answers, 202 s (from 237 s, back to back) once Table 1 fit each
 # t0's placebo donors once and classic SC's Frank–Wolfe stopped
-# allocating per iteration.
+# allocating per iteration, and 96–99 s (from 225–250 s, two pairs run
+# back to back in alternating order) once the power analysis read its
+# minimum detectable effect off the curve's own 120 trials instead of
+# drawing 780 more.
 
 GO ?= go
 

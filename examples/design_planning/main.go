@@ -48,15 +48,14 @@ func main() {
 		UnitNoise: 1.2, Method: synthetic.Robust,
 	}
 	fmt.Println("design: 18 donors, 6 weeks at 12h bins, ~1.2 ms unit noise")
-	effects := []float64{0.5, 1, 2, 3}
-	curve, err := design.Power(context.Background(), parallel.Default(), effects, 0.06, 80, 42)
+	curve, err := design.Curve(context.Background(), parallel.Default(), 0.06, 80, 42)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for i, eff := range effects {
-		fmt.Printf("  power to detect a %.1f ms effect: %.2f\n", eff, curve[i])
+	for _, eff := range []float64{0.5, 1, 2, 3} {
+		fmt.Printf("  power to detect a %.1f ms effect: %.2f\n", eff, curve.Power(eff))
 	}
-	mde, err := design.MinDetectableEffect(context.Background(), parallel.Default(), 0.06, 0.8, 8, 40, 43)
+	mde, err := curve.MinDetectableEffect(0.8, 8)
 	if err != nil {
 		log.Fatal(err)
 	}

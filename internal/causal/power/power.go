@@ -2,8 +2,8 @@
 // campaign runs: given a planned synthetic-control study — so many donors,
 // so many pre/post periods, so much per-bin noise — what effect sizes can
 // the placebo test actually detect? It simulates the estimator on synthetic
-// factor-model panels and reports detection power, and can invert the curve
-// to the minimum detectable effect.
+// factor-model panels once, and reads both detection power at any effect
+// and the minimum detectable effect off those same simulated trials.
 //
 // This is the quantitative half of the paper's claim that "the value of a
 // measurement lies in whether it helps resolve causal ambiguity": a design
@@ -101,101 +101,84 @@ func (d SCDesign) panel(r *mathx.RNG) (*synthetic.Panel, error) {
 	return synthetic.NewPanel(units, times, y)
 }
 
-// simulate draws one panel, runs the placebo test on it once, and returns
-// the p-value the test reports at each of effects. Scoring an effect shifts
-// the treated unit's post-period outcomes (PlaceboResult.PValueShifted),
-// which gives bit for bit the p-value of a panel drawn with that effect
-// added: the effect enters after every RNG draw and touches neither the
-// treated unit's pre-period weights nor the placebo fits. Each simulated
-// trial is one shard of the pool already; its inner placebo test runs
-// sequentially (width 1) so nested fan-out cannot oversubscribe the pool.
-func (d SCDesign) simulate(ctx context.Context, r *mathx.RNG, effects []float64) ([]float64, error) {
-	panel, err := d.panel(r)
-	if err != nil {
-		return nil, err
-	}
-	pl, err := synthetic.PlaceboTest(ctx, panel, "u0", d.PrePeriods,
-		synthetic.Config{Method: d.Method, Pool: parallel.NewPool(1)})
-	if err != nil {
-		return nil, err
-	}
-	pvals := make([]float64, len(effects))
-	for k, eff := range effects {
-		pvals[k] = pl.PValueShifted(eff)
-	}
-	return pvals, nil
+// Curve is a simulated power analysis of one design at one level alpha:
+// the placebo test of every simulated trial's panel. Every question it
+// answers — power at an effect, the minimum detectable effect — is scored
+// on the same panels from those tests (PlaceboResult.PValueShifted), so
+// answers are common-random-number comparisons and cost no further fits.
+// A Curve is never written after SCDesign.Curve returns.
+type Curve struct {
+	alpha float64
+	tests []*synthetic.PlaceboResult
 }
 
-// Power estimates, for each of effects, the probability that the placebo
-// test detects that effect at level alpha, over `trials` simulated panels.
-// Every effect is scored on the same panels from one set of placebo fits
-// per trial, so a whole power curve costs what one point does; the result
-// is bit-identical to calling Power once per effect with the same seed.
-// Trials shard across pool; cancelling ctx stops scheduling further trials
-// and returns ctx.Err().
-func (d SCDesign) Power(ctx context.Context, pool parallel.Pool, effects []float64, alpha float64, trials int, seed uint64) ([]float64, error) {
+// Curve simulates `trials` panels under the design and runs one placebo
+// test on each. Trials shard across pool, each on its own RNG stream split
+// from seed in trial order, so the curve is identical at any worker count;
+// a trial's inner placebo test runs sequentially (width 1) so nested
+// fan-out cannot oversubscribe the pool. Cancelling ctx stops scheduling
+// further trials and returns ctx.Err().
+func (d SCDesign) Curve(ctx context.Context, pool parallel.Pool, alpha float64, trials int, seed uint64) (*Curve, error) {
 	dd, err := d.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	if len(effects) == 0 {
-		return nil, fmt.Errorf("power: no effects to score")
-	}
 	if trials <= 0 {
-		trials = 100
+		return nil, fmt.Errorf("power: need at least 1 trial, have %d", trials)
 	}
-	// One pre-split RNG stream per trial, in trial order, then the trials
-	// shard across the worker pool. Pre-splitting consumes the parent
-	// stream exactly as the old sequential split-in-loop did, so power
-	// numbers are unchanged AND identical for any worker count.
 	r := mathx.NewRNG(seed)
 	rngs := make([]*mathx.RNG, trials)
 	for i := range rngs {
 		rngs[i] = r.Split()
 	}
-	pvals, err := parallel.Map(ctx, pool, trials, func(i int) ([]float64, error) {
-		return dd.simulate(ctx, rngs[i], effects)
+	tests, err := parallel.Map(ctx, pool, trials, func(i int) (*synthetic.PlaceboResult, error) {
+		panel, err := dd.panel(rngs[i])
+		if err != nil {
+			return nil, err
+		}
+		return synthetic.PlaceboTest(ctx, panel, "u0", dd.PrePeriods,
+			synthetic.Config{Method: dd.Method, Pool: parallel.NewPool(1)})
 	})
 	if err != nil {
 		return nil, err
 	}
-	pw := make([]float64, len(effects))
-	for k := range effects {
-		detected := 0
-		for _, p := range pvals {
-			if p[k] <= alpha {
-				detected++
-			}
-		}
-		pw[k] = float64(detected) / float64(trials)
-	}
 	// Monte-Carlo shard accounting (no-op without a recorder on ctx).
 	obs.Add(ctx, "power.trials", int64(trials))
-	return pw, nil
+	return &Curve{alpha: alpha, tests: tests}, nil
 }
 
-// MinDetectableEffect bisects the effect size until Power ≈ target at level
-// alpha, searching in (0, maxEffect]. Returns the smallest effect with at
-// least the target power (to bisection tolerance).
-func (d SCDesign) MinDetectableEffect(ctx context.Context, pool parallel.Pool, alpha, target, maxEffect float64, trials int, seed uint64) (float64, error) {
+// Power is the fraction of the curve's trials whose placebo test detects
+// effect at level alpha. Scoring an effect shifts each treated unit's
+// post-period outcomes, which gives bit for bit the p-value of a panel
+// drawn with that effect added: the effect enters after every RNG draw and
+// touches neither the treated unit's pre-period weights nor the placebo
+// fits.
+func (c *Curve) Power(effect float64) float64 {
+	detected := 0
+	for _, pl := range c.tests {
+		if pl.PValueShifted(effect) <= c.alpha {
+			detected++
+		}
+	}
+	return float64(detected) / float64(len(c.tests))
+}
+
+// MinDetectableEffect bisects (0, maxEffect] twelve times for the smallest
+// effect whose power reaches target, on the curve's own trials. It returns
+// the smallest upper bracket: power there is at least target, and power at
+// the bracket maxEffect/2¹² below it is not (unless that is 0). The curve
+// need not be monotone, so this is one crossing, chosen deterministically.
+func (c *Curve) MinDetectableEffect(target, maxEffect float64) (float64, error) {
 	if target <= 0 || target >= 1 {
 		return 0, fmt.Errorf("power: target must be in (0,1)")
 	}
-	hiPow, err := d.Power(ctx, pool, []float64{maxEffect}, alpha, trials, seed)
-	if err != nil {
-		return 0, err
-	}
-	if hiPow[0] < target {
-		return 0, fmt.Errorf("power: even effect %v only reaches power %.2f < %.2f", maxEffect, hiPow[0], target)
+	if p := c.Power(maxEffect); p < target {
+		return 0, fmt.Errorf("power: even effect %v only reaches power %.2f < %.2f", maxEffect, p, target)
 	}
 	lo, hi := 0.0, maxEffect
 	for iter := 0; iter < 12; iter++ {
 		mid := (lo + hi) / 2
-		p, err := d.Power(ctx, pool, []float64{mid}, alpha, trials, seed+uint64(iter)+1)
-		if err != nil {
-			return 0, err
-		}
-		if p[0] >= target {
+		if c.Power(mid) >= target {
 			hi = mid
 		} else {
 			lo = mid

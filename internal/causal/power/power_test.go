@@ -19,11 +19,11 @@ func table1ishDesign() SCDesign {
 
 func TestPowerMonotoneInEffect(t *testing.T) {
 	d := table1ishDesign()
-	pw, err := d.Power(context.Background(), parallel.Pool{}, []float64{0.3, 5}, 0.06, 60, 1)
+	c, err := d.Curve(context.Background(), parallel.Pool{}, 0.06, 60, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pSmall, pBig := pw[0], pw[1]
+	pSmall, pBig := c.Power(0.3), c.Power(5)
 	if pBig < pSmall {
 		t.Fatalf("power not monotone: %v at 0.3ms vs %v at 5ms", pSmall, pBig)
 	}
@@ -37,21 +37,21 @@ func TestPowerMonotoneInEffect(t *testing.T) {
 
 func TestPowerNullRespectsAlpha(t *testing.T) {
 	d := table1ishDesign()
-	pw, err := d.Power(context.Background(), parallel.Pool{}, []float64{0}, 0.06, 80, 2)
+	c, err := d.Curve(context.Background(), parallel.Pool{}, 0.06, 80, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p0 := pw[0]
+	p0 := c.Power(0)
 	// Under the null, detection rate ≈ alpha (rank test is exact-ish).
 	if p0 > 0.2 {
 		t.Fatalf("false positive rate %v under the null", p0)
 	}
 }
 
-// singleEffectPower is the per-effect power loop Power replaced: draw each
+// singleEffectPower is the per-effect power loop Curve replaced: draw each
 // trial's panel, add the effect to the treated unit's post periods, run a
-// fresh placebo test, and count detections. Power scores a whole effect
-// grid from one placebo test per trial and must reproduce it bit for bit.
+// fresh placebo test, and count detections. A Curve scores every effect
+// from one placebo test per trial and must reproduce it bit for bit.
 func singleEffectPower(t *testing.T, d SCDesign, effect, alpha float64, trials int, seed uint64) float64 {
 	t.Helper()
 	d, err := d.withDefaults()
@@ -90,19 +90,20 @@ func TestPowerCurveMatchesPerEffectLoop(t *testing.T) {
 		{Donors: 6, PrePeriods: 12, PostPeriods: 6, UnitNoise: 2, Method: synthetic.Classic},
 	}
 	for di, d := range designs {
-		got, err := d.Power(context.Background(), parallel.NewPool(2), effects, 0.15, 20, 11)
+		c, err := d.Curve(context.Background(), parallel.NewPool(2), 0.15, 20, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for k, eff := range effects {
+		for _, eff := range effects {
+			got := c.Power(eff)
 			want := singleEffectPower(t, d, eff, 0.15, 20, 11)
-			if math.Float64bits(got[k]) != math.Float64bits(want) {
-				t.Errorf("design %d effect %v: curve power %v, per-effect loop %v", di, eff, got[k], want)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("design %d effect %v: curve power %v, per-effect loop %v", di, eff, got, want)
 			}
 		}
 	}
-	if _, err := table1ishDesign().Power(context.Background(), parallel.Pool{}, nil, 0.06, 5, 1); err == nil {
-		t.Fatal("empty effect grid accepted")
+	if _, err := table1ishDesign().Curve(context.Background(), parallel.Pool{}, 0.06, 0, 1); err == nil {
+		t.Fatal("zero trials accepted")
 	}
 }
 
@@ -121,14 +122,15 @@ func TestPowerSizeBinomialBand(t *testing.T) {
 		tail   = 0.0005 // per side: a 99.9% band
 	)
 	d := table1ishDesign()
-	pw, err := d.Power(context.Background(), parallel.Default(), []float64{0}, alpha, trials, 7)
+	c, err := d.Curve(context.Background(), parallel.Default(), alpha, trials, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rejections := int(math.Round(pw[0] * trials))
+	pw := c.Power(0)
+	rejections := int(math.Round(pw * trials))
 	lo, hi := binomialBand(trials, size, tail)
 	t.Logf("%d/%d rejections at effect 0 (rate %.4f, exact size %.4f); 99.9%% band [%d, %d]",
-		rejections, trials, pw[0], size, lo, hi)
+		rejections, trials, pw, size, lo, hi)
 	if rejections < lo || rejections > hi {
 		t.Fatalf("placebo test size off: %d/%d rejections outside the binomial band [%d, %d] around %d×%.4f",
 			rejections, trials, lo, hi, trials, size)
@@ -156,7 +158,11 @@ func binomialBand(n int, p, tail float64) (lo, hi int) {
 
 func TestMinDetectableEffect(t *testing.T) {
 	d := table1ishDesign()
-	mde, err := d.MinDetectableEffect(context.Background(), parallel.Pool{}, 0.06, 0.8, 8, 40, 3)
+	c, err := d.Curve(context.Background(), parallel.Pool{}, 0.06, 40, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mde, err := c.MinDetectableEffect(0.8, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +172,64 @@ func TestMinDetectableEffect(t *testing.T) {
 	// The Table 1 verdict in context: effects below the MDE (paper saw
 	// ±0.1–3 ms on several units) are expected to be "not significant".
 	t.Logf("minimum detectable effect at 80%% power: %.2f ms", mde)
-	if _, err := d.MinDetectableEffect(context.Background(), parallel.Pool{}, 0.06, 1.5, 8, 10, 3); err == nil {
-		t.Fatal("bad target accepted")
+	for _, target := range []float64{0, 1, 1.5} {
+		if _, err := c.MinDetectableEffect(target, 8); err == nil {
+			t.Fatalf("bad target %v accepted", target)
+		}
 	}
-	if _, err := d.MinDetectableEffect(context.Background(), parallel.Pool{}, 0.06, 0.9, 0.01, 10, 3); err == nil {
+	if _, err := c.MinDetectableEffect(0.9, 0.01); err == nil {
 		t.Fatal("unreachable target accepted")
+	}
+}
+
+// mdeReference is the 80%-power MDE of the Table-1 design at α = 0.06 read
+// off a 10,000-trial curve; at that size its power is within ±0.01 of
+// target. Regenerate it (≈30 s on 2 vCPUs) with
+//
+//	c, _ := table1ishDesign().Curve(context.Background(), parallel.Default(), 0.06, 10000, 3000)
+//	ref, _ := c.MinDetectableEffect(0.8, 8)
+//
+// 3,000-trial curves at seeds 1000 and 2000 read 1.5078125 and 1.494140625.
+const mdeReference = 1.501953125
+
+// TestMinDetectableEffectMonteCarloBand holds the MDE the power experiment
+// reports — read off its own 120 trials — to the bisection it claims and to
+// the high-trial reference. At each seed, power at the MDE reaches the
+// target while power one bisection step below it does not, and power at
+// mdeReference, whose true value is 0.8, must fall inside the two-sided
+// 99.9% band of Binomial(120, 0.8).
+func TestMinDetectableEffectMonteCarloBand(t *testing.T) {
+	const (
+		trials    = 120
+		alpha     = 0.06
+		target    = 0.8
+		maxEffect = 8.0
+		step      = maxEffect / 4096 // 2¹² bisection steps
+		tail      = 0.0005
+	)
+	lo, hi := binomialBand(trials, target, tail)
+	for _, seed := range []uint64{1, 2, 42} {
+		c, err := table1ishDesign().Curve(context.Background(), parallel.Default(), alpha, trials, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mde, err := c.MinDetectableEffect(target, maxEffect)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := c.Power(mde); p < target {
+			t.Errorf("seed %d: power %v at the MDE %v is below target %v", seed, p, mde, target)
+		}
+		if below := mde - step; below > 0 && c.Power(below) >= target {
+			t.Errorf("seed %d: power %v one step below the MDE %v already reaches target", seed, c.Power(below), mde)
+		}
+		detected := int(math.Round(c.Power(mdeReference) * trials))
+		t.Logf("seed %d: MDE %v; %d/%d detections at the reference MDE %v; 99.9%% band [%d, %d]",
+			seed, mde, detected, trials, mdeReference, lo, hi)
+		if detected < lo || detected > hi {
+			t.Errorf("seed %d: %d/%d detections at the reference MDE %v, outside the binomial band [%d, %d]",
+				seed, detected, trials, mdeReference, lo, hi)
+		}
 	}
 }
 
@@ -182,7 +241,7 @@ func TestDesignValidation(t *testing.T) {
 		{Donors: 5, PrePeriods: 10, PostPeriods: 10, UnitNoise: -1},
 	}
 	for i, d := range bad {
-		if _, err := d.Power(context.Background(), parallel.Pool{}, []float64{1}, 0.05, 5, 1); err == nil {
+		if _, err := d.Curve(context.Background(), parallel.Pool{}, 0.05, 5, 1); err == nil {
 			t.Fatalf("bad design %d accepted", i)
 		}
 	}

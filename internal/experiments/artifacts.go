@@ -252,6 +252,19 @@ func runCampaign(ctx context.Context, pool parallel.Pool, id string, seed uint64
 	return campaign{world: s, store: store}, nil
 }
 
+// campaignCodec is the campaign artifact's disk-tier codec.
+var campaignCodec = &artifact.Codec[campaign]{
+	Version: campaignCodecVersion,
+	Encode:  func(c campaign) ([]byte, error) { return EncodeCampaignArtifact(c.world, c.store) },
+	Decode: func(b []byte) (campaign, error) {
+		w, st, err := DecodeCampaignArtifact(b)
+		if err != nil {
+			return campaign{}, err
+		}
+		return campaign{world: w, store: st}, nil
+	},
+}
+
 // fetchCampaign returns a campaign — a caller-owned post-simulation world
 // and the measurement store — through the artifact cache when one rides the
 // context, or by simulating directly when not. A cached store is the frozen
@@ -287,18 +300,8 @@ func fetchCampaign(ctx context.Context, pool parallel.Pool, id string, seed uint
 		// The campaign's residency is the measurement store (with its
 		// indexes) plus the post-simulation world riding along with it —
 		// the old store-only size undercounted what the LRU actually held.
-		Size: func(c campaign) int64 { return c.store.SizeBytes() + c.world.SizeBytes() },
-		Codec: &artifact.Codec[campaign]{
-			Version: campaignCodecVersion,
-			Encode:  func(c campaign) ([]byte, error) { return EncodeCampaignArtifact(c.world, c.store) },
-			Decode: func(b []byte) (campaign, error) {
-				w, st, err := DecodeCampaignArtifact(b)
-				if err != nil {
-					return campaign{}, err
-				}
-				return campaign{world: w, store: st}, nil
-			},
-		},
+		Size:  func(c campaign) int64 { return c.store.SizeBytes() + c.world.SizeBytes() },
+		Codec: campaignCodec,
 	})
 	if err != nil {
 		return nil, nil, err

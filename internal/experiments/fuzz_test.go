@@ -120,3 +120,26 @@ func FuzzDecodeRIBArtifact(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeCampaignArtifact is FuzzDecodeWorldArtifact for the campaign
+// payload — a post-simulation world plus every measurement — seeded with a
+// short southafrica campaign, the shape TestCampaignArtifactRoundTrip
+// round-trips.
+func FuzzDecodeCampaignArtifact(f *testing.F) {
+	p := campaignParams{Weeks: 1, JoinWeek: 0, UserRate: 0.25, Join: true}
+	c, err := runCampaign(context.Background(), parallel.Pool{}, scenario.SouthAfricaID, 42, p)
+	if err != nil {
+		f.Fatal(err)
+	}
+	data, err := campaignCodec.Encode(c)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add(data[:len(data)/2])
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if c, err := campaignCodec.Decode(b); err == nil {
+			recodeStable(t, "campaign", c, campaignCodec.Encode, campaignCodec.Decode)
+		}
+	})
+}

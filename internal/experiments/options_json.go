@@ -16,8 +16,9 @@ import (
 // parameter today, config files tomorrow — so per-experiment parsing can
 // never fork per consumer.
 //
-// The decode is strict: unknown fields, trailing garbage, and type
-// mismatches are errors, and an experiment registered without options
+// The decode is strict: unknown fields, trailing garbage, type mismatches
+// and values the options type's validate method refuses (PowerOptions'
+// trial bound) are errors, and an experiment registered without options
 // rejects any document but JSON null. Fields tagged `json:"-"`
 // (Table1Config.Scenario, which is addressed by the scenario coordinate,
 // not the options document) cannot be set this way by construction.
@@ -52,7 +53,13 @@ func OptionsFromJSON(id string, raw []byte) (Options, error) {
 	if dec.More() {
 		return nil, fmt.Errorf("experiments: %s options: trailing data after JSON document", id)
 	}
-	return pv.Elem().Interface().(Options), nil
+	opts := pv.Elem().Interface().(Options)
+	if v, ok := opts.(interface{ validate() error }); ok {
+		if err := v.validate(); err != nil {
+			return nil, err
+		}
+	}
+	return opts, nil
 }
 
 // truncateForErr keeps hostile or enormous documents from flooding error

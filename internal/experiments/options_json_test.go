@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
+
+	"sisyphus/internal/parallel"
 )
 
 // TestOptionsFromJSONRoundTrip pins the decode path against every
@@ -70,6 +73,9 @@ func TestOptionsFromJSONErrors(t *testing.T) {
 		{"array not object", "confounding", `[1,2]`, "confounding options"},
 		{"options on optionless", "tromboneera", `{"Hours": 5}`, "takes no options"},
 		{"scenario field is unreachable", "table1", `{"Scenario": "x"}`, "Scenario"},
+		{"power trials zero", "power", `{"Trials": 0}`, "Trials"},
+		{"power trials negative", "power", `{"Trials": -5}`, "Trials"},
+		{"power trials over cap", "power", `{"Trials": 100000000}`, "Trials"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -81,6 +87,12 @@ func TestOptionsFromJSONErrors(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.contains)
 			}
 		})
+	}
+	// Library callers get the decoder's refusal, before any trial runs.
+	for _, trials := range []int{0, -5, maxPowerTrials + 1} {
+		if _, err := RunPower(context.Background(), parallel.Pool{}, 1, trials); err == nil || !strings.Contains(err.Error(), "Trials") {
+			t.Errorf("RunPower with %d trials: err = %v, want the Trials bound", trials, err)
+		}
 	}
 }
 

@@ -11,10 +11,24 @@ import (
 
 // PowerOptions sizes the Monte-Carlo power analysis.
 type PowerOptions struct {
-	Trials int // simulated studies per point on the power curve
+	Trials int // simulated studies behind the whole curve and its MDE
 }
 
 func (PowerOptions) experimentOptions() {}
+
+// maxPowerTrials caps PowerOptions.Trials. Each trial is one placebo test
+// (Donors+1 synthetic-control fits) held until the run ends, so the cap
+// bounds what one options document can spend: 2,000 trials cost about 17×
+// the default run's CPU and hold about 6 MB of placebo tests.
+const maxPowerTrials = 2000
+
+// validate rejects a trial count outside [1, maxPowerTrials].
+func (o PowerOptions) validate() error {
+	if o.Trials < 1 || o.Trials > maxPowerTrials {
+		return fmt.Errorf("experiments: power Trials %d outside [1, %d]", o.Trials, maxPowerTrials)
+	}
+	return nil
+}
 
 // PowerResult is the §4 design-planning analysis: the detection power of
 // the Table 1 study design across effect sizes, and its minimum detectable
@@ -51,11 +65,12 @@ effect of interest is identifiable, or know in advance that it is not.
 		r.Alpha, t.String(), r.MDE80)
 }
 
-// RunPower evaluates the Table-1-like design. Monte-Carlo trials shard
-// across pool; results are bit-identical at any width.
+// RunPower evaluates the Table-1-like design on `trials` simulated studies,
+// which must lie in [1, maxPowerTrials]. Monte-Carlo trials shard across
+// pool; results are bit-identical at any width.
 func RunPower(ctx context.Context, pool parallel.Pool, seed uint64, trials int) (*PowerResult, error) {
-	if trials <= 0 {
-		trials = 120
+	if err := (PowerOptions{Trials: trials}).validate(); err != nil {
+		return nil, err
 	}
 	d := power.SCDesign{
 		Donors: 18, PrePeriods: 42, PostPeriods: 42,
@@ -64,21 +79,20 @@ func RunPower(ctx context.Context, pool parallel.Pool, seed uint64, trials int) 
 	const alpha = 0.06 // just above the design's min p of 1/19
 	res := &PowerResult{Design: d, Alpha: alpha}
 	err := stagedRun(ctx, "power", nil, nil, func(ctx context.Context) error {
-		// All the work is estimation: Monte-Carlo detection power across the
-		// effect grid (one set of placebo fits per trial scores every grid
-		// point), then the bisection for the minimum detectable effect.
+		// All the work is estimation: one placebo test per simulated trial.
+		// The effect grid and the minimum detectable effect are both read
+		// off those same trials, at no further fits.
+		c, err := d.Curve(ctx, pool, alpha, trials, seed)
+		if err != nil {
+			return err
+		}
 		res.Effects = []float64{0, 0.5, 1, 1.5, 2, 3, 5}
-		p, err := d.Power(ctx, pool, res.Effects, alpha, trials, seed)
-		if err != nil {
-			return err
+		res.Power = make([]float64, len(res.Effects))
+		for i, e := range res.Effects {
+			res.Power[i] = c.Power(e)
 		}
-		res.Power = p
-		mde, err := d.MinDetectableEffect(ctx, pool, alpha, 0.8, 8, trials/2, seed+1)
-		if err != nil {
-			return err
-		}
-		res.MDE80 = mde
-		return nil
+		res.MDE80, err = c.MinDetectableEffect(0.8, 8)
+		return err
 	}, nil)
 	if err != nil {
 		return nil, err

@@ -124,8 +124,8 @@ func TestExperimentResponsesMatchCLIGoldens(t *testing.T) {
 }
 
 // TestExperimentHandlerValidation tables every request-validation path:
-// each row must be rejected before any experiment runs, with the status and
-// message fragment pinned.
+// each row must be rejected before any experiment runs — the store sees no
+// build — with the status and message fragment pinned.
 func TestExperimentHandlerValidation(t *testing.T) {
 	s := newTestServer(t)
 	cases := []struct {
@@ -154,6 +154,8 @@ func TestExperimentHandlerValidation(t *testing.T) {
 		{"opts unknown field", "/experiment/mlab?opts={\"Bogus\":1}", http.StatusBadRequest, "Bogus"},
 		{"opts on optionless experiment", "/experiment/tromboneera?opts={\"Hours\":5}", http.StatusBadRequest, "takes no options"},
 		{"opts trailing garbage", "/experiment/mlab?opts={}{}", http.StatusBadRequest, "trailing data"},
+		{"opts power trials oversized", "/experiment/power?opts={\"Trials\":100000000}", http.StatusBadRequest, "Trials"},
+		{"opts power trials negative", "/experiment/power?opts={\"Trials\":-1}", http.StatusBadRequest, "Trials"},
 		{"scenario unknown id", "/experiment/table1?scenario=atlantis", http.StatusBadRequest, "atlantis"},
 		{"scenario bad gen spec", "/experiment/table1?scenario=gen:bogus%3D1", http.StatusBadRequest, "gen:"},
 		{"scenario gen count over cap", "/experiment/table1?scenario=gen:access%3D10000000", http.StatusBadRequest,
@@ -174,6 +176,9 @@ func TestExperimentHandlerValidation(t *testing.T) {
 				t.Errorf("error %q does not contain %q", e.Error, tc.contains)
 			}
 		})
+	}
+	if st := s.cfg.Store.Stats(); st.Builds != 0 {
+		t.Errorf("rejected requests started %d builds, want 0", st.Builds)
 	}
 }
 
