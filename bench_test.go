@@ -438,7 +438,8 @@ func BenchmarkAblationAdjustmentMethods(b *testing.B) {
 // contrast on the southafrica world — "what would AS3741's path to the
 // content AS be with Transit-A de-preffed?": editing the live policy and
 // recomputing every destination (then again after the restore), against
-// PerfToASWith converging only the measured destination on a policy clone.
+// PerfToASWith converging only the measured destination on a policy clone
+// (whatif-miss) or answering a repeated question from its memo (whatif).
 func BenchmarkAblationWhatIfRouting(b *testing.B) {
 	s, err := scenario.BuildSouthAfrica()
 	if err != nil {
@@ -464,9 +465,22 @@ func BenchmarkAblationWhatIfRouting(b *testing.B) {
 			}
 		}
 	})
+	// whatif repeats one question, as a forced contrast does every hour:
+	// the engine's memo answers all but the first.
 	b.Run("whatif", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := e.PerfToASWith(src, scenario.BigContent, avoidA); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	// whatif-miss asks a new question every iteration (an ever lower
+	// preference for the avoided transit), so each one converges the
+	// destination afresh.
+	b.Run("whatif-miss", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			avoid := func(p *bgp.Policy) { p.SetLocalPref(3741, scenario.ZATransitA, 10-i) }
+			if _, err := e.PerfToASWith(src, scenario.BigContent, avoid); err != nil {
 				b.Fatal(err)
 			}
 		}

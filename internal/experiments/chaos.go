@@ -112,6 +112,19 @@ type ChaosOptions struct {
 
 func (ChaosOptions) experimentOptions() {}
 
+// maxChaosLevels caps ChaosOptions.Intensities: each level reruns the
+// Table 1 campaign and estimator.
+const maxChaosLevels = 8
+
+// validate bounds the study length like Table1Config.validate and the fault
+// grid at maxChaosLevels.
+func (o ChaosOptions) validate() error {
+	if len(o.Intensities) > maxChaosLevels {
+		return fmt.Errorf("experiments: chaos Intensities has %d levels, cap %d", len(o.Intensities), maxChaosLevels)
+	}
+	return validateWeeks(o.Weeks)
+}
+
 // WithScenario implements ScenarioOptions.
 func (o ChaosOptions) WithScenario(id string) Options {
 	o.Scenario = id

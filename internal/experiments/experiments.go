@@ -87,6 +87,18 @@ type HorizonOptions struct {
 
 func (HorizonOptions) experimentOptions() {}
 
+// validate caps the horizon at QueryMaxHours, the bound /query applies to
+// the same simulations; zero or less still means the registered default.
+func (o HorizonOptions) validate() error { return validateHours(o.Hours) }
+
+// validateHours rejects a simulated horizon above QueryMaxHours.
+func validateHours(hours int) error {
+	if hours > QueryMaxHours {
+		return fmt.Errorf("experiments: Hours %d above the %d-hour cap", hours, QueryMaxHours)
+	}
+	return nil
+}
+
 // ScenarioChoice is the embeddable scenario coordinate for the options of
 // scenario-capable experiments. The field is `json:"-"` on purpose: the
 // scenario is addressed by the artifact-key/scenario coordinate (the
@@ -130,6 +142,9 @@ type WorldOptions struct {
 }
 
 func (WorldOptions) experimentOptions() {}
+
+// validate caps the horizon like HorizonOptions.validate.
+func (o WorldOptions) validate() error { return validateHours(o.Hours) }
 
 // WithScenario implements ScenarioOptions.
 func (o WorldOptions) WithScenario(id string) Options {

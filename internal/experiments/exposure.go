@@ -140,8 +140,9 @@ func RunExposure(ctx context.Context, pool parallel.Pool, seed uint64, o Exposur
 		return nil
 	}, func(ctx context.Context) error {
 		for _, cand := range candidates {
-			// Each candidate failure forces a full reconvergence; check
-			// between them so cancellation lands within one sweep entry.
+			// Each candidate failure forces a reconvergence toward the
+			// content AS; check between them so cancellation lands within
+			// one sweep entry.
 			if err := ctx.Err(); err != nil {
 				return err
 			}
@@ -151,13 +152,14 @@ func RunExposure(ctx context.Context, pool parallel.Pool, seed uint64, o Exposur
 					row.Exposure++
 				}
 			}
-			// Fail the link, recompute, and measure actual impact.
-			e.Policy.DenyLink[cand.id] = true
-			e.MarkDirty()
+			// Measure actual impact with the link failed: a what-if, so
+			// the candidate converges once and every pair after the first
+			// reads the memoized fixed point.
+			deny := func(pol *bgp.Policy) { pol.DenyLink[cand.id] = true }
 			var shiftSum float64
 			var shiftN int
 			for _, p := range pairs {
-				perf, err := e.PerfToAS(p.src, dst)
+				perf, err := e.PerfToASWith(p.src, dst, deny)
 				if err != nil {
 					row.Unreachable++
 					continue
@@ -168,8 +170,6 @@ func RunExposure(ctx context.Context, pool parallel.Pool, seed uint64, o Exposur
 			if shiftN > 0 {
 				row.MeanRTTShift = shiftSum / float64(shiftN)
 			}
-			delete(e.Policy.DenyLink, cand.id)
-			e.MarkDirty()
 			res.Rows = append(res.Rows, row)
 		}
 		return nil

@@ -294,31 +294,58 @@ func BenchmarkRecorderOverhead(b *testing.B) {
 }
 
 // TestForcedContrastRoutingWorkBound keeps forced contrasts on the what-if
-// path. At 100 hours each experiment converges ~300 BGP destinations; the
-// old recompute-everything path converged 7,584 (instrument) to 11,072
+// path. At 100 hours and seed 42 each experiment converges 66 to 162 BGP
+// destinations, nearly all of them factual recomputes after egress shifts;
+// the old recompute-everything path converged 7,584 (instrument) to 11,072
 // (confounding), over 7× the bound.
 const forcedContrastDestBound = 1000
+
+// forcedContrastWhatIfComputes bounds the what-if fixed points one forced-
+// contrast experiment converges, whatever its horizon: it asks the same
+// two questions (avoid primary, avoid alternate) every hour, and the
+// engine's memo answers all but the first of each. Measured at seed 42 and
+// the default 1500/2000 hours: 2 for each of the three experiments.
+const forcedContrastWhatIfComputes = 2
 
 func TestForcedContrastRoutingWorkBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs three experiments")
 	}
-	rec := obs.NewRecorder()
-	ctx := obs.With(context.Background(), rec)
-	for _, id := range []string{"confounding", "instrument", "familyknob"} {
-		e, err := Get(id)
-		if err != nil {
-			t.Fatal(err)
+	ids := []string{"confounding", "instrument", "familyknob"}
+	run := func(opts Options) obs.Metrics {
+		rec := obs.NewRecorder()
+		ctx := obs.With(context.Background(), rec)
+		for _, id := range ids {
+			e, err := Get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Run(ctx, Config{Seed: 42, Opts: opts}); err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
 		}
-		if _, err := e.Run(ctx, Config{Seed: 42, Opts: WorldOptions{Hours: 100}}); err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		got := rec.Metrics()[id]["bgp.destinations"]
+		return rec.Metrics()
+	}
+	short := run(WorldOptions{Hours: 100})
+	for _, id := range ids {
+		got := short[id]["bgp.destinations"]
 		if got == 0 {
 			t.Errorf("%s recorded no BGP destinations under its own scope: the bound below would pass vacuously", id)
 		}
 		if got > forcedContrastDestBound {
 			t.Errorf("%s converged %.0f BGP destinations at 100h, bound %d: forced contrasts recompute the internet again", id, got, forcedContrastDestBound)
+		}
+	}
+	// At the registered defaults (1500 or 2000 hours) the what-if work must
+	// not grow with the horizon.
+	full := run(nil)
+	for _, id := range ids {
+		queries, computes := full[id]["whatif.queries"], full[id]["whatif.computes"]
+		if queries < 1000 {
+			t.Errorf("%s asked %.0f what-if questions at its default horizon, want thousands: the bound below would pass vacuously", id, queries)
+		}
+		if computes > forcedContrastWhatIfComputes {
+			t.Errorf("%s converged %.0f what-if fixed points for %.0f questions, bound %d: the what-if memo stopped hitting", id, computes, queries, forcedContrastWhatIfComputes)
 		}
 	}
 }

@@ -17,9 +17,10 @@ import (
 // never fork per consumer.
 //
 // The decode is strict: unknown fields, trailing garbage, type mismatches
-// and values the options type's validate method refuses (PowerOptions'
-// trial bound) are errors, and an experiment registered without options
-// rejects any document but JSON null. Fields tagged `json:"-"`
+// and values the options type's validate method refuses (the bounds on
+// power trials, simulated hours, study weeks and chaos levels) are errors,
+// and an experiment registered without options rejects any document but
+// JSON null. Fields tagged `json:"-"`
 // (Table1Config.Scenario, which is addressed by the scenario coordinate,
 // not the options document) cannot be set this way by construction.
 func OptionsFromJSON(id string, raw []byte) (Options, error) {

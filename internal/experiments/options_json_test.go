@@ -76,6 +76,12 @@ func TestOptionsFromJSONErrors(t *testing.T) {
 		{"power trials zero", "power", `{"Trials": 0}`, "Trials"},
 		{"power trials negative", "power", `{"Trials": -5}`, "Trials"},
 		{"power trials over cap", "power", `{"Trials": 100000000}`, "Trials"},
+		{"world hours over cap", "confounding", `{"Hours": 1000000000}`, "Hours"},
+		{"world hours one past cap", "instrument", `{"Hours": 8761}`, "8760"},
+		{"horizon hours over cap", "collider", `{"Hours": 1000000000}`, "Hours"},
+		{"table1 weeks over cap", "table1", `{"Weeks": 1000000}`, "Weeks"},
+		{"chaos weeks over cap", "chaos", `{"Weeks": 53}`, "Weeks"},
+		{"chaos levels over cap", "chaos", `{"Intensities": [0,0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4,0.45,0.5,0.55,0.6,0.65,0.7,0.8]}`, "Intensities"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -87,6 +93,17 @@ func TestOptionsFromJSONErrors(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.contains)
 			}
 		})
+	}
+	// Each cap itself is accepted.
+	for _, tc := range []struct{ id, raw string }{
+		{"confounding", `{"Hours": 8760}`},
+		{"collider", `{"Hours": 8760}`},
+		{"table1", `{"Weeks": 52}`},
+		{"chaos", `{"Weeks": 52, "Intensities": [0,0.1,0.2,0.3,0.4,0.5,0.6,0.7]}`},
+	} {
+		if _, err := OptionsFromJSON(tc.id, []byte(tc.raw)); err != nil {
+			t.Errorf("%s %s at the cap: %v", tc.id, tc.raw, err)
+		}
 	}
 	// Library callers get the decoder's refusal, before any trial runs.
 	for _, trials := range []int{0, -5, maxPowerTrials + 1} {

@@ -65,6 +65,22 @@ type Table1Config struct {
 // with their own defaults).
 func (Table1Config) experimentOptions() {}
 
+// maxStudyWeeks caps the study length of a Table 1 world (Table1Config and
+// ChaosOptions Weeks): a year of weekly campaigns.
+const maxStudyWeeks = 52
+
+// validate rejects a study longer than maxStudyWeeks; zero or less still
+// means the default.
+func (c Table1Config) validate() error { return validateWeeks(c.Weeks) }
+
+// validateWeeks rejects a study length above maxStudyWeeks.
+func validateWeeks(weeks int) error {
+	if weeks > maxStudyWeeks {
+		return fmt.Errorf("experiments: Weeks %d above the %d-week cap", weeks, maxStudyWeeks)
+	}
+	return nil
+}
+
 // WithScenario implements ScenarioOptions.
 func (c Table1Config) WithScenario(id string) Options {
 	c.Scenario = id

@@ -14,7 +14,9 @@ package bgp
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"sisyphus/internal/netsim/topo"
@@ -106,6 +108,65 @@ func (p *Policy) Clone() *Policy {
 	return out
 }
 
+// Key returns the policy's content as an exact byte string: the LocalPref,
+// Poison and DenyLink entries, each section sorted and counted. Entries
+// that route exactly like their absence — an empty LocalPref row, an empty
+// poison list, a DenyLink set to false — are left out, so two policies
+// with equal keys converge to equal routes whatever order their maps were
+// filled in. A poison list keeps its own order: it is the announced path.
+func (p *Policy) Key() string {
+	type pref struct {
+		a, n topo.ASN
+		v    int
+	}
+	var prefs []pref
+	for a, m := range p.LocalPref {
+		for n, v := range m {
+			prefs = append(prefs, pref{a, n, v})
+		}
+	}
+	sort.Slice(prefs, func(i, j int) bool {
+		if prefs[i].a != prefs[j].a {
+			return prefs[i].a < prefs[j].a
+		}
+		return prefs[i].n < prefs[j].n
+	})
+	var poisoned []topo.ASN
+	for d, list := range p.Poison {
+		if len(list) > 0 {
+			poisoned = append(poisoned, d)
+		}
+	}
+	slices.Sort(poisoned)
+	var denied []topo.LinkID
+	for id, v := range p.DenyLink {
+		if v {
+			denied = append(denied, id)
+		}
+	}
+	slices.Sort(denied)
+
+	b := binary.AppendUvarint(nil, uint64(len(prefs)))
+	for _, e := range prefs {
+		b = binary.AppendUvarint(b, uint64(e.a))
+		b = binary.AppendUvarint(b, uint64(e.n))
+		b = binary.AppendVarint(b, int64(e.v))
+	}
+	b = binary.AppendUvarint(b, uint64(len(poisoned)))
+	for _, d := range poisoned {
+		b = binary.AppendUvarint(b, uint64(d))
+		b = binary.AppendUvarint(b, uint64(len(p.Poison[d])))
+		for _, a := range p.Poison[d] {
+			b = binary.AppendUvarint(b, uint64(a))
+		}
+	}
+	b = binary.AppendUvarint(b, uint64(len(denied)))
+	for _, id := range denied {
+		b = binary.AppendVarint(b, int64(id))
+	}
+	return string(b)
+}
+
 // RIB is the converged set of routing tables: for every destination AS, the
 // best route at every AS that can reach it.
 //
@@ -118,9 +179,11 @@ func (p *Policy) Clone() *Policy {
 // memo whenever the topology's Epoch moves. The Paths it hands out are
 // shared by every caller asking the same question and must be treated as
 // read-only too. The memo is unsynchronized: a RIB instance has one
-// forwarding owner — the engine it seeds, or the one-shot what-if query
-// that computed it. A RIB held for sharing (the artifact store's original)
-// is only ever forked, and each Fork starts with an empty memo.
+// forwarding owner — the engine it seeds, or the engine whose what-if memo
+// computed it. Such an engine keeps a what-if RIB, forwarding memo
+// included, across hours for as long as its topology's epoch holds. A RIB
+// held for sharing (the artifact store's original) is only ever forked,
+// and each Fork starts with an empty memo.
 type RIB struct {
 	Topo *topo.Topology
 	Rel  *topo.ASRelationships

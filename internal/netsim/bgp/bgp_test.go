@@ -441,6 +441,75 @@ func TestPolicyClone(t *testing.T) {
 	}
 }
 
+// TestPolicyKey pins Policy.Key's contract: equal content gives an equal
+// key whatever order the maps were filled in (entries that route like their
+// absence included), and any different LocalPref, Poison or DenyLink entry
+// gives a different key.
+func TestPolicyKey(t *testing.T) {
+	base := func() *Policy {
+		p := NewPolicy()
+		p.SetLocalPref(1, 2, 50)
+		p.SetLocalPref(1, 3, 150)
+		p.SetLocalPref(4, 2, 10)
+		p.Poison[9] = []topo.ASN{5, 6}
+		p.DenyLink[7] = true
+		p.DenyLink[3] = true
+		return p
+	}
+	want := base().Key()
+	same := map[string]func() *Policy{
+		"reverse insertion order": func() *Policy {
+			p := NewPolicy()
+			p.DenyLink[3] = true
+			p.DenyLink[7] = true
+			p.Poison[9] = []topo.ASN{5, 6}
+			p.SetLocalPref(4, 2, 10)
+			p.SetLocalPref(1, 3, 150)
+			p.SetLocalPref(1, 2, 50)
+			return p
+		},
+		"clone": func() *Policy { return base().Clone() },
+		"cleared override's empty row": func() *Policy {
+			p := base()
+			p.SetLocalPref(8, 1, 300)
+			p.ClearLocalPref(8, 1)
+			return p
+		},
+		"empty poison list": func() *Policy { p := base(); p.Poison[2] = nil; return p },
+		"false DenyLink":    func() *Policy { p := base(); p.DenyLink[11] = false; return p },
+	}
+	for name, mk := range same {
+		if got := mk().Key(); got != want {
+			t.Errorf("%s: key %q, want %q", name, got, want)
+		}
+	}
+	differ := map[string]func(*Policy){
+		"LocalPref value":   func(p *Policy) { p.SetLocalPref(1, 2, 51) },
+		"LocalPref entry":   func(p *Policy) { p.SetLocalPref(2, 1, 50) },
+		"LocalPref removed": func(p *Policy) { p.ClearLocalPref(4, 2) },
+		"LocalPref swapped": func(p *Policy) { p.ClearLocalPref(1, 2); p.SetLocalPref(2, 1, 50) },
+		"Poison entry":      func(p *Policy) { p.Poison[10] = []topo.ASN{5} },
+		"Poison order":      func(p *Policy) { p.Poison[9] = []topo.ASN{6, 5} },
+		"Poison longer":     func(p *Policy) { p.Poison[9] = append(p.Poison[9], 8) },
+		"Poison removed":    func(p *Policy) { delete(p.Poison, 9) },
+		"DenyLink entry":    func(p *Policy) { p.DenyLink[8] = true },
+		"DenyLink removed":  func(p *Policy) { delete(p.DenyLink, 7) },
+	}
+	seen := map[string]string{want: "base"}
+	for name, edit := range differ {
+		p := base()
+		edit(p)
+		k := p.Key()
+		if prev, ok := seen[k]; ok {
+			t.Errorf("%s: key equals %s's", name, prev)
+		}
+		seen[k] = name
+	}
+	if NewPolicy().Key() == want {
+		t.Error("empty policy shares the base key")
+	}
+}
+
 func TestRouteAccessors(t *testing.T) {
 	r := &Route{Dest: 5, Path: nil}
 	if r.NextHop() != 5 || r.Len() != 0 {

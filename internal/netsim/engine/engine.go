@@ -104,6 +104,12 @@ type Engine struct {
 	// egress is the provider plan of the RIB adaptEgress last ran on.
 	egress *egressPlan
 
+	// whatif memoizes PerfToASWith's one-destination RIBs by destination
+	// and edited policy, filled under topology epoch whatifEpoch (see
+	// whatIfRIB).
+	whatif      map[whatifKey]*bgp.RIB
+	whatifEpoch uint64
+
 	// ctx is the run context set by Bind. An Engine is single-run scoped —
 	// built, stepped, and discarded inside one Scenario stage — so binding
 	// the run's context once at construction is the documented exception to

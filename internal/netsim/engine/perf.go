@@ -6,6 +6,7 @@ import (
 	"sisyphus/internal/netsim/bgp"
 	"sisyphus/internal/netsim/topo"
 	"sisyphus/internal/netsim/traffic"
+	"sisyphus/internal/obs"
 )
 
 // PathPerf is the engine's ground-truth performance along one path at one
@@ -51,14 +52,56 @@ func (e *Engine) PerfToAS(src topo.PoPID, asn topo.ASN) (*PathPerf, error) {
 // answers the question exactly. The factual state is left alone: the
 // engine's policies, RIBs and dirty flags are untouched, so the next
 // factual query pays for no recompute.
+//
+// The fixed point is memoized (see whatIfRIB), so asking the same question
+// every hour converges it once; the utilization-dependent performance along
+// the path is still read at the current hour.
 func (e *Engine) PerfToASWith(src topo.PoPID, asn topo.ASN, edit func(*bgp.Policy)) (*PathPerf, error) {
 	pol := e.Policy.Clone()
 	edit(pol)
-	rib, err := bgp.ComputeDests(e.ctx, e.cfg.Pool, e.Topo, pol, []topo.ASN{asn})
+	rib, err := e.whatIfRIB(asn, pol)
 	if err != nil {
 		return nil, err
 	}
 	return e.perfToASOn(rib, src, asn)
+}
+
+// maxWhatIfRIBs bounds the what-if memo; reaching it empties the memo.
+// The experiments ask two or three distinct questions per topology epoch.
+const maxWhatIfRIBs = 64
+
+// whatifKey identifies one what-if fixed point: the destination and the
+// edited policy's content (bgp.Policy.Key).
+type whatifKey struct {
+	asn    topo.ASN
+	policy string
+}
+
+// whatIfRIB returns the one-destination RIB toward asn under pol,
+// converging it only on a memo miss. A fixed point is a function of the
+// destination, the policy and the topology's link state, so the memo is
+// keyed on the first two and flushed when the third moves (a new Epoch).
+// It is keyed on the policy's content rather than on a version counter
+// because events and experiments write the exported policy maps directly.
+// Failed computations are not memoized.
+func (e *Engine) whatIfRIB(asn topo.ASN, pol *bgp.Policy) (*bgp.RIB, error) {
+	obs.Add(e.ctx, "whatif.queries", 1)
+	epoch := e.Topo.Epoch()
+	if e.whatif == nil || e.whatifEpoch != epoch || len(e.whatif) >= maxWhatIfRIBs {
+		e.whatif = make(map[whatifKey]*bgp.RIB)
+		e.whatifEpoch = epoch
+	}
+	k := whatifKey{asn, pol.Key()}
+	if rib, ok := e.whatif[k]; ok {
+		return rib, nil
+	}
+	obs.Add(e.ctx, "whatif.computes", 1)
+	rib, err := bgp.ComputeDests(e.ctx, e.cfg.Pool, e.Topo, pol, []topo.ASN{asn})
+	if err != nil {
+		return nil, err
+	}
+	e.whatif[k] = rib
+	return rib, nil
 }
 
 // perfToASOn is PerfToAS over a given RIB.

@@ -1,18 +1,23 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"maps"
+	"math"
 	"reflect"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"sisyphus/internal/mathx"
 	"sisyphus/internal/netsim/bgp"
 	"sisyphus/internal/netsim/topo"
 	"sisyphus/internal/netsim/traffic"
+	"sisyphus/internal/obs"
+	"sisyphus/internal/parallel"
 )
 
 // snapshotPolicy deep-copies a policy without normalizing it (empty inner
@@ -42,34 +47,43 @@ func multihomedWorld(t *testing.T) (tp *topo.Topology, asn topo.ASN, providers [
 		if err != nil {
 			t.Fatal(err)
 		}
-		rel, err := tp.Relationships()
-		if err != nil {
-			t.Fatal(err)
-		}
-		asn, providers, content = 0, nil, 0
-		for _, as := range tp.ASes() {
-			switch {
-			case as.Type == topo.Content && content == 0:
-				content = as.ASN
-			case as.Type == topo.Access && asn == 0:
-				var ps []topo.ASN
-				for n, k := range rel.Rel[as.ASN] {
-					if k == topo.RelCustomer {
-						ps = append(ps, n)
-					}
-				}
-				if len(ps) >= 2 {
-					sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
-					asn, providers = as.ASN, ps
-				}
-			}
-		}
-		if asn != 0 && content != 0 {
+		if asn, providers, content := multihomed(t, tp); asn != 0 {
 			return tp, asn, providers, content
 		}
 	}
 	t.Fatal("no generated world with a multihomed access AS and a content AS")
 	return
+}
+
+// multihomed returns tp's first access AS with at least two providers, its
+// sorted providers and tp's first content AS, or asn 0 if tp lacks either.
+func multihomed(t *testing.T, tp *topo.Topology) (asn topo.ASN, providers []topo.ASN, content topo.ASN) {
+	t.Helper()
+	rel, err := tp.Relationships()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, as := range tp.ASes() {
+		switch {
+		case as.Type == topo.Content && content == 0:
+			content = as.ASN
+		case as.Type == topo.Access && asn == 0:
+			var ps []topo.ASN
+			for n, k := range rel.Rel[as.ASN] {
+				if k == topo.RelCustomer {
+					ps = append(ps, n)
+				}
+			}
+			if len(ps) >= 2 {
+				sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
+				asn, providers = as.ASN, ps
+			}
+		}
+	}
+	if content == 0 {
+		return 0, nil, 0
+	}
+	return asn, providers, content
 }
 
 // TestPerfToASWithMatchesForcedRecompute is the what-if contract: on a
@@ -163,5 +177,156 @@ func TestPerfToASWithMatchesForcedRecompute(t *testing.T) {
 	}
 	if log := strings.Join(e.eventLg, ";"); !strings.Contains(log, fmt.Sprintf("egress-shift AS%d", asn)) {
 		t.Fatalf("adaptive egress never moved AS%d; the cloned policies carried no overrides: %s", asn, log)
+	}
+}
+
+// TestWhatIfMemoMatchesMissPath holds PerfToASWith's memo to the fixed
+// point it caches. On generated worlds, an adaptive-egress engine takes a
+// random interleaving of steps (its controller rewrites the factual
+// local-prefs), link flaps through SetLinkUp (the topology's epoch moves)
+// and factual DenyLink maintenance (the policy moves, the epoch does not),
+// with a what-if query after each. The queries draw from a small set of
+// edits — pin the multihomed AS to each provider, random local-pref
+// overrides, no edit — so questions repeat and hit the memo. Every answer
+// must equal what a fresh bgp.ComputeDests under the same edited policy
+// answers on the miss path: the same AS path, and RTT, loss, throughput
+// and peak utilization equal bit for bit.
+func TestWhatIfMemoMatchesMissPath(t *testing.T) {
+	var worlds, flaps, maint, errs int
+	var queries, computes float64
+	f := func(seed uint64) bool {
+		r := mathx.NewRNG(seed)
+		tp, err := topo.Generate(r, topo.DefaultGenConfig(), nil)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		asn, providers, content := multihomed(t, tp)
+		if asn == 0 {
+			return true
+		}
+		worlds++
+		rec := obs.NewRecorder()
+		e := New(tp, seed, Config{AdaptiveEgress: true}).Bind(obs.With(context.Background(), rec))
+		rel, err := tp.Relationships()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var provLinks []topo.LinkID
+		for _, p := range providers {
+			provLinks = append(provLinks, rel.Links[asn][p]...)
+		}
+		// Flash crowds on the provider links keep the controller moving.
+		for i, id := range provLinks {
+			e.Traffic.AddFlashCrowd(traffic.FlashCrowd{Link: id, StartHour: 5 + 15*float64(i), Hours: 20, Magnitude: 0.6})
+		}
+		links := tp.Export().Links
+		pickLink := func() topo.LinkID {
+			if r.Intn(2) == 0 {
+				return provLinks[r.Intn(len(provLinks))]
+			}
+			return links[r.Intn(len(links))].ID
+		}
+		ases := tp.ASes()
+		edits := []func(*bgp.Policy){func(*bgp.Policy) {}}
+		for _, p := range providers {
+			edits = append(edits, func(pol *bgp.Policy) {
+				for _, q := range providers {
+					if q != p {
+						pol.SetLocalPref(asn, q, 10)
+					}
+				}
+				pol.SetLocalPref(asn, p, bgp.PrefProvider)
+			})
+		}
+		for len(edits) < len(providers)+4 {
+			a := ases[r.Intn(len(ases))].ASN
+			var ns []topo.ASN
+			for n := range rel.Rel[a] {
+				ns = append(ns, n)
+			}
+			if len(ns) == 0 {
+				continue
+			}
+			slices.Sort(ns)
+			n, pref := ns[r.Intn(len(ns))], []int{10, 150, 250}[r.Intn(3)]
+			edits = append(edits, func(pol *bgp.Policy) { pol.SetLocalPref(a, n, pref) })
+		}
+		srcs := []topo.PoPID{tp.PoPsOf(asn)[0], tp.Export().PoPs[r.Intn(len(tp.Export().PoPs))].ID}
+
+		var down, denied []topo.LinkID
+		for op := 0; op < 150; op++ {
+			switch k := r.Intn(10); {
+			case k < 4:
+				if err := e.Step(); err != nil {
+					t.Log(err)
+					return false
+				}
+			case k == 4:
+				// Fail a link, or restore the oldest failure once two are
+				// down, so the world stays mostly connected.
+				if len(down) == 2 {
+					tp.SetLinkUp(down[0], true)
+					down = down[1:]
+				} else if id := pickLink(); tp.Link(id).Up {
+					tp.SetLinkUp(id, false)
+					down = append(down, id)
+				}
+				e.MarkDirty()
+				flaps++
+			case k == 5:
+				// The same for maintenance windows on the factual policy.
+				if len(denied) == 2 {
+					delete(e.Policy.DenyLink, denied[0])
+					denied = denied[1:]
+				} else if id := pickLink(); !e.Policy.DenyLink[id] {
+					e.Policy.DenyLink[id] = true
+					denied = append(denied, id)
+				}
+				e.MarkDirty()
+				maint++
+			}
+			src, edit := srcs[r.Intn(len(srcs))], edits[r.Intn(len(edits))]
+			got, gotErr := e.PerfToASWith(src, content, edit)
+
+			pol := e.Policy.Clone()
+			edit(pol)
+			rib, err := bgp.ComputeDests(context.Background(), parallel.Pool{}, tp, pol, []topo.ASN{content})
+			if err != nil {
+				t.Log(err)
+				return false
+			}
+			want, wantErr := e.perfToASOn(rib, src, content)
+			if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+				t.Logf("seed %d op %d: what-if error %v, miss path %v", seed, op, gotErr, wantErr)
+				return false
+			}
+			if gotErr != nil {
+				errs++
+				continue
+			}
+			if !slices.Equal(got.Path.ASPath, want.Path.ASPath) ||
+				math.Float64bits(got.RTTms) != math.Float64bits(want.RTTms) ||
+				math.Float64bits(got.LossRate) != math.Float64bits(want.LossRate) ||
+				math.Float64bits(got.ThroughputMbps) != math.Float64bits(want.ThroughputMbps) ||
+				math.Float64bits(got.MaxUtil) != math.Float64bits(want.MaxUtil) {
+				t.Logf("seed %d op %d: what-if %v %+v, miss path %v %+v", seed, op, got.Path.ASPath, *got, want.Path.ASPath, *want)
+				return false
+			}
+		}
+		m := rec.Metrics()[""]
+		queries += m["whatif.queries"]
+		computes += m["whatif.computes"]
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d worlds: %.0f what-if queries, %.0f computes, %d flaps, %d maintenance toggles, %d error answers",
+		worlds, queries, computes, flaps, maint, errs)
+	// The property is only as strong as the paths it exercised.
+	if worlds < 5 || computes == 0 || computes >= queries || flaps == 0 || maint == 0 {
+		t.Fatalf("weak run: %d worlds, %.0f queries, %.0f computes, %d flaps, %d maintenance toggles",
+			worlds, queries, computes, flaps, maint)
 	}
 }

@@ -125,14 +125,28 @@ func TestCancelledRequestDoesNotPoisonStore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	s := newTestServer(t)
+	st := artifact.NewStore()
+	s := New(Config{Store: st, Pool: parallel.Pool{}})
 	const path = "/experiment/confounding?seed=3&opts=" + `{"Hours":240}`
 
+	// Cancel as soon as the request's first build has started, so the
+	// cancellation lands mid-build however fast the build runs.
 	ctx, cancel := context.WithCancel(context.Background())
-	time.AfterFunc(50*time.Millisecond, cancel)
+	served := make(chan struct{})
+	go func() {
+		defer cancel()
+		for st.Stats().Misses == 0 {
+			select {
+			case <-served:
+				return
+			case <-time.After(100 * time.Microsecond):
+			}
+		}
+	}()
 	req := httptest.NewRequest(http.MethodGet, path, nil).WithContext(ctx)
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, req)
+	close(served)
 	if rec.Code != 499 {
 		t.Fatalf("cancelled request: status = %d, want 499 (body %s)", rec.Code, rec.Body)
 	}
@@ -204,7 +218,7 @@ func TestRequestTimeoutReturns504(t *testing.T) {
 	s := New(Config{
 		Store:          artifact.NewStore(),
 		Pool:           parallel.Pool{},
-		RequestTimeout: 60 * time.Millisecond,
+		RequestTimeout: 20 * time.Millisecond, // a cold confounding build takes over 100 ms
 	})
 	rec := get(t, s, "/experiment/confounding?seed=6")
 	if rec.Code != http.StatusGatewayTimeout {

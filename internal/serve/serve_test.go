@@ -156,6 +156,10 @@ func TestExperimentHandlerValidation(t *testing.T) {
 		{"opts trailing garbage", "/experiment/mlab?opts={}{}", http.StatusBadRequest, "trailing data"},
 		{"opts power trials oversized", "/experiment/power?opts={\"Trials\":100000000}", http.StatusBadRequest, "Trials"},
 		{"opts power trials negative", "/experiment/power?opts={\"Trials\":-1}", http.StatusBadRequest, "Trials"},
+		{"opts world hours oversized", "/experiment/confounding?opts={\"Hours\":1000000000}", http.StatusBadRequest, "Hours"},
+		{"opts horizon hours oversized", "/experiment/collider?opts={\"Hours\":1000000000}", http.StatusBadRequest, "Hours"},
+		{"opts table1 weeks oversized", "/experiment/table1?opts={\"Weeks\":1000000}", http.StatusBadRequest, "Weeks"},
+		{"opts chaos too many levels", "/experiment/chaos?opts={\"Intensities\":[0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8]}", http.StatusBadRequest, "Intensities"},
 		{"scenario unknown id", "/experiment/table1?scenario=atlantis", http.StatusBadRequest, "atlantis"},
 		{"scenario bad gen spec", "/experiment/table1?scenario=gen:bogus%3D1", http.StatusBadRequest, "gen:"},
 		{"scenario gen count over cap", "/experiment/table1?scenario=gen:access%3D10000000", http.StatusBadRequest,
