@@ -21,7 +21,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race verify unreached verify-cache-off verify-warm-cache verify-sweep bench
+.PHONY: build test vet race verify unreached verify-cache-off verify-warm-cache verify-sweep verify-examples bench
 
 build:
 	$(GO) build ./...
@@ -89,6 +89,19 @@ verify-sweep:
 		-scenarios 'southafrica,gen:access=10+treated=2+seed=3' \
 		-seeds 1..4 -workers 4 -json >$$dir/w4.json; \
 	cmp $$dir/w1.json $$dir/w4.json
+
+# The examples gate: every program under examples/ must exit 0 and print
+# byte-for-byte its committed stdout, examples/testdata/<name>.golden.txt.
+# Several examples drive experiments end to end, so this pins their output
+# through the same public entry points a reader copies from.
+verify-examples:
+	set -eu; dir=$$(mktemp -d /tmp/sisyphus-examples.XXXXXX); \
+	trap 'rm -rf "$$dir"' EXIT; \
+	for main in examples/*/main.go; do \
+		name=$$(basename $$(dirname $$main)); \
+		$(GO) run ./examples/$$name >$$dir/$$name.out; \
+		cmp $$dir/$$name.out examples/testdata/$$name.golden.txt; \
+	done
 
 # The micro-benchmarks backing DESIGN.md's ablation tables and CHANGES.md's
 # before/after numbers. Override BENCHTIME (e.g. BENCHTIME=1x) for a quick

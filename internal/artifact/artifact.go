@@ -370,17 +370,20 @@ func GetOrBuild[T any](ctx context.Context, s *Store, key Key, spec Spec[T]) (T,
 	obs.Add(ctx, "cache.misses", 1)
 	obs.Add(ctx, "cache.miss."+key.ID(), 1)
 
-	val, fromDisk, err := resolveMiss(ctx, s, key, spec)
+	val, fromDisk, err := func() (T, bool, error) {
+		// A build that panics abandons its entry like a failed one, so
+		// waiters and later fetches are not left parked on a ready channel
+		// nobody closes; the panic then goes on to the builder's caller.
+		defer func() {
+			if r := recover(); r != nil {
+				s.abandon(key, e, fmt.Errorf("artifact: %s: build panicked: %v", key, r))
+				panic(r)
+			}
+		}()
+		return resolveMiss(ctx, s, key, spec)
+	}()
 	if err != nil {
-		// Errors are never cached: remove the entry (and its counters) so
-		// the next request retries, then release every waiter with the
-		// error.
-		s.mu.Lock()
-		delete(s.entries, key)
-		delete(s.perKey, key)
-		e.err = err
-		close(e.ready)
-		s.mu.Unlock()
+		s.abandon(key, e, err)
 		return zero, err
 	}
 	if spec.Freeze != nil {
@@ -404,6 +407,18 @@ func GetOrBuild[T any](ctx context.Context, s *Store, key Key, spec Spec[T]) (T,
 	s.evictLocked()
 	s.mu.Unlock()
 	return spec.Fork(val), nil
+}
+
+// abandon removes a pending entry whose value could not be produced, with
+// its counters, and releases every waiter with err. Errors are never
+// cached: the next request for the key retries.
+func (s *Store) abandon(key Key, e *entry, err error) {
+	s.mu.Lock()
+	delete(s.entries, key)
+	delete(s.perKey, key)
+	e.err = err
+	close(e.ready)
+	s.mu.Unlock()
 }
 
 // resolveMiss produces the value for a pending entry: from the disk tier

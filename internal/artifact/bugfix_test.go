@@ -216,3 +216,62 @@ func TestCancelledWaiterStillFails(t *testing.T) {
 		t.Fatal("dead-context caller must fail, not loop or succeed")
 	}
 }
+
+// TestPanickingBuildReleasesKey: a Build that panics must not poison its
+// key. The panic reaches the builder's caller, a waiter parked on the
+// pending entry gets an error instead of hanging, and the next fetch of the
+// key builds again and succeeds.
+func TestPanickingBuildReleasesKey(t *testing.T) {
+	s := NewStore()
+	key, _ := NewKey("world", "s", 0, nil)
+	started, release := make(chan struct{}), make(chan struct{})
+	var builds atomic.Int64
+	spec := boxSpec(nil, []int{7})
+	build := spec.Build
+	spec.Build = func(ctx context.Context) (*[]int, error) {
+		if builds.Add(1) == 1 {
+			close(started)
+			<-release
+			panic("boom")
+		}
+		return build(ctx)
+	}
+
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		GetOrBuild(context.Background(), s, key, spec)
+	}()
+	<-started
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := GetOrBuild(context.Background(), s, key, spec)
+		waiter <- err
+	}()
+	// The waiter counts its hit before it parks on the pending entry.
+	for deadline := time.Now().Add(5 * time.Second); s.Stats().Hits == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("waiter never joined the pending build")
+		}
+	}
+	close(release)
+
+	if r := <-panicked; r != "boom" {
+		t.Fatalf("builder's caller recovered %v, want the build's panic", r)
+	}
+	select {
+	case err := <-waiter:
+		if err == nil || !strings.Contains(err.Error(), "build panicked: boom") {
+			t.Fatalf("waiter err = %v, want the build's panic as an error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter still parked on the panicked build's entry")
+	}
+	v, err := GetOrBuild(context.Background(), s, key, spec)
+	if err != nil || (*v)[0] != 7 {
+		t.Fatalf("fetch after the panic = %v, %v; want a fresh build", v, err)
+	}
+	if n := builds.Load(); n != 2 {
+		t.Fatalf("builds = %d, want 2 (the panicked one and the rebuild)", n)
+	}
+}

@@ -178,6 +178,9 @@ func runCampaign(ctx context.Context, pool parallel.Pool, id string, seed uint64
 	if err != nil {
 		return campaign{}, err
 	}
+	if p.FlapEveryHours > 0 && (p.FlapLink < 0 || int(p.FlapLink) >= s.Topo.NumLinks()) {
+		return campaign{}, queryInvalidf("FlapLink %d is not a link of world %q (it has %d)", p.FlapLink, id, s.Topo.NumLinks())
+	}
 	e := engine.New(s.Topo, seed, engine.Config{AdaptiveEgress: true, Pool: pool, InitialRIB: rib}).Bind(ctx)
 	pr := probe.NewProber(e, seed+1)
 	// Each world gets its own injector so the factual and counterfactual
@@ -212,9 +215,6 @@ func runCampaign(ctx context.Context, pool parallel.Pool, id string, seed uint64
 	um.BaseRate = p.UserRate
 	store := platform.NewStore()
 	for e.Hour() < totalHours {
-		if err := ctx.Err(); err != nil {
-			return campaign{}, err
-		}
 		if err := e.Step(); err != nil {
 			return campaign{}, err
 		}

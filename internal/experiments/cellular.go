@@ -8,6 +8,7 @@ import (
 	"sisyphus/internal/causal/estimate"
 	"sisyphus/internal/causal/scm"
 	"sisyphus/internal/mathx"
+	"sisyphus/internal/parallel"
 )
 
 // CellularOptions sizes the cellular confounding box's sample.
@@ -16,6 +17,18 @@ type CellularOptions struct {
 }
 
 func (CellularOptions) experimentOptions() {}
+
+// maxCellularN caps the sample at 50 times its default of 20,000 sessions.
+const maxCellularN = 1000000
+
+// validate rejects a sample above maxCellularN; zero or less still means
+// the default.
+func (o CellularOptions) validate() error {
+	if o.N > maxCellularN {
+		return fmt.Errorf("experiments: cellular N %d above the %d cap", o.N, maxCellularN)
+	}
+	return nil
+}
 
 // CellularResult reproduces the §3 confounding box: the SIGCOMM'21 cellular
 // reliability finding that failure rates are *higher* at the strongest
@@ -52,9 +65,6 @@ func (r *CellularResult) Render() string {
 // but density raises both signal and failure, so the marginal association
 // is positive.
 func RunCellular(ctx context.Context, seed uint64, n int) (*CellularResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	if n <= 0 {
 		n = 20000
 	}
@@ -147,17 +157,9 @@ func RunCellular(ctx context.Context, seed uint64, n int) (*CellularResult, erro
 }
 
 func init() {
-	defaults := CellularOptions{N: 20000}
-	register(Experiment{
-		ID:       "cellular",
-		Paper:    "§3 confounding box: deployment density confounds signal strength and failures",
-		Defaults: defaults,
-		Run: func(ctx context.Context, cfg Config) (Renderable, error) {
-			o, err := optionsOr(cfg, defaults)
-			if err != nil {
-				return nil, err
-			}
-			return RunCellular(ctx, cfg.Seed, o.N)
-		},
-	})
+	registerOptions("cellular", "§3 confounding box: deployment density confounds signal strength and failures",
+		CellularOptions{N: 20000},
+		func(ctx context.Context, _ parallel.Pool, seed uint64, o CellularOptions) (*CellularResult, error) {
+			return RunCellular(ctx, seed, o.N)
+		})
 }

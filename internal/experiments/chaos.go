@@ -221,16 +221,6 @@ func RunChaos(ctx context.Context, pool parallel.Pool, seed uint64, o ChaosOptio
 }
 
 func init() {
-	register(Experiment{
-		ID:       "chaos",
-		Paper:    "E15: degradation curves — Table 1 estimator under injected measurement faults",
-		Defaults: chaosDefaults,
-		Run: func(ctx context.Context, cfg Config) (Renderable, error) {
-			o, err := optionsOr(cfg, chaosDefaults)
-			if err != nil {
-				return nil, err
-			}
-			return RunChaos(ctx, cfg.Pool, cfg.Seed, o)
-		},
-	})
+	registerOptions("chaos", "E15: degradation curves — Table 1 estimator under injected measurement faults",
+		chaosDefaults, RunChaos)
 }

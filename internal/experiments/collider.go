@@ -8,7 +8,6 @@ import (
 	"sisyphus/internal/mathx"
 	"sisyphus/internal/netsim/engine"
 	"sisyphus/internal/netsim/topo"
-	"sisyphus/internal/netsim/traffic"
 	"sisyphus/internal/parallel"
 	"sisyphus/internal/platform"
 	"sisyphus/internal/probe"
@@ -101,25 +100,12 @@ func RunCollider(ctx context.Context, pool parallel.Pool, seed uint64, hours int
 func colliderScenario(ctx context.Context, pool parallel.Pool, seed uint64, hours int, change, degraded, tested *[]float64) error {
 	// Symmetric world: two equal transits, both in Johannesburg, equal
 	// base utilization, so switching between them is performance-neutral.
-	b := topo.NewBuilder(nil).
-		AddAS(100, "T-A", topo.Transit, "Johannesburg").
-		AddAS(101, "T-B", topo.Transit, "Johannesburg").
-		AddAS(7000, "Eyeball", topo.Access, "Johannesburg").
-		AddAS(4001, "Content", topo.Content, "Johannesburg").
-		Connect(7000, "Johannesburg", topo.CustomerOf, 100, "Johannesburg", topo.WithBaseUtil(0.4)).
-		Connect(7000, "Johannesburg", topo.CustomerOf, 101, "Johannesburg", topo.WithBaseUtil(0.4)).
-		Connect(4001, "Johannesburg", topo.CustomerOf, 100, "Johannesburg", topo.WithBaseUtil(0.4)).
-		Connect(4001, "Johannesburg", topo.CustomerOf, 101, "Johannesburg", topo.WithBaseUtil(0.4))
-	tp, err := b.Build()
+	b, err := dualTransitBoard(0.4)
 	if err != nil {
 		return err
 	}
-	e := engine.New(tp, seed, engine.Config{Pool: pool}).Bind(ctx)
+	e := engine.New(b.tp, seed, engine.Config{Pool: pool}).Bind(ctx)
 	pr := probe.NewProber(e, seed+1)
-	src, err := tp.FindPoP(7000, "Johannesburg")
-	if err != nil {
-		return err
-	}
 
 	// Exogenous route flips: an operator alternates preferred transit at
 	// random times, independent of network state.
@@ -136,30 +122,16 @@ func colliderScenario(ctx context.Context, pool parallel.Pool, seed uint64, hour
 	}
 	// Congestion bursts on the access links (both, keeping symmetry) to
 	// create genuine degradation episodes unrelated to the flips.
-	rel, err := tp.Relationships()
-	if err != nil {
-		return err
-	}
-	burstRNG := mathx.NewRNG(seed + 3)
-	for h := 15.0; h < float64(hours); h += 30 + 80*burstRNG.Float64() {
-		dur := 4 + 10*burstRNG.Float64()
-		mag := 0.3 + 0.25*burstRNG.Float64()
-		for _, n := range []topo.ASN{100, 101} {
-			for _, id := range rel.Links[7000][n] {
-				e.Traffic.AddFlashCrowd(traffic.FlashCrowd{Link: id, StartHour: h, Hours: dur, Magnitude: mag})
-			}
-		}
-	}
+	access := append(append([]topo.LinkID(nil), b.rel.Links[7000][100]...), b.rel.Links[7000][101]...)
+	crowdPlan{start: 15, dur: uniform{4, 10}, mag: uniform{0.3, 0.25}, gap: uniform{30, 80}}.
+		schedule(e.Traffic.AddFlashCrowd, mathx.NewRNG(seed+3), hours, access...)
 
-	um := platform.NewUserModel([]platform.UserPop{{Src: src, Dst: 4001, Size: 1}}, seed+4)
+	um := platform.NewUserModel([]platform.UserPop{{Src: b.src, Dst: 4001, Size: 1}}, seed+4)
 	um.BaseRate = 0.08
 	um.PerfBoost = 8
 	um.ChangeBoost = 10
 
 	for e.Hour() < float64(hours) {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
 		if err := e.Step(); err != nil {
 			return err
 		}
@@ -200,17 +172,8 @@ func condMean(y, cond []float64, v float64) float64 {
 }
 
 func init() {
-	defaults := HorizonOptions{Hours: 2000}
-	register(Experiment{
-		ID:       "collider",
-		Paper:    "§3 collider box: speed-test selection bias",
-		Defaults: defaults,
-		Run: func(ctx context.Context, cfg Config) (Renderable, error) {
-			o, err := optionsOr(cfg, defaults)
-			if err != nil {
-				return nil, err
-			}
-			return RunCollider(ctx, cfg.Pool, cfg.Seed, o.Hours)
-		},
-	})
+	registerOptions("collider", "§3 collider box: speed-test selection bias", HorizonOptions{Hours: 2000},
+		func(ctx context.Context, pool parallel.Pool, seed uint64, o HorizonOptions) (*ColliderResult, error) {
+			return RunCollider(ctx, pool, seed, o.Hours)
+		})
 }

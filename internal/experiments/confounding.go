@@ -6,11 +6,7 @@ import (
 
 	"sisyphus/internal/causal/estimate"
 	"sisyphus/internal/mathx"
-	"sisyphus/internal/netsim/bgp"
 	"sisyphus/internal/netsim/engine"
-	"sisyphus/internal/netsim/scenario"
-	"sisyphus/internal/netsim/topo"
-	"sisyphus/internal/netsim/traffic"
 	"sisyphus/internal/parallel"
 )
 
@@ -91,37 +87,17 @@ func RunConfounding(ctx context.Context, pool parallel.Pool, seed uint64, o Worl
 // eyeball (scenario.EyeballCast); worlds without one refuse with
 // scenario.ErrCastingMissing.
 func confoundingScenario(ctx context.Context, pool parallel.Pool, scenarioID string, seed uint64, hours int) (*queryFrame, error) {
-	s, rib, err := fetchWorld(ctx, pool, scenarioID)
+	eye, err := newEyeball(ctx, pool, scenarioID, seed, engine.Config{AdaptiveEgress: true})
 	if err != nil {
 		return nil, err
 	}
-	cast, err := s.RequireEyeball()
-	if err != nil {
-		return nil, fmt.Errorf("experiments: world %q: %w", scenarioID, err)
-	}
-	dst := s.MeasureDst()
-	e := engine.New(s.Topo, seed, engine.Config{AdaptiveEgress: true, Pool: pool, InitialRIB: rib}).Bind(ctx)
-
+	e := eye.e
 	// The eyeball's content routes prefer its primary transit (shorter path,
 	// lower ASN), so recurring flash crowds on that link trigger
 	// load-adaptive shifts onto the alternate — congestion causing the route
 	// change, the C → R edge of the running example.
-	rel, err := s.Topo.Relationships()
-	if err != nil {
-		return nil, err
-	}
-	primary := rel.Links[cast.ASN][cast.Primary][0]
-	rng := mathx.NewRNG(seed + 99)
-	for h := 24.0; h < float64(hours); h += 48 + 24*rng.Float64() {
-		e.Traffic.AddFlashCrowd(traffic.FlashCrowd{
-			Link: primary, StartHour: h, Hours: 6 + 12*rng.Float64(), Magnitude: 0.35 + 0.2*rng.Float64(),
-		})
-	}
-
-	src, err := s.Topo.FindPoP(cast.ASN, cast.City)
-	if err != nil {
-		return nil, err
-	}
+	eye.crowds(crowdPlan{start: 24, dur: uniform{6, 12}, mag: uniform{0.35, 0.2}, gap: uniform{48, 24}},
+		mathx.NewRNG(seed+99), hours)
 
 	// A slice of hours carries exogenous one-hour route forcings (the §4
 	// "knob": operator-scheduled path tests). They guarantee that both
@@ -133,98 +109,40 @@ func confoundingScenario(ctx context.Context, pool parallel.Pool, scenarioID str
 
 	sim := &queryFrame{}
 	for e.Hour() < float64(hours) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		if err := e.Step(); err != nil {
 			return nil, err
 		}
 		var perf *engine.PathPerf
 		switch {
 		case flipRNG.Bernoulli(0.25):
-			v, err := observeForced(e, cast, dst, src, cast.Alternate) // force primary
-			if err != nil {
-				return nil, err
-			}
-			perf = v
+			perf, err = eye.observeForced(eye.cast.Alternate) // force primary
 		case flipRNG.Bernoulli(1.0 / 3.0): // 0.25 of the original mass
-			v, err := observeForced(e, cast, dst, src, cast.Primary) // force alternate
-			if err != nil {
-				return nil, err
-			}
-			perf = v
+			perf, err = eye.observeForced(eye.cast.Primary) // force alternate
 		default:
-			v, err := e.PerfToAS(src, dst)
-			if err != nil {
-				return nil, err
-			}
-			perf = v
+			perf, err = e.PerfToAS(eye.src, eye.dst)
 		}
-		onAlt := 0.0
-		for _, asn := range perf.Path.ASPath {
-			if asn == cast.Alternate {
-				onAlt = 1
-			}
-		}
-		sim.AltShare += onAlt
-		sim.R = append(sim.R, onAlt)
-		sim.L = append(sim.L, perf.RTTms)
-		sim.C = append(sim.C, e.Utilization(primary))
-		sim.Hour = append(sim.Hour, e.Hour())
-
-		// Ground truth: force each route in turn, same instant, same noise.
-		prefA, prefB, err := forcedContrast(e, cast, dst, src)
 		if err != nil {
 			return nil, err
 		}
-		sim.TrueSum += prefA - prefB
+		onAlt := eye.onAlternate(perf.Path.ASPath)
+		sim.AltShare += onAlt
+		sim.R = append(sim.R, onAlt)
+		sim.L = append(sim.L, perf.RTTms)
+		sim.C = append(sim.C, e.Utilization(eye.primary))
+		sim.Hour = append(sim.Hour, e.Hour())
+
+		// Ground truth: force each route in turn, same instant, same noise.
+		contrast, err := eye.forcedContrast()
+		if err != nil {
+			return nil, err
+		}
+		sim.TrueSum += contrast
 		sim.TrueN++
 	}
 	return sim, nil
 }
 
-// observeForced measures the eyeball's performance with the given transit
-// avoided for one instant: a what-if on a policy clone, so the factual
-// policy and routes are never touched.
-func observeForced(e *engine.Engine, cast scenario.EyeballCast, dst topo.ASN, src topo.PoPID, avoid topo.ASN) (*engine.PathPerf, error) {
-	other := cast.Primary
-	if avoid == cast.Primary {
-		other = cast.Alternate
-	}
-	return e.PerfToASWith(src, dst, func(p *bgp.Policy) {
-		p.SetLocalPref(cast.ASN, avoid, 10)
-		p.SetLocalPref(cast.ASN, other, bgp.PrefProvider)
-	})
-}
-
-// forcedContrast pins the eyeball's egress to each transit in turn and
-// measures the true RTT under identical conditions: the do(R = alt) and
-// do(R = primary) outcomes at this instant. Both are what-ifs, so the
-// factual trajectory is untouched.
-func forcedContrast(e *engine.Engine, cast scenario.EyeballCast, dst topo.ASN, src topo.PoPID) (viaAlt, viaPrimary float64, err error) {
-	a, err := observeForced(e, cast, dst, src, cast.Primary) // avoid primary → via alt
-	if err != nil {
-		return 0, 0, err
-	}
-	b, err := observeForced(e, cast, dst, src, cast.Alternate) // avoid alt → via primary
-	if err != nil {
-		return 0, 0, err
-	}
-	return a.RTTms, b.RTTms, nil
-}
-
 func init() {
-	defaults := WorldOptions{Hours: 1500}
-	register(Experiment{
-		ID:       "confounding",
-		Paper:    "§3 running example: adjusting for congestion when estimating route → latency",
-		Defaults: defaults,
-		Run: func(ctx context.Context, cfg Config) (Renderable, error) {
-			o, err := optionsOr(cfg, defaults)
-			if err != nil {
-				return nil, err
-			}
-			return RunConfounding(ctx, cfg.Pool, cfg.Seed, o)
-		},
-	})
+	registerOptions("confounding", "§3 running example: adjusting for congestion when estimating route → latency",
+		WorldOptions{Hours: 1500}, RunConfounding)
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"sisyphus/internal/causal/dag"
 	"sisyphus/internal/causal/data"
@@ -52,38 +51,30 @@ func RunCounterfactual(ctx context.Context, pool parallel.Pool, seed uint64, o W
 	if hours <= 0 {
 		hours = 1200
 	}
+	// The event fires 200 hours before the horizon and the SCM is fit on
+	// the hours before it, so a horizon of 200 hours or less leaves none.
+	if hours <= 200 {
+		return nil, queryInvalidf("counterfactual Hours %d leaves no hours before its event at Hours - 200", hours)
+	}
 	scenarioID := scenarioOr(o.Scenario)
 	eventHour := float64(hours) - 200
 
-	run := func(withEvent bool) (*engine.Engine, []float64, []float64, []float64, error) {
-		s, rib, err := fetchWorld(ctx, pool, scenarioID)
+	run := func(withEvent bool) (cCol, rCol, lCol []float64, err error) {
+		eye, err := newEyeball(ctx, pool, scenarioID, seed, engine.Config{})
 		if err != nil {
-			return nil, nil, nil, nil, err
+			return nil, nil, nil, err
 		}
-		cast, err := s.RequireEyeball()
-		if err != nil {
-			return nil, nil, nil, nil, fmt.Errorf("experiments: world %q: %w", scenarioID, err)
-		}
-		dst := s.MeasureDst()
-		e := engine.New(s.Topo, seed, engine.Config{Pool: pool, InitialRIB: rib}).Bind(ctx)
-		rel, err := s.Topo.Relationships()
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
+		e, cast := eye.e, eye.cast
 		// Congestion lands on the content network's shared access link, so
 		// it degrades BOTH candidate routes equally: the reroute's causal
 		// effect is the (small, constant) path-length difference, while
 		// congestion drives the visible spikes. Same seeds in both worlds.
-		shared, err := cast.SharedUplink.Resolve(rel)
+		shared, err := cast.SharedUplink.Resolve(eye.rel)
 		if err != nil {
-			return nil, nil, nil, nil, fmt.Errorf("experiments: world %q: %w", scenarioID, err)
+			return nil, nil, nil, fmt.Errorf("experiments: world %q: %w", scenarioID, err)
 		}
-		crowdRNG := mathx.NewRNG(seed + 1)
-		for h := 30.0; h < float64(hours); h += 50 + 40*crowdRNG.Float64() {
-			e.Traffic.AddFlashCrowd(traffic.FlashCrowd{
-				Link: shared, StartHour: h, Hours: 8 + 8*crowdRNG.Float64(), Magnitude: 0.2 + 0.15*crowdRNG.Float64(),
-			})
-		}
+		crowdPlan{start: 30, dur: uniform{8, 8}, mag: uniform{0.2, 0.15}, gap: uniform{50, 40}}.
+			schedule(e.Traffic.AddFlashCrowd, mathx.NewRNG(seed+1), hours, shared)
 		// A congestion burst coincides with the event window so the
 		// factual hour is genuinely degraded for two reasons at once —
 		// the ambiguity the counterfactual must resolve.
@@ -102,33 +93,19 @@ func RunCounterfactual(ctx context.Context, pool parallel.Pool, seed uint64, o W
 			// eventHour moves the eyeball's traffic onto its alternate.
 			e.Schedule(engine.EvSetLocalPref(eventHour, cast.ASN, cast.Alternate, 400))
 		}
-		src, err := s.Topo.FindPoP(cast.ASN, cast.City)
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		var cCol, rCol, lCol []float64
 		for e.Hour() < float64(hours) {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, nil, nil, err
-			}
 			if err := e.Step(); err != nil {
-				return nil, nil, nil, nil, err
+				return nil, nil, nil, err
 			}
-			perf, err := e.PerfToAS(src, dst)
+			perf, err := e.PerfToAS(eye.src, eye.dst)
 			if err != nil {
-				return nil, nil, nil, nil, err
-			}
-			onAlt := 0.0
-			for _, asn := range perf.Path.ASPath {
-				if asn == cast.Alternate {
-					onAlt = 1
-				}
+				return nil, nil, nil, err
 			}
 			cCol = append(cCol, e.Utilization(shared))
-			rCol = append(rCol, onAlt)
+			rCol = append(rCol, eye.onAlternate(perf.Path.ASPath))
 			lCol = append(lCol, perf.RTTms)
 		}
-		return e, cCol, rCol, lCol, nil
+		return cCol, rCol, lCol, nil
 	}
 
 	res := &CounterfactualResult{EventHour: eventHour}
@@ -137,10 +114,10 @@ func RunCounterfactual(ctx context.Context, pool parallel.Pool, seed uint64, o W
 	var f *data.Frame
 	err := stagedRun(ctx, "counterfactual", func(ctx context.Context) error {
 		var err error
-		if _, c1, r1, l1, err = run(true); err != nil {
+		if c1, r1, l1, err = run(true); err != nil {
 			return err
 		}
-		_, _, _, l0, err = run(false)
+		_, _, l0, err = run(false)
 		return err
 	}, func(ctx context.Context) error {
 		eventIdx = int(eventHour) // step index ≈ hour (1h steps), event fires at that step
@@ -181,22 +158,10 @@ func RunCounterfactual(ctx context.Context, pool parallel.Pool, seed uint64, o W
 	if err != nil {
 		return nil, err
 	}
-	_ = math.Abs
 	return res, nil
 }
 
 func init() {
-	defaults := WorldOptions{Hours: 1200}
-	register(Experiment{
-		ID:       "counterfactual",
-		Paper:    "§3 counterfactual: abduction–action–prediction vs ground-truth replay",
-		Defaults: defaults,
-		Run: func(ctx context.Context, cfg Config) (Renderable, error) {
-			o, err := optionsOr(cfg, defaults)
-			if err != nil {
-				return nil, err
-			}
-			return RunCounterfactual(ctx, cfg.Pool, cfg.Seed, o)
-		},
-	})
+	registerOptions("counterfactual", "§3 counterfactual: abduction–action–prediction vs ground-truth replay",
+		WorldOptions{Hours: 1200}, RunCounterfactual)
 }

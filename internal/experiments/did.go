@@ -129,17 +129,6 @@ func RunDiD(ctx context.Context, pool parallel.Pool, seed uint64, o DiDOptions) 
 }
 
 func init() {
-	defaults := DiDOptions{}
-	register(Experiment{
-		ID:       "did",
-		Paper:    "methodological contrast: pooled DiD vs per-unit synthetic control on Table 1 data",
-		Defaults: defaults,
-		Run: func(ctx context.Context, cfg Config) (Renderable, error) {
-			o, err := optionsOr(cfg, defaults)
-			if err != nil {
-				return nil, err
-			}
-			return RunDiD(ctx, cfg.Pool, cfg.Seed, o)
-		},
-	})
+	registerOptions("did", "methodological contrast: pooled DiD vs per-unit synthetic control on Table 1 data",
+		DiDOptions{}, RunDiD)
 }

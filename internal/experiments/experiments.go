@@ -55,19 +55,6 @@ type Config struct {
 	Only []string
 }
 
-// optionsOr returns cfg.Opts as T when set, or def when unset.
-func optionsOr[T Options](cfg Config, def T) (T, error) {
-	if cfg.Opts == nil {
-		return def, nil
-	}
-	v, ok := cfg.Opts.(T)
-	if !ok {
-		var zero T
-		return zero, fmt.Errorf("experiments: options are %T, want %T", cfg.Opts, zero)
-	}
-	return v, nil
-}
-
 // noOptions rejects stray options on experiments that take none, so a typo'd
 // Opts is a typed error rather than silently ignored.
 func noOptions(id string, cfg Config) error {
@@ -234,32 +221,44 @@ func register(e Experiment) {
 	registry[e.ID] = e
 }
 
-// stagedRun threads an experiment body through the four canonical pipeline
-// seams — Scenario → Dataset → Estimator → Report — as real pipeline stages
-// over closure-shared state. Each stage entry is a cancellation barrier and
-// a trace point, so every experiment run emits the same four-span shape and
-// stops within one seam of a cancelled context. A nil stage body is an
-// empty (but still traced) seam: some experiments have no separate dataset
-// step because simulation and extraction are one loop.
-//
-// The bodies run strictly in order in the calling goroutine; wrapping them
-// in stages adds no scheduling, no RNG draws, and no output — experiment
-// bytes are identical to the pre-stage sequential code.
-func stagedRun(ctx context.Context, id string, scenario, dataset, estimator, report func(context.Context) error) error {
-	type void = struct{}
-	lift := func(seam string, fn func(context.Context) error) pipeline.Stage[void, void] {
-		return pipeline.NewStage(id+"/"+seam, func(ctx context.Context, _ void) (void, error) {
-			if fn == nil {
-				return void{}, nil
+// registerOptions registers an experiment whose options are a T: def is
+// its Defaults, and Run hands run the config's pool and seed plus cfg.Opts
+// as a T (def when unset; options of another type are an error).
+func registerOptions[T Options, R Renderable](id, paper string, def T, run func(ctx context.Context, pool parallel.Pool, seed uint64, o T) (R, error)) {
+	register(Experiment{ID: id, Paper: paper, Defaults: def,
+		Run: func(ctx context.Context, cfg Config) (Renderable, error) {
+			o := def
+			if cfg.Opts != nil {
+				var ok bool
+				if o, ok = cfg.Opts.(T); !ok {
+					return nil, fmt.Errorf("experiments: options are %T, want %T", cfg.Opts, def)
+				}
 			}
-			return void{}, fn(ctx)
-		})
+			return run(ctx, cfg.Pool, cfg.Seed, o)
+		}})
+}
+
+// stagedRun threads an experiment body through the four canonical pipeline
+// seams — Scenario → Dataset → Estimator → Report — each one pipeline.Run
+// named "<id>/<seam>" over closure-shared state. Each seam entry is a
+// cancellation barrier and a trace point, so every experiment run emits the
+// same four-span shape and stops within one seam of a cancelled context. A
+// nil body is an empty (but still traced) seam: some experiments have no
+// separate dataset step because simulation and extraction are one loop.
+//
+// The bodies run strictly in order in the calling goroutine; the seams add
+// no scheduling, no RNG draws, and no output.
+func stagedRun(ctx context.Context, id string, scenario, dataset, estimator, report func(context.Context) error) error {
+	seams := [...]struct {
+		name string
+		fn   func(context.Context) error
+	}{{pipeline.Scenario, scenario}, {pipeline.Dataset, dataset}, {pipeline.Estimator, estimator}, {pipeline.Report, report}}
+	for _, seam := range seams {
+		if err := pipeline.Run(ctx, id+"/"+seam.name, seam.fn); err != nil {
+			return err
+		}
 	}
-	run := pipeline.Then(
-		pipeline.Then(lift(pipeline.Scenario, scenario), lift(pipeline.Dataset, dataset)),
-		pipeline.Then(lift(pipeline.Estimator, estimator), lift(pipeline.Report, report)))
-	_, err := run.Run(ctx, void{})
-	return err
+	return nil
 }
 
 // Get returns the experiment with the given ID.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -228,6 +229,19 @@ func TestCounterfactualAgreesWithReplay(t *testing.T) {
 	}
 	if res.ReplayTruth <= 0 || res.SCMPredicted <= 0 {
 		t.Fatalf("degenerate counterfactuals: %v %v", res.ReplayTruth, res.SCMPredicted)
+	}
+}
+
+// TestCounterfactualRefusesShortHorizon: the event sits 200 hours before
+// the horizon, so a horizon of 200 hours or less is refused as an invalid
+// request before any simulation (it used to slice at a negative index and
+// panic).
+func TestCounterfactualRefusesShortHorizon(t *testing.T) {
+	for _, hours := range []int{100, 200} {
+		res, err := RunCounterfactual(context.Background(), parallel.Pool{}, 7, WorldOptions{Hours: hours})
+		if !errors.Is(err, ErrQueryInvalid) || res != nil {
+			t.Errorf("Hours %d: got (%v, %v), want an ErrQueryInvalid refusal", hours, res, err)
+		}
 	}
 }
 

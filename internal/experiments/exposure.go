@@ -201,17 +201,6 @@ func RunExposure(ctx context.Context, pool parallel.Pool, seed uint64, o Exposur
 }
 
 func init() {
-	defaults := ExposureOptions{}
-	register(Experiment{
-		ID:       "exposure",
-		Paper:    "§3 Xaminer box: static exposure vs post-reconvergence impact",
-		Defaults: defaults,
-		Run: func(ctx context.Context, cfg Config) (Renderable, error) {
-			o, err := optionsOr(cfg, defaults)
-			if err != nil {
-				return nil, err
-			}
-			return RunExposure(ctx, cfg.Pool, cfg.Seed, o)
-		},
-	})
+	registerOptions("exposure", "§3 Xaminer box: static exposure vs post-reconvergence impact",
+		ExposureOptions{}, RunExposure)
 }

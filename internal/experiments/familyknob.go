@@ -8,7 +8,6 @@ import (
 	"sisyphus/internal/causal/estimate"
 	"sisyphus/internal/mathx"
 	"sisyphus/internal/netsim/engine"
-	"sisyphus/internal/netsim/traffic"
 	"sisyphus/internal/parallel"
 	"sisyphus/internal/platform"
 	"sisyphus/internal/probe"
@@ -93,46 +92,21 @@ type familyKnobSim struct {
 // per-hour randomized family toggles. The world must cast a multihomed
 // eyeball (scenario.EyeballCast).
 func familyKnobScenario(ctx context.Context, pool parallel.Pool, scenarioID string, seed uint64, hours int) (*familyKnobSim, error) {
-	s, rib, err := fetchWorld(ctx, pool, scenarioID)
+	eye, err := newEyeball(ctx, pool, scenarioID, seed, engine.Config{AdaptiveEgress: true})
 	if err != nil {
 		return nil, err
 	}
-	cast, err := s.RequireEyeball()
-	if err != nil {
-		return nil, fmt.Errorf("experiments: world %q: %w", scenarioID, err)
-	}
-	dst := s.MeasureDst()
-	e := engine.New(s.Topo, seed, engine.Config{AdaptiveEgress: true, Pool: pool, InitialRIB: rib}).Bind(ctx)
+	e := eye.e
 	pr := probe.NewProber(e, seed+1)
 	knobs := platform.NewKnobs(pr, seed+2)
-
-	rel, err := s.Topo.Relationships()
-	if err != nil {
-		return nil, err
-	}
-	primary := rel.Links[cast.ASN][cast.Primary][0]
-	crowdRNG := mathx.NewRNG(seed + 3)
-	for h := 30.0; h < float64(hours); h += 40 + 50*crowdRNG.Float64() {
-		e.Traffic.AddFlashCrowd(traffic.FlashCrowd{
-			Link: primary, StartHour: h, Hours: 6 + 10*crowdRNG.Float64(), Magnitude: 0.3 + 0.2*crowdRNG.Float64(),
-		})
-	}
+	eye.crowds(calmCrowds, mathx.NewRNG(seed+3), hours)
 	// Pin the v6 plane to the alternate transit for the whole study.
-	if _, err := knobs.ForceUpstreamFamily(engine.V6, cast.ASN, cast.Alternate); err != nil {
-		return nil, err
-	}
-
-	src, err := s.Topo.FindPoP(cast.ASN, cast.City)
-	if err != nil {
+	if _, err := knobs.ForceUpstreamFamily(engine.V6, eye.cast.ASN, eye.cast.Alternate); err != nil {
 		return nil, err
 	}
 
 	sim := &familyKnobSim{}
-	inCrowd := func() bool { return e.Utilization(primary) > 0.75 }
 	for e.Hour() < float64(hours) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		if err := e.Step(); err != nil {
 			return nil, err
 		}
@@ -141,26 +115,20 @@ func familyKnobScenario(ctx context.Context, pool parallel.Pool, scenarioID stri
 		if knobs.CoinFlip() {
 			fam, z = engine.V6, 1
 		}
-		m, err := pr.SpeedTestFamily(src, dst, fam, probe.IntentExperiment, "family-toggle")
+		m, err := pr.SpeedTestFamily(eye.src, eye.dst, fam, probe.IntentExperiment, "family-toggle")
 		if err != nil {
 			return nil, err
 		}
-		onAlt := 0.0
-		for _, asn := range m.ASPath {
-			if asn == cast.Alternate {
-				onAlt = 1
-			}
-		}
 		sim.zCol = append(sim.zCol, z)
-		sim.rCol = append(sim.rCol, onAlt)
+		sim.rCol = append(sim.rCol, eye.onAlternate(m.ASPath))
 		sim.lCol = append(sim.lCol, m.RTTms)
 
-		if !inCrowd() {
-			va, vp, err := forcedContrast(e, cast, dst, src)
+		if e.Utilization(eye.primary) <= 0.75 { // a calm hour, outside any crowd
+			contrast, err := eye.forcedContrast()
 			if err != nil {
 				return nil, err
 			}
-			sim.trueSum += va - vp
+			sim.trueSum += contrast
 			sim.trueN++
 		}
 	}
@@ -168,17 +136,6 @@ func familyKnobScenario(ctx context.Context, pool parallel.Pool, scenarioID stri
 }
 
 func init() {
-	defaults := WorldOptions{Hours: 1500}
-	register(Experiment{
-		ID:       "familyknob",
-		Paper:    "§4 proposal 3: IPv4/IPv6 toggle as an exogenous-variation knob (instrument)",
-		Defaults: defaults,
-		Run: func(ctx context.Context, cfg Config) (Renderable, error) {
-			o, err := optionsOr(cfg, defaults)
-			if err != nil {
-				return nil, err
-			}
-			return RunFamilyKnob(ctx, cfg.Pool, cfg.Seed, o)
-		},
-	})
+	registerOptions("familyknob", "§4 proposal 3: IPv4/IPv6 toggle as an exogenous-variation knob (instrument)",
+		WorldOptions{Hours: 1500}, RunFamilyKnob)
 }

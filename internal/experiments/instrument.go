@@ -9,7 +9,6 @@ import (
 	"sisyphus/internal/causal/estimate"
 	"sisyphus/internal/mathx"
 	"sisyphus/internal/netsim/engine"
-	"sisyphus/internal/netsim/traffic"
 	"sisyphus/internal/parallel"
 )
 
@@ -106,49 +105,25 @@ type ivSim struct {
 // and exogenous maintenance windows, then simulates it hour by hour. The
 // world must cast a multihomed eyeball (scenario.EyeballCast).
 func instrumentScenario(ctx context.Context, pool parallel.Pool, scenarioID string, seed uint64, hours int) (*ivSim, error) {
-	s, rib, err := fetchWorld(ctx, pool, scenarioID)
+	eye, err := newEyeball(ctx, pool, scenarioID, seed, engine.Config{AdaptiveEgress: true})
 	if err != nil {
 		return nil, err
 	}
-	cast, err := s.RequireEyeball()
-	if err != nil {
-		return nil, fmt.Errorf("experiments: world %q: %w", scenarioID, err)
-	}
-	dst := s.MeasureDst()
-	e := engine.New(s.Topo, seed, engine.Config{AdaptiveEgress: true, Pool: pool, InitialRIB: rib}).Bind(ctx)
-	rel, err := s.Topo.Relationships()
-	if err != nil {
-		return nil, err
-	}
-	primary := rel.Links[cast.ASN][cast.Primary][0]
-
+	e := eye.e
 	// Unobserved congestion: flash crowds on the primary link (the analyst
 	// in this experiment does NOT get a congestion column — that is what
 	// makes IV necessary).
-	crowdRNG := mathx.NewRNG(seed + 1)
-	var crowdHours [][2]float64
-	for h := 30.0; h < float64(hours); h += 40 + 50*crowdRNG.Float64() {
-		dur := 6 + 10*crowdRNG.Float64()
-		e.Traffic.AddFlashCrowd(traffic.FlashCrowd{
-			Link: primary, StartHour: h, Hours: dur, Magnitude: 0.3 + 0.2*crowdRNG.Float64(),
-		})
-		crowdHours = append(crowdHours, [2]float64{h, h + dur})
-	}
+	crowdHours := eye.crowds(calmCrowds, mathx.NewRNG(seed+1), hours)
 
 	// Valid instrument: maintenance windows at exogenous times.
 	maintRNG := mathx.NewRNG(seed + 2)
 	var maintWindows [][2]float64
 	for h := 50.0; h < float64(hours); h += 90 + 120*maintRNG.Float64() {
 		dur := 5 + 6*maintRNG.Float64()
-		start, end := engine.EvMaintenance(h, dur, primary)
+		start, end := engine.EvMaintenance(h, dur, eye.primary)
 		e.Schedule(start)
 		e.Schedule(end)
 		maintWindows = append(maintWindows, [2]float64{h, h + dur})
-	}
-
-	src, err := s.Topo.FindPoP(cast.ASN, cast.City)
-	if err != nil {
-		return nil, err
 	}
 
 	inWindow := func(ws [][2]float64, h float64) float64 {
@@ -162,25 +137,16 @@ func instrumentScenario(ctx context.Context, pool parallel.Pool, scenarioID stri
 
 	sim := &ivSim{}
 	for e.Hour() < float64(hours) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		if err := e.Step(); err != nil {
 			return nil, err
 		}
-		perf, err := e.PerfToAS(src, dst)
+		perf, err := e.PerfToAS(eye.src, eye.dst)
 		if err != nil {
 			return nil, err
 		}
-		onAlt := 0.0
-		for _, asn := range perf.Path.ASPath {
-			if asn == cast.Alternate {
-				onAlt = 1
-			}
-		}
 		maintNow := inWindow(maintWindows, e.Hour())
 		crowdNow := inWindow(crowdHours, e.Hour())
-		sim.rCol = append(sim.rCol, onAlt)
+		sim.rCol = append(sim.rCol, eye.onAlternate(perf.Path.ASPath))
 		sim.lCol = append(sim.lCol, perf.RTTms)
 		sim.zMaint = append(sim.zMaint, maintNow)
 		// The invalid instrument: an indicator correlated with the
@@ -196,11 +162,11 @@ func instrumentScenario(ctx context.Context, pool parallel.Pool, scenarioID stri
 		// the effect is congestion-coupled, during maintenance the primary
 		// cannot be forced at all.
 		if maintNow == 0 && crowdNow == 0 {
-			va, vp, err := forcedContrast(e, cast, dst, src)
+			contrast, err := eye.forcedContrast()
 			if err != nil {
 				return nil, err
 			}
-			sim.trueSum += va - vp
+			sim.trueSum += contrast
 			sim.trueN++
 		}
 	}
@@ -208,17 +174,6 @@ func instrumentScenario(ctx context.Context, pool parallel.Pool, scenarioID stri
 }
 
 func init() {
-	defaults := WorldOptions{Hours: 2000}
-	register(Experiment{
-		ID:       "instrument",
-		Paper:    "§3 natural experiments: maintenance as a valid IV, load-coupled policy as invalid",
-		Defaults: defaults,
-		Run: func(ctx context.Context, cfg Config) (Renderable, error) {
-			o, err := optionsOr(cfg, defaults)
-			if err != nil {
-				return nil, err
-			}
-			return RunInstrument(ctx, cfg.Pool, cfg.Seed, o)
-		},
-	})
+	registerOptions("instrument", "§3 natural experiments: maintenance as a valid IV, load-coupled policy as invalid",
+		WorldOptions{Hours: 2000}, RunInstrument)
 }

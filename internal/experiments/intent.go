@@ -6,8 +6,6 @@ import (
 
 	"sisyphus/internal/mathx"
 	"sisyphus/internal/netsim/engine"
-	"sisyphus/internal/netsim/topo"
-	"sisyphus/internal/netsim/traffic"
 	"sisyphus/internal/parallel"
 	"sisyphus/internal/platform"
 	"sisyphus/internal/probe"
@@ -100,36 +98,15 @@ func RunIntent(ctx context.Context, pool parallel.Pool, seed uint64, hours int) 
 // campaign — user tests, scheduled baselines, BGP-triggered traceroutes —
 // landing everything in the store while tracking the population truth.
 func intentScenario(ctx context.Context, pool parallel.Pool, seed uint64, hours int, store *platform.Store, truthSum *float64, truthN *int) error {
-	b := topo.NewBuilder(nil).
-		AddAS(100, "T-A", topo.Transit, "Johannesburg").
-		AddAS(101, "T-B", topo.Transit, "Johannesburg").
-		AddAS(7000, "Eyeball", topo.Access, "Johannesburg").
-		AddAS(4001, "Content", topo.Content, "Johannesburg").
-		Connect(7000, "Johannesburg", topo.CustomerOf, 100, "Johannesburg", topo.WithBaseUtil(0.45)).
-		Connect(7000, "Johannesburg", topo.CustomerOf, 101, "Johannesburg", topo.WithBaseUtil(0.4)).
-		Connect(4001, "Johannesburg", topo.CustomerOf, 100, "Johannesburg", topo.WithBaseUtil(0.4)).
-		Connect(4001, "Johannesburg", topo.CustomerOf, 101, "Johannesburg", topo.WithBaseUtil(0.4))
-	tp, err := b.Build()
+	b, err := dualTransitBoard(0.45)
 	if err != nil {
 		return err
 	}
-	e := engine.New(tp, seed, engine.Config{AdaptiveEgress: true, Pool: pool}).Bind(ctx)
+	src := b.src
+	e := engine.New(b.tp, seed, engine.Config{AdaptiveEgress: true, Pool: pool}).Bind(ctx)
 	pr := probe.NewProber(e, seed+1)
-	src, err := tp.FindPoP(7000, "Johannesburg")
-	if err != nil {
-		return err
-	}
-	rel, err := tp.Relationships()
-	if err != nil {
-		return err
-	}
-	crowdRNG := mathx.NewRNG(seed + 2)
-	for h := 20.0; h < float64(hours); h += 40 + 60*crowdRNG.Float64() {
-		e.Traffic.AddFlashCrowd(traffic.FlashCrowd{
-			Link: rel.Links[7000][100][0], StartHour: h,
-			Hours: 6 + 10*crowdRNG.Float64(), Magnitude: 0.35 + 0.2*crowdRNG.Float64(),
-		})
-	}
+	crowdPlan{start: 20, dur: uniform{6, 10}, mag: uniform{0.35, 0.2}, gap: uniform{40, 60}}.
+		schedule(e.Traffic.AddFlashCrowd, mathx.NewRNG(seed+2), hours, b.rel.Links[7000][100][0])
 
 	um := platform.NewUserModel([]platform.UserPop{{Src: src, Dst: 4001, Size: 1}}, seed+3)
 	um.BaseRate = 0.1
@@ -147,9 +124,6 @@ func intentScenario(ctx context.Context, pool parallel.Pool, seed uint64, hours 
 	watch := platform.NewBGPWatch(src, dst)
 
 	for e.Hour() < float64(hours) {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
 		if err := e.Step(); err != nil {
 			return err
 		}
@@ -186,17 +160,8 @@ func intentScenario(ctx context.Context, pool parallel.Pool, seed uint64, hours 
 }
 
 func init() {
-	defaults := HorizonOptions{Hours: 1500}
-	register(Experiment{
-		ID:       "intent",
-		Paper:    "§4 proposals: intent tags separate biased and unbiased samples; triggers capture changes",
-		Defaults: defaults,
-		Run: func(ctx context.Context, cfg Config) (Renderable, error) {
-			o, err := optionsOr(cfg, defaults)
-			if err != nil {
-				return nil, err
-			}
-			return RunIntent(ctx, cfg.Pool, cfg.Seed, o.Hours)
-		},
-	})
+	registerOptions("intent", "§4 proposals: intent tags separate biased and unbiased samples; triggers capture changes", HorizonOptions{Hours: 1500},
+		func(ctx context.Context, pool parallel.Pool, seed uint64, o HorizonOptions) (*IntentResult, error) {
+			return RunIntent(ctx, pool, seed, o.Hours)
+		})
 }

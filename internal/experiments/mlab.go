@@ -9,7 +9,6 @@ import (
 	"sisyphus/internal/mathx"
 	"sisyphus/internal/netsim/engine"
 	"sisyphus/internal/netsim/topo"
-	"sisyphus/internal/netsim/traffic"
 	"sisyphus/internal/parallel"
 	"sisyphus/internal/platform"
 	"sisyphus/internal/probe"
@@ -118,16 +117,12 @@ func mlabScenario(ctx context.Context, pool parallel.Pool, scenarioID string, se
 	if err != nil {
 		return nil, err
 	}
-	crowdRNG := mathx.NewRNG(seed + 2)
 	hostBLink, err := cast.CongestedUplink.Resolve(rel)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: world %q: %w", scenarioID, err)
 	}
-	for h := 12.0; h < float64(hours); h += 30 + 40*crowdRNG.Float64() {
-		e.Traffic.AddFlashCrowd(traffic.FlashCrowd{
-			Link: hostBLink, StartHour: h, Hours: 8 + 8*crowdRNG.Float64(), Magnitude: 0.3 + 0.2*crowdRNG.Float64(),
-		})
-	}
+	crowdPlan{start: 12, dur: uniform{8, 8}, mag: uniform{0.3, 0.2}, gap: uniform{30, 40}}.
+		schedule(e.Traffic.AddFlashCrowd, mathx.NewRNG(seed+2), hours, hostBLink)
 
 	var servers []topo.PoPID
 	for _, asn := range s.MLabServerASNs {
@@ -149,9 +144,6 @@ func mlabScenario(ctx context.Context, pool parallel.Pool, scenarioID string, se
 	selRNG := mathx.NewRNG(seed + 4)
 	sim := &mlabSim{}
 	for e.Hour() < float64(hours) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		if err := e.Step(); err != nil {
 			return nil, err
 		}
@@ -199,17 +191,6 @@ func mlabScenario(ctx context.Context, pool parallel.Pool, scenarioID string, se
 }
 
 func init() {
-	defaults := WorldOptions{Hours: 1200}
-	register(Experiment{
-		ID:       "mlab",
-		Paper:    "§3 randomization: M-Lab load balancing as a randomized experiment",
-		Defaults: defaults,
-		Run: func(ctx context.Context, cfg Config) (Renderable, error) {
-			o, err := optionsOr(cfg, defaults)
-			if err != nil {
-				return nil, err
-			}
-			return RunMLab(ctx, cfg.Pool, cfg.Seed, o)
-		},
-	})
+	registerOptions("mlab", "§3 randomization: M-Lab load balancing as a randomized experiment",
+		WorldOptions{Hours: 1200}, RunMLab)
 }

@@ -18,7 +18,8 @@ import (
 //
 // The decode is strict: unknown fields, trailing garbage, type mismatches
 // and values the options type's validate method refuses (the bounds on
-// power trials, simulated hours, study weeks and chaos levels) are errors,
+// power trials, simulated hours, cellular sessions, chaos levels and a
+// Table 1 world's weeks, user rate, bin width and flap period) are errors,
 // and an experiment registered without options rejects any document but
 // JSON null. Fields tagged `json:"-"`
 // (Table1Config.Scenario, which is addressed by the scenario coordinate,

@@ -81,6 +81,11 @@ func TestOptionsFromJSONErrors(t *testing.T) {
 		{"horizon hours over cap", "collider", `{"Hours": 1000000000}`, "Hours"},
 		{"table1 weeks over cap", "table1", `{"Weeks": 1000000}`, "Weeks"},
 		{"chaos weeks over cap", "chaos", `{"Weeks": 53}`, "Weeks"},
+		{"cellular sessions over cap", "cellular", `{"N": 1000000000}`, "cellular N"},
+		{"table1 user rate over cap", "table1", `{"UserRate": 1000000}`, "UserRate"},
+		{"table1 bins too narrow", "table1", `{"BinHours": 0.0001}`, "BinHours"},
+		{"table1 bins too wide", "table1", `{"BinHours": 10000}`, "BinHours"},
+		{"table1 flaps too frequent", "table1", `{"FlapEveryHours": 0.0001, "FlapLink": 3}`, "FlapEveryHours"},
 		{"chaos levels over cap", "chaos", `{"Intensities": [0,0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4,0.45,0.5,0.55,0.6,0.65,0.7,0.8]}`, "Intensities"},
 	}
 	for _, tc := range cases {
@@ -99,6 +104,9 @@ func TestOptionsFromJSONErrors(t *testing.T) {
 		{"confounding", `{"Hours": 8760}`},
 		{"collider", `{"Hours": 8760}`},
 		{"table1", `{"Weeks": 52}`},
+		{"cellular", `{"N": 1000000}`},
+		{"table1", `{"UserRate": 4, "BinHours": 48, "FlapEveryHours": 12}`},
+		{"table1", `{"BinHours": 1}`},
 		{"chaos", `{"Weeks": 52, "Intensities": [0,0.1,0.2,0.3,0.4,0.5,0.6,0.7]}`},
 	} {
 		if _, err := OptionsFromJSON(tc.id, []byte(tc.raw)); err != nil {

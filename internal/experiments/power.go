@@ -101,17 +101,9 @@ func RunPower(ctx context.Context, pool parallel.Pool, seed uint64, trials int) 
 }
 
 func init() {
-	defaults := PowerOptions{Trials: 120}
-	register(Experiment{
-		ID:       "power",
-		Paper:    "§4 design planning: can this study detect the effects it is looking for?",
-		Defaults: defaults,
-		Run: func(ctx context.Context, cfg Config) (Renderable, error) {
-			o, err := optionsOr(cfg, defaults)
-			if err != nil {
-				return nil, err
-			}
-			return RunPower(ctx, cfg.Pool, cfg.Seed, o.Trials)
-		},
-	})
+	registerOptions("power", "§4 design planning: can this study detect the effects it is looking for?",
+		PowerOptions{Trials: 120},
+		func(ctx context.Context, pool parallel.Pool, seed uint64, o PowerOptions) (*PowerResult, error) {
+			return RunPower(ctx, pool, seed, o.Trials)
+		})
 }

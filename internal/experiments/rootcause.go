@@ -139,9 +139,6 @@ func RunRootCause(ctx context.Context, pool parallel.Pool, seed uint64, o RootCa
 		out := &worldOut{}
 		congLink := surge[0]
 		for e.Hour() < horizon {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
 			if err := e.Step(); err != nil {
 				return nil, err
 			}
@@ -202,17 +199,6 @@ func RunRootCause(ctx context.Context, pool parallel.Pool, seed uint64, o RootCa
 }
 
 func init() {
-	defaults := RootCauseOptions{}
-	register(Experiment{
-		ID:       "rootcause",
-		Paper:    "§1 motivation: surface symptoms vs root causes (Facebook/Rogers)",
-		Defaults: defaults,
-		Run: func(ctx context.Context, cfg Config) (Renderable, error) {
-			o, err := optionsOr(cfg, defaults)
-			if err != nil {
-				return nil, err
-			}
-			return RunRootCause(ctx, cfg.Pool, cfg.Seed, o)
-		},
-	})
+	registerOptions("rootcause", "§1 motivation: surface symptoms vs root causes (Facebook/Rogers)",
+		RootCauseOptions{}, RunRootCause)
 }

@@ -14,7 +14,6 @@ import (
 	"sisyphus/internal/mathx"
 	"sisyphus/internal/netsim/scenario"
 	"sisyphus/internal/parallel"
-	"sisyphus/internal/pipeline"
 	"sisyphus/internal/platform"
 	"sisyphus/internal/probe"
 )
@@ -65,13 +64,32 @@ type Table1Config struct {
 // with their own defaults).
 func (Table1Config) experimentOptions() {}
 
-// maxStudyWeeks caps the study length of a Table 1 world (Table1Config and
-// ChaosOptions Weeks): a year of weekly campaigns.
-const maxStudyWeeks = 52
+// Bounds on a Table 1 world's knobs, each well past its default and every
+// committed caller: a study of at most a year of weekly campaigns (both
+// Table1Config and ChaosOptions Weeks), at most 4 user tests per hour per
+// unit (default 0.25), panel bins of 1 to 48 hours (default 12), and link
+// flaps at most every 12 hours (a flap holds its link down for 6).
+const (
+	maxStudyWeeks     = 52
+	maxUserRate       = 4.0
+	minBinHours       = 1.0
+	maxBinHours       = 48.0
+	minFlapEveryHours = 12.0
+)
 
-// validate rejects a study longer than maxStudyWeeks; zero or less still
-// means the default.
-func (c Table1Config) validate() error { return validateWeeks(c.Weeks) }
+// validate applies the bounds above. Zero or less still means the default
+// for Weeks, UserRate and BinHours, and no flaps for FlapEveryHours.
+func (c Table1Config) validate() error {
+	switch {
+	case c.UserRate > maxUserRate:
+		return fmt.Errorf("experiments: UserRate %g above the %g cap", c.UserRate, maxUserRate)
+	case c.BinHours > 0 && (c.BinHours < minBinHours || c.BinHours > maxBinHours):
+		return fmt.Errorf("experiments: BinHours %g outside [%g, %g]", c.BinHours, minBinHours, maxBinHours)
+	case c.FlapEveryHours > 0 && c.FlapEveryHours < minFlapEveryHours:
+		return fmt.Errorf("experiments: FlapEveryHours %g below the %g-hour floor", c.FlapEveryHours, minFlapEveryHours)
+	}
+	return validateWeeks(c.Weeks)
+}
 
 // validateWeeks rejects a study length above maxStudyWeeks.
 func validateWeeks(weeks int) error {
@@ -187,8 +205,9 @@ func (r *Table1Result) Render() string {
 // collect measurements), Dataset (hop matching, donor-panel extraction),
 // Estimator (per-unit synthetic control and placebo inference), Report
 // (result assembly) — each a cancellation barrier: cancelling ctx surfaces
-// ctx.Err() within one stage boundary, and the Scenario's simulation loop
-// checks the context every simulated hour. Placebo fits shard across pool.
+// ctx.Err() within one stage boundary, and the Scenario's campaign
+// simulation stops within one simulated hour (engine.Step is its barrier).
+// Placebo fits shard across pool.
 func RunTable1(ctx context.Context, pool parallel.Pool, cfg Table1Config) (*Table1Result, error) {
 	cfg = cfg.withDefaults()
 	totalHours := float64(cfg.Weeks) * 7 * 24
@@ -203,190 +222,161 @@ func RunTable1(ctx context.Context, pool parallel.Pool, cfg Table1Config) (*Tabl
 		return fetchCampaign(ctx, pool, cfg.Scenario, cfg.Seed, campaignParamsFrom(cfg, withJoin))
 	}
 
-	// Stage outputs. Each type is what crosses a seam — the artifact a
-	// serving layer could cache and reuse (a collected world, a binned
-	// donor panel) while re-running only the later stages.
-	type worlds struct {
-		s          *scenario.World
-		store      *platform.Store
-		truthStore *platform.Store // nil unless cfg.WithTruth
+	var (
+		s                 *scenario.World
+		store, truthStore *platform.Store // truthStore is nil unless cfg.WithTruth
+		matcher           *ixp.Matcher
+		byUnit            map[scenario.Unit][]*probe.Measurement
+		donorNames        []string
+		donorSeries       [][]float64
+		donorMasks        [][]bool
+		rows              []Table1Row
+	)
+	// The observation mask of a series over the panel's bins: which bins
+	// were backed by real measurements.
+	nBins := int(totalHours / cfg.BinHours)
+	observedMask := func(empty []int) []bool {
+		mask := make([]bool, nBins)
+		for i := range mask {
+			mask[i] = true
+		}
+		for _, b := range empty {
+			mask[b] = false
+		}
+		return mask
 	}
-	type dataset struct {
-		worlds
-		matcher      *ixp.Matcher
-		byUnit       map[scenario.Unit][]*probe.Measurement
-		donorNames   []string
-		donorSeries  [][]float64
-		donorMasks   [][]bool
-		nBins        int
-		observedMask func([]int) []bool
-	}
-	type estimates struct {
-		dataset
-		rows []Table1Row
-	}
+	var res *Table1Result
+	err := stagedRun(ctx, "table1", func(ctx context.Context) error {
+		var err error
+		if s, store, err = collect(ctx, true); err != nil {
+			return err
+		}
+		if cfg.WithTruth {
+			// Ground-truth counterfactual world (identical seeds, no joins).
+			_, truthStore, err = collect(ctx, false)
+		}
+		return err
+	}, func(ctx context.Context) error {
+		var err error
+		if matcher, err = ixp.FromTopology(s.Topo, s.IXPName); err != nil {
+			return err
+		}
+		// Group measurements per unit (analysis-side: only measurement
+		// fields).
+		byUnit = make(map[scenario.Unit][]*probe.Measurement)
+		for _, m := range store.All() {
+			u := scenario.Unit{ASN: m.SrcASN, City: m.SrcCity}
+			byUnit[u] = append(byUnit[u], m)
+		}
+		// Donor pool: units whose paths never cross the exchange. Alongside
+		// each trajectory keep its observation mask, so the panel's
+		// missing-cell policy can weigh donors by coverage instead of
+		// trusting interpolation blindly.
+		for _, u := range s.Donors {
+			if _, crossed := matcher.FirstCrossingHour(byUnit[u]); crossed {
+				continue // contaminated donor: exclude per Abadie's conditions
+			}
+			series, empty := platform.MedianRTTSeries(byUnit[u], platform.Unit{ASN: u.ASN, City: u.City}, 0, totalHours, cfg.BinHours)
+			donorNames = append(donorNames, u.String())
+			donorSeries = append(donorSeries, series)
+			donorMasks = append(donorMasks, observedMask(empty))
+		}
+		if len(donorNames) < 3 {
+			return fmt.Errorf("experiments: only %d clean donors", len(donorNames))
+		}
+		return nil
+	}, func(ctx context.Context) error {
+		times := make([]float64, nBins)
+		for i := range times {
+			times[i] = float64(i) * cfg.BinHours
+		}
+		faulty := cfg.Faults != nil && cfg.Faults.Enabled()
+		placebos := newSharedPlacebos(synthetic.Config{Method: cfg.Method, Pool: pool})
+		for _, u := range s.Treated {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			row := Table1Row{Unit: u}
+			firstHour, crossed := matcher.FirstCrossingHour(byUnit[u])
+			row.Crossed = crossed
+			if !crossed {
+				rows = append(rows, row)
+				continue
+			}
+			t0 := int(firstHour / cfg.BinHours)
+			if t0 < 4 {
+				t0 = 4
+			}
+			if t0 > nBins-2 {
+				t0 = nBins - 2
+			}
+			treatedSeries, treatedEmpty := platform.MedianRTTSeries(byUnit[u], platform.Unit{ASN: u.ASN, City: u.City}, 0, totalHours, cfg.BinHours)
 
-	scenarioStage := pipeline.NewStage("table1/"+pipeline.Scenario,
-		func(ctx context.Context, cfg Table1Config) (worlds, error) {
-			s, store, err := collect(ctx, true)
+			units := append([]string{u.String()}, donorNames...)
+			y := mathx.NewMatrix(len(units), nBins)
+			y.SetRow(0, treatedSeries)
+			observed := make([][]bool, 0, len(units))
+			observed = append(observed, observedMask(treatedEmpty))
+			for i, dn := range donorSeries {
+				y.SetRow(i+1, dn)
+				observed = append(observed, donorMasks[i])
+			}
+			masked, err := synthetic.NewMaskedPanel(units, times, y, observed)
 			if err != nil {
-				return worlds{}, err
+				return err
 			}
-			w := worlds{s: s, store: store}
-			if cfg.WithTruth {
-				// Ground-truth counterfactual world (identical seeds, no joins).
-				_, w.truthStore, err = collect(ctx, false)
-				if err != nil {
-					return worlds{}, err
+			panel, coverage, err := masked.Apply(synthetic.MissingPolicy{
+				MinCoverage: cfg.MinCoverage, KeepUnits: []string{u.String()},
+			})
+			row.Coverage = coverage[0].Fraction() // treated unit is row 0
+			for _, c := range coverage[1:] {
+				if c.Dropped {
+					row.DroppedDonors = append(row.DroppedDonors, c.Unit)
 				}
 			}
-			return w, nil
-		})
-
-	datasetStage := pipeline.NewStage("table1/"+pipeline.Dataset,
-		func(ctx context.Context, w worlds) (dataset, error) {
-			matcher, err := ixp.FromTopology(w.s.Topo, w.s.IXPName)
-			if err != nil {
-				return dataset{}, err
-			}
-
-			// Group measurements per unit (analysis-side: only measurement
-			// fields).
-			byUnit := make(map[scenario.Unit][]*probe.Measurement)
-			for _, m := range w.store.All() {
-				u := scenario.Unit{ASN: m.SrcASN, City: m.SrcCity}
-				byUnit[u] = append(byUnit[u], m)
-			}
-
-			// Donor pool: units whose paths never cross the exchange.
-			// Alongside each trajectory keep its observation mask — which
-			// bins were backed by real measurements — so the panel's
-			// missing-cell policy can weigh donors by coverage instead of
-			// trusting interpolation blindly.
-			nBins := int(totalHours / cfg.BinHours)
-			observedMask := func(empty []int) []bool {
-				mask := make([]bool, nBins)
-				for i := range mask {
-					mask[i] = true
-				}
-				for _, b := range empty {
-					mask[b] = false
-				}
-				return mask
-			}
-			d := dataset{worlds: w, matcher: matcher, byUnit: byUnit,
-				nBins: nBins, observedMask: observedMask}
-			for _, u := range w.s.Donors {
-				if _, crossed := matcher.FirstCrossingHour(byUnit[u]); crossed {
-					continue // contaminated donor: exclude per Abadie's conditions
-				}
-				series, empty := platform.MedianRTTSeries(byUnit[u], platform.Unit{ASN: u.ASN, City: u.City}, 0, totalHours, cfg.BinHours)
-				d.donorNames = append(d.donorNames, u.String())
-				d.donorSeries = append(d.donorSeries, series)
-				d.donorMasks = append(d.donorMasks, observedMask(empty))
-			}
-			if len(d.donorNames) < 3 {
-				return dataset{}, fmt.Errorf("experiments: only %d clean donors", len(d.donorNames))
-			}
-			return d, nil
-		})
-
-	estimatorStage := pipeline.NewStage("table1/"+pipeline.Estimator,
-		func(ctx context.Context, d dataset) (estimates, error) {
-			times := make([]float64, d.nBins)
-			for i := range times {
-				times[i] = float64(i) * cfg.BinHours
-			}
-			faulty := cfg.Faults != nil && cfg.Faults.Enabled()
-			placebos := newSharedPlacebos(synthetic.Config{Method: cfg.Method, Pool: pool})
-			est := estimates{dataset: d}
-			for _, u := range d.s.Treated {
-				if err := ctx.Err(); err != nil {
-					return estimates{}, err
-				}
-				row := Table1Row{Unit: u}
-				firstHour, crossed := d.matcher.FirstCrossingHour(d.byUnit[u])
-				row.Crossed = crossed
-				if !crossed {
-					est.rows = append(est.rows, row)
-					continue
-				}
-				t0 := int(firstHour / cfg.BinHours)
-				if t0 < 4 {
-					t0 = 4
-				}
-				if t0 > d.nBins-2 {
-					t0 = d.nBins - 2
-				}
-				treatedSeries, treatedEmpty := platform.MedianRTTSeries(d.byUnit[u], platform.Unit{ASN: u.ASN, City: u.City}, 0, totalHours, cfg.BinHours)
-
-				units := append([]string{u.String()}, d.donorNames...)
-				y := mathx.NewMatrix(len(units), d.nBins)
-				y.SetRow(0, treatedSeries)
-				observed := make([][]bool, 0, len(units))
-				observed = append(observed, d.observedMask(treatedEmpty))
-				for i, dn := range d.donorSeries {
-					y.SetRow(i+1, dn)
-					observed = append(observed, d.donorMasks[i])
-				}
-				masked, err := synthetic.NewMaskedPanel(units, times, y, observed)
-				if err != nil {
-					return estimates{}, err
-				}
-				panel, coverage, err := masked.Apply(synthetic.MissingPolicy{
-					MinCoverage: cfg.MinCoverage, KeepUnits: []string{u.String()},
-				})
-				row.Coverage = coverage[0].Fraction() // treated unit is row 0
-				for _, c := range coverage[1:] {
-					if c.Dropped {
-						row.DroppedDonors = append(row.DroppedDonors, c.Unit)
-					}
-				}
+			if err == nil {
+				var pl *synthetic.PlaceboResult
+				pl, err = placebos.test(ctx, panel, u.String(), t0)
 				if err == nil {
-					var pl *synthetic.PlaceboResult
-					pl, err = placebos.test(ctx, panel, u.String(), t0)
-					if err == nil {
-						row.RTTDelta = pl.Treated.ATT
-						row.RMSERatio = pl.Treated.RMSERatio
-						row.PValue = pl.PValue
-						row.PreRMSE = pl.Treated.PreRMSE
-						row.SkippedPlacebos = pl.Skipped
-						row.Detail = pl.Treated
-					}
+					row.RTTDelta = pl.Treated.ATT
+					row.RMSERatio = pl.Treated.RMSERatio
+					row.PValue = pl.PValue
+					row.PreRMSE = pl.Treated.PreRMSE
+					row.SkippedPlacebos = pl.Skipped
+					row.Detail = pl.Treated
 				}
-				if err != nil {
-					// Cancellation is never a per-unit finding: it aborts the
-					// stage no matter how degraded the run is.
-					if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-						return estimates{}, err
-					}
-					// Under heavy degradation the donor pool (or the fit) can
-					// collapse; that is a finding for the chaos sweep, not a
-					// crash. On clean runs any estimator failure stays fatal.
-					if !faulty {
-						return estimates{}, fmt.Errorf("experiments: unit %v: %w", u, err)
-					}
-					row.EstimateError = err.Error()
-				}
-
-				if cfg.WithTruth {
-					row.TrueDelta = trueDelta(d.byUnit[u], d.truthStore, u, firstHour, totalHours)
-				}
-				est.rows = append(est.rows, row)
 			}
-			return est, nil
-		})
+			if err != nil {
+				// Cancellation is never a per-unit finding: it aborts the
+				// stage no matter how degraded the run is.
+				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+					return err
+				}
+				// Under heavy degradation the donor pool (or the fit) can
+				// collapse; that is a finding for the chaos sweep, not a
+				// crash. On clean runs any estimator failure stays fatal.
+				if !faulty {
+					return fmt.Errorf("experiments: unit %v: %w", u, err)
+				}
+				row.EstimateError = err.Error()
+			}
 
-	reportStage := pipeline.NewStage("table1/"+pipeline.Report,
-		func(ctx context.Context, est estimates) (*Table1Result, error) {
-			return &Table1Result{Config: cfg, Rows: est.rows, JoinHour: joinHour,
-				NumDonors:   len(est.donorNames),
-				SampleCount: est.store.Len(), Coverage: est.store.TotalCoverage()}, nil
-		})
-
-	run := pipeline.Then(pipeline.Then(scenarioStage, datasetStage),
-		pipeline.Then(estimatorStage, reportStage))
-	return run.Run(ctx, cfg)
+			if cfg.WithTruth {
+				row.TrueDelta = trueDelta(byUnit[u], truthStore, u, firstHour, totalHours)
+			}
+			rows = append(rows, row)
+		}
+		return nil
+	}, func(ctx context.Context) error {
+		res = &Table1Result{Config: cfg, Rows: rows, JoinHour: joinHour,
+			NumDonors:   len(donorNames),
+			SampleCount: store.Len(), Coverage: store.TotalCoverage()}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // sharedPlacebos is one Table 1 estimator stage's placebo donor sides, one
@@ -457,18 +447,10 @@ func trueDelta(factual []*probe.Measurement, truth *platform.Store, u scenario.U
 }
 
 func init() {
-	defaults := Table1Config{Method: synthetic.Robust, WithTruth: true}
-	register(Experiment{
-		ID:       "table1",
-		Paper:    "Table 1: RTT change for ⟨ASN,city⟩ pairs that begin crossing NAPAfrica-JNB",
-		Defaults: defaults,
-		Run: func(ctx context.Context, cfg Config) (Renderable, error) {
-			o, err := optionsOr(cfg, defaults)
-			if err != nil {
-				return nil, err
-			}
-			o.Seed = cfg.Seed
-			return RunTable1(ctx, cfg.Pool, o)
-		},
-	})
+	registerOptions("table1", "Table 1: RTT change for ⟨ASN,city⟩ pairs that begin crossing NAPAfrica-JNB",
+		Table1Config{Method: synthetic.Robust, WithTruth: true},
+		func(ctx context.Context, pool parallel.Pool, seed uint64, o Table1Config) (*Table1Result, error) {
+			o.Seed = seed
+			return RunTable1(ctx, pool, o)
+		})
 }

@@ -182,8 +182,13 @@ func (e *Engine) RIB() (*bgp.RIB, error) {
 func (e *Engine) MarkDirty() { e.dirty = true; e.dirty6 = true }
 
 // Step advances simulated time by StepHours: fires due events, then applies
-// adaptive egress reactions to current utilization.
+// adaptive egress reactions to current utilization. It is the simulation
+// loop's cancellation point: once the bound context is done, Step returns
+// its error and neither the clock nor the event queue moves.
 func (e *Engine) Step() error {
+	if err := e.ctx.Err(); err != nil {
+		return err
+	}
 	e.hour += e.cfg.StepHours
 	e.step++
 	for e.fired < len(e.events) && e.events[e.fired].AtHour <= e.hour {

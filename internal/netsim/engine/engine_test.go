@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -76,6 +78,31 @@ func TestStepFiresEventsInOrder(t *testing.T) {
 	}
 	if e.Hour() != 10 || e.step != 10 {
 		t.Fatalf("clock = %v / %v", e.Hour(), e.step)
+	}
+}
+
+// TestStepStopsOnCancelledContext: Step is the simulation loop's
+// cancellation point. Once the bound context is cancelled it returns
+// context.Canceled before touching anything: the clock, the step count and
+// the event queue stay where they were, and no event fires.
+func TestStepStopsOnCancelledContext(t *testing.T) {
+	tp := zaTopo(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	e := New(tp, 1, Config{AdaptiveEgress: true}).Bind(ctx)
+	fired := 0
+	e.Schedule(Event{AtHour: 3, Name: "due", Apply: func(*Engine) error { fired++; return nil }})
+	if err := e.RunUntil(2); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	for i := 0; i < 3; i++ {
+		if err := e.Step(); !errors.Is(err, context.Canceled) {
+			t.Fatalf("Step on a cancelled context = %v, want context.Canceled", err)
+		}
+	}
+	if e.Hour() != 2 || e.step != 2 || e.fired != 0 || fired != 0 || len(e.eventLg) != 0 {
+		t.Fatalf("cancelled Step moved the engine: hour %v, step %d, fired %d/%d, log %v",
+			e.Hour(), e.step, e.fired, fired, e.eventLg)
 	}
 }
 

@@ -294,6 +294,9 @@ func (t *Topology) PoPsOf(asn ASN) []PoPID {
 // Link returns the link with the given ID.
 func (t *Topology) Link(id LinkID) *Link { return t.links[int(id)] }
 
+// NumLinks returns the number of links; valid link IDs are 0 to NumLinks()-1.
+func (t *Topology) NumLinks() int { return len(t.links) }
+
 // IXPs returns all exchange points sorted by name.
 func (t *Topology) IXPs() []*IXP {
 	names := make([]string, 0, len(t.ixps))

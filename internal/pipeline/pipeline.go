@@ -5,17 +5,15 @@
 // framework — treat a measurement analysis as a sequence of separable
 // stages: construct (or observe) a world, extract a measurement panel from
 // it, run an estimator over the panel, and render diagnostics. Keeping
-// those seams explicit in the code is what lets a serving layer cache the
-// expensive early artifacts (a built world, a binned panel) and re-run only
-// the cheap late ones (a different estimator, a re-render), and is where
-// cancellation is checked: every stage entry is a cancellation barrier, so
-// a cancelled run stops within one stage boundary even if the stage bodies
-// never look at the context again.
+// those seams explicit in the code is what lines up profiles, traces and
+// error messages across experiments, and is where cancellation is checked:
+// every stage entry is a cancellation barrier, so a cancelled run stops
+// within one stage boundary even if the stage bodies never look at the
+// context again.
 //
-// A Stage is a value: a name plus a typed function. Stages compose with
-// Then, and experiments name theirs after the canonical seams (the
-// Scenario/Dataset/Estimator/Report constants) so profiles and error
-// messages line up across experiments.
+// A stage is a name plus a body run through Run; experiments name theirs
+// after the canonical seams (the Scenario/Dataset/Estimator/Report
+// constants).
 package pipeline
 
 import (
@@ -34,29 +32,9 @@ const (
 	Report    = "report"    // rendering and serializable result assembly
 )
 
-// Stage is one named, typed step of a run. The zero value is invalid; build
-// stages with NewStage (or a struct literal with both fields set).
-type Stage[In, Out any] struct {
-	// Name identifies the stage in errors and traces ("table1/scenario").
-	Name string
-	// Fn is the stage body. It receives the run context and must honor it
-	// in its own long loops; the Run wrapper already guarantees the stage
-	// never starts under a cancelled context.
-	Fn func(ctx context.Context, in In) (Out, error)
-	// composite marks stages built by Then. Composites don't record spans of
-	// their own — their leaves already do, and a trace wants the seams, not
-	// every enclosing composition.
-	composite bool
-}
-
-// NewStage builds a stage value.
-func NewStage[In, Out any](name string, fn func(ctx context.Context, in In) (Out, error)) Stage[In, Out] {
-	return Stage[In, Out]{Name: name, Fn: fn}
-}
-
 // stageError wraps a stage body's failure with the stage name. It exists so
-// composite stages (Then) don't re-wrap an error a deeper seam already
-// named: the innermost stage is the useful one in a message.
+// an enclosing stage doesn't re-wrap an error a deeper stage (or Guard)
+// already named: the innermost stage is the useful one in a message.
 type stageError struct {
 	stage string
 	err   error
@@ -74,50 +52,28 @@ func wrapStage(name string, err error) error {
 	return &stageError{stage: name, err: err}
 }
 
-// Run executes the stage: it checks for cancellation at entry (the stage
-// boundary), then invokes the body. Errors — including the context's own —
-// come back wrapped with the stage name, so a failure deep inside a run
-// names the seam it crossed.
+// Run executes one stage: it checks for cancellation at entry (the stage
+// boundary), then invokes fn, which must honor ctx in its own long loops. A
+// nil fn is an empty (but still traced) stage. Errors — including the
+// context's own — come back wrapped with the stage name, so a failure deep
+// inside a run names the seam it crossed.
 //
 // Every Run is a trace point: when the context carries an obs.Recorder the
 // stage records a span (name, wall time, error tag). Without one, StartSpan
 // returns the nil no-op span — observability reads the run, never shapes it.
-func (s Stage[In, Out]) Run(ctx context.Context, in In) (Out, error) {
-	var zero Out
+func Run(ctx context.Context, name string, fn func(context.Context) error) error {
 	if err := ctx.Err(); err != nil {
-		return zero, wrapStage(s.Name, err)
+		return wrapStage(name, err)
 	}
-	var sp *obs.ActiveSpan
-	if !s.composite {
-		sp = obs.StartSpan(ctx, s.Name)
+	sp := obs.StartSpan(ctx, name)
+	var err error
+	if fn != nil {
+		if err = fn(ctx); err != nil {
+			err = wrapStage(name, err)
+		}
 	}
-	out, err := s.Fn(ctx, in)
-	if err != nil {
-		err = wrapStage(s.Name, err)
-		sp.End(err)
-		return zero, err
-	}
-	sp.End(nil)
-	return out, nil
-}
-
-// Then composes two stages into one: a.Then(b) is not expressible as a
-// method (Go methods cannot add type parameters), so composition is a
-// package function. The composite runs a, then feeds its output to b, with
-// the usual cancellation barrier between them; its name is "a+b".
-func Then[A, B, C any](a Stage[A, B], b Stage[B, C]) Stage[A, C] {
-	return Stage[A, C]{
-		Name:      a.Name + "+" + b.Name,
-		composite: true,
-		Fn: func(ctx context.Context, in A) (C, error) {
-			var zero C
-			mid, err := a.Run(ctx, in)
-			if err != nil {
-				return zero, err
-			}
-			return b.Run(ctx, mid)
-		},
-	}
+	sp.End(err)
+	return err
 }
 
 // Guard returns ctx.Err() wrapped with a stage name, or nil. It is the

@@ -8,12 +8,17 @@ import (
 )
 
 func TestStageRunsBody(t *testing.T) {
-	double := NewStage("test/double", func(ctx context.Context, in int) (int, error) {
-		return in * 2, nil
+	out := 0
+	err := Run(context.Background(), "test/double", func(ctx context.Context) error {
+		out = 21 * 2
+		return nil
 	})
-	out, err := double.Run(context.Background(), 21)
 	if err != nil || out != 42 {
 		t.Fatalf("Run = %d, %v", out, err)
+	}
+	// A nil body is an empty seam: it succeeds and does nothing.
+	if err := Run(context.Background(), "test/empty", nil); err != nil {
+		t.Fatalf("Run(nil body) = %v", err)
 	}
 }
 
@@ -21,11 +26,10 @@ func TestStageEntryIsCancellationBarrier(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	s := NewStage("test/never", func(ctx context.Context, in int) (int, error) {
+	err := Run(ctx, "test/never", func(ctx context.Context) error {
 		ran = true
-		return in, nil
+		return nil
 	})
-	_, err := s.Run(ctx, 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v want context.Canceled", err)
 	}
@@ -39,10 +43,9 @@ func TestStageEntryIsCancellationBarrier(t *testing.T) {
 
 func TestStageWrapsBodyError(t *testing.T) {
 	sentinel := errors.New("boom")
-	s := NewStage("table1/estimator", func(ctx context.Context, in int) (int, error) {
-		return 0, sentinel
+	err := Run(context.Background(), "table1/estimator", func(ctx context.Context) error {
+		return sentinel
 	})
-	_, err := s.Run(context.Background(), 1)
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want wrapped sentinel", err)
 	}
@@ -51,50 +54,17 @@ func TestStageWrapsBodyError(t *testing.T) {
 	}
 }
 
-func TestThenComposesAndStopsBetweenStages(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	first := NewStage(Scenario, func(ctx context.Context, in int) (int, error) {
-		cancel() // cancellation lands while the first stage is running
-		return in + 1, nil
-	})
-	secondRan := false
-	second := NewStage(Estimator, func(ctx context.Context, in int) (int, error) {
-		secondRan = true
-		return in * 10, nil
-	})
-	_, err := Then(first, second).Run(ctx, 1)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v want context.Canceled", err)
-	}
-	if secondRan {
-		t.Fatal("second stage ran past the cancellation barrier")
-	}
-}
-
-func TestThenHappyPath(t *testing.T) {
-	inc := NewStage("inc", func(ctx context.Context, in int) (int, error) { return in + 1, nil })
-	str := NewStage("str", func(ctx context.Context, in int) (string, error) {
-		return strings.Repeat("x", in), nil
-	})
-	out, err := Then(inc, str).Run(context.Background(), 2)
-	if err != nil || out != "xxx" {
-		t.Fatalf("Then = %q, %v", out, err)
-	}
-}
-
+// TestCompositeDoesNotRewrapStageErrors: a stage run inside another stage
+// (chaos drives Table 1's stages from its own loop) names its own failure,
+// and the enclosing stage adds nothing.
 func TestCompositeDoesNotRewrapStageErrors(t *testing.T) {
 	sentinel := errors.New("boom")
-	failing := NewStage("table1/dataset", func(ctx context.Context, in int) (int, error) {
-		return 0, sentinel
+	err := Run(context.Background(), "chaos/level", func(ctx context.Context) error {
+		return Run(ctx, "table1/dataset", func(ctx context.Context) error { return sentinel })
 	})
-	next := NewStage("table1/estimator", func(ctx context.Context, in int) (int, error) {
-		return in, nil
-	})
-	_, err := Then(failing, next).Run(context.Background(), 1)
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v want wrapped sentinel", err)
 	}
-	// Only the innermost seam names the error; the composite adds nothing.
 	if got, want := err.Error(), "pipeline: stage table1/dataset: boom"; got != want {
 		t.Fatalf("err = %q want %q", got, want)
 	}

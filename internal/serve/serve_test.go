@@ -159,6 +159,11 @@ func TestExperimentHandlerValidation(t *testing.T) {
 		{"opts world hours oversized", "/experiment/confounding?opts={\"Hours\":1000000000}", http.StatusBadRequest, "Hours"},
 		{"opts horizon hours oversized", "/experiment/collider?opts={\"Hours\":1000000000}", http.StatusBadRequest, "Hours"},
 		{"opts table1 weeks oversized", "/experiment/table1?opts={\"Weeks\":1000000}", http.StatusBadRequest, "Weeks"},
+		{"opts cellular sessions oversized", "/experiment/cellular?opts={\"N\":1000000000}", http.StatusBadRequest, "cellular N"},
+		{"opts table1 user rate oversized", "/experiment/table1?opts={\"UserRate\":1000000}", http.StatusBadRequest, "UserRate"},
+		{"opts table1 bins too narrow", "/experiment/table1?opts={\"BinHours\":0.0001}", http.StatusBadRequest, "BinHours"},
+		{"opts table1 bins too wide", "/experiment/table1?opts={\"BinHours\":10000}", http.StatusBadRequest, "BinHours"},
+		{"opts table1 flaps too frequent", "/experiment/table1?opts={\"FlapEveryHours\":0.0001,\"FlapLink\":3}", http.StatusBadRequest, "FlapEveryHours"},
 		{"opts chaos too many levels", "/experiment/chaos?opts={\"Intensities\":[0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8]}", http.StatusBadRequest, "Intensities"},
 		{"scenario unknown id", "/experiment/table1?scenario=atlantis", http.StatusBadRequest, "atlantis"},
 		{"scenario bad gen spec", "/experiment/table1?scenario=gen:bogus%3D1", http.StatusBadRequest, "gen:"},
@@ -183,6 +188,34 @@ func TestExperimentHandlerValidation(t *testing.T) {
 	}
 	if st := s.cfg.Store.Stats(); st.Builds != 0 {
 		t.Errorf("rejected requests started %d builds, want 0", st.Builds)
+	}
+}
+
+// TestExperimentUnknownFlapLink: a flap schedule on a link the world does
+// not have is refused as a 400 once the world is known, and a repeat of the
+// request gets the same answer instead of parking on a poisoned entry (the
+// link used to reach topo.SetLinkUp and panic mid-build).
+func TestExperimentUnknownFlapLink(t *testing.T) {
+	s := newTestServer(t)
+	const path = `/experiment/table1?opts={"FlapEveryHours":50,"FlapLink":999999}`
+	var first string
+	for i := 0; i < 2; i++ {
+		rec := get(t, s, path)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("request %d: status = %d, want 400 (body %s)", i+1, rec.Code, rec.Body)
+		}
+		var e apiError
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+			t.Fatalf("request %d: error body is not the JSON envelope: %v (%s)", i+1, err, rec.Body)
+		}
+		if !strings.Contains(e.Error, "FlapLink 999999") {
+			t.Errorf("request %d: error %q does not name the link", i+1, e.Error)
+		}
+		if i == 0 {
+			first = rec.Body.String()
+		} else if rec.Body.String() != first {
+			t.Errorf("repeat answered %s, first answered %s", rec.Body, first)
+		}
 	}
 }
 
