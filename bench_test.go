@@ -454,12 +454,12 @@ func BenchmarkAblationWhatIfRouting(b *testing.B) {
 	b.Run("recompute", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			avoidA(e.Policy)
-			e.MarkDirtyFamily(engine.V4)
+			e.MarkDirty()
 			if _, err := e.PerfToAS(src, scenario.BigContent); err != nil {
 				b.Fatal(err)
 			}
 			e.Policy.ClearLocalPref(3741, scenario.ZATransitA)
-			e.MarkDirtyFamily(engine.V4)
+			e.MarkDirty()
 			if _, err := e.RIB(); err != nil {
 				b.Fatal(err)
 			}

@@ -106,7 +106,7 @@ func main() {
 		if len(e.Policy.LocalPref[3741]) > 0 {
 			e.Policy.ClearLocalPref(3741, scenario.ZATransitA)
 			e.Policy.ClearLocalPref(3741, scenario.ZATransitB)
-			e.MarkDirtyFamily(engine.V4)
+			e.MarkDirty()
 		}
 	}
 	frame, err := data.FromColumns(map[string][]float64{"C": cCol, "R": rCol, "L": lCol})

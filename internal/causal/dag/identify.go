@@ -1,6 +1,9 @@
 package dag
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Identification is the graphical analysis of one effect x → y: everything
 // the §4 protocol asks a study to establish before it measures anything.
@@ -79,4 +82,17 @@ func (g *Graph) Identify(x, y string) *Identification {
 		id.Strategy = "not identifiable from observational data: design an intervention (randomize, or use a platform knob)"
 	}
 	return id
+}
+
+// MeasuredAdjustmentSet returns the first minimal adjustment set — the
+// smallest, lexicographically earliest — whose every member is measured,
+// and false when no set is. Identification proposes sets over graph nodes;
+// an estimator can only condition on the nodes the data has columns for.
+func (id *Identification) MeasuredAdjustmentSet(measured func(string) bool) ([]string, bool) {
+	for _, set := range id.AdjustmentSets {
+		if slices.IndexFunc(set, func(v string) bool { return !measured(v) }) < 0 {
+			return set, true
+		}
+	}
+	return nil, false
 }

@@ -273,19 +273,11 @@ var campaignCodec = &artifact.Codec[campaign]{
 // campaignParamsFrom) before both keying and building, so everyone who
 // shares a key also shares the exact build recipe.
 func fetchCampaign(ctx context.Context, pool parallel.Pool, id string, seed uint64, p campaignParams) (*scenario.World, *platform.Store, error) {
-	st := artifact.From(ctx)
-	if st == nil {
-		c, err := runCampaign(ctx, pool, id, seed, p)
-		if err != nil {
-			return nil, nil, err
-		}
-		return c.world, c.store, nil
-	}
 	key, err := artifact.NewKey(kindCampaign, id, seed, p)
 	if err != nil {
 		return nil, nil, err
 	}
-	c, err := artifact.GetOrBuild(ctx, st, key, artifact.Spec[campaign]{
+	c, err := artifact.GetOrBuild(ctx, artifact.From(ctx), key, artifact.Spec[campaign]{
 		Build: func(ctx context.Context) (campaign, error) { return runCampaign(ctx, pool, id, seed, p) },
 		// Only the world is forked: engines write its topology. The frozen
 		// store refuses writes, so sharing it is as safe as copying it.

@@ -18,12 +18,20 @@ type CellularOptions struct {
 
 func (CellularOptions) experimentOptions() {}
 
-// maxCellularN caps the sample at 50 times its default of 20,000 sessions.
-const maxCellularN = 1000000
+// minCellularN and maxCellularN bound the sample: a small sample can leave
+// the stratified estimate no stratum with both treated and control units
+// (10 sessions do), and the cap is 50 times the default of 20,000.
+const (
+	minCellularN = 100
+	maxCellularN = 1000000
+)
 
-// validate rejects a sample above maxCellularN; zero or less still means
-// the default.
+// validate rejects a sample outside [minCellularN, maxCellularN]; zero or
+// less still means the default.
 func (o CellularOptions) validate() error {
+	if o.N > 0 && o.N < minCellularN {
+		return fmt.Errorf("experiments: cellular N %d below the %d floor", o.N, minCellularN)
+	}
 	if o.N > maxCellularN {
 		return fmt.Errorf("experiments: cellular N %d above the %d cap", o.N, maxCellularN)
 	}

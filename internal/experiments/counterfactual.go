@@ -52,9 +52,10 @@ func RunCounterfactual(ctx context.Context, pool parallel.Pool, seed uint64, o W
 		hours = 1200
 	}
 	// The event fires 200 hours before the horizon and the SCM is fit on
-	// the hours before it, so a horizon of 200 hours or less leaves none.
-	if hours <= 200 {
-		return nil, queryInvalidf("counterfactual Hours %d leaves no hours before its event at Hours - 200", hours)
+	// the hours before it, which must be at least QueryMinHours.
+	if hours-200 < QueryMinHours {
+		return nil, queryInvalidf("counterfactual Hours %d leaves %d hours before its event at Hours - 200; the SCM needs %d",
+			hours, max(hours-200, 0), QueryMinHours)
 	}
 	scenarioID := scenarioOr(o.Scenario)
 	eventHour := float64(hours) - 200

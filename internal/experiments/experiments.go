@@ -130,8 +130,15 @@ type WorldOptions struct {
 
 func (WorldOptions) experimentOptions() {}
 
-// validate caps the horizon like HorizonOptions.validate.
-func (o WorldOptions) validate() error { return validateHours(o.Hours) }
+// validate bounds a set horizon to [QueryMinHours, QueryMaxHours], the
+// range /query serves for the same worlds: below it the estimators have
+// too few hours to fit. Zero or less still means the registered default.
+func (o WorldOptions) validate() error {
+	if o.Hours > 0 && o.Hours < QueryMinHours {
+		return fmt.Errorf("experiments: Hours %d below the %d-hour floor", o.Hours, QueryMinHours)
+	}
+	return validateHours(o.Hours)
+}
 
 // WithScenario implements ScenarioOptions.
 func (o WorldOptions) WithScenario(id string) Options {

@@ -233,11 +233,12 @@ func TestCounterfactualAgreesWithReplay(t *testing.T) {
 }
 
 // TestCounterfactualRefusesShortHorizon: the event sits 200 hours before
-// the horizon, so a horizon of 200 hours or less is refused as an invalid
-// request before any simulation (it used to slice at a negative index and
-// panic).
+// the horizon and the SCM needs QueryMinHours before it, so a horizon under
+// 300 hours is refused as an invalid request before any simulation (at 200
+// or less it used to slice at a negative index and panic; at 205 the fit
+// failed as a server error).
 func TestCounterfactualRefusesShortHorizon(t *testing.T) {
-	for _, hours := range []int{100, 200} {
+	for _, hours := range []int{100, 200, 205, 299} {
 		res, err := RunCounterfactual(context.Background(), parallel.Pool{}, 7, WorldOptions{Hours: hours})
 		if !errors.Is(err, ErrQueryInvalid) || res != nil {
 			t.Errorf("Hours %d: got (%v, %v), want an ErrQueryInvalid refusal", hours, res, err)

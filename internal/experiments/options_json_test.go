@@ -79,6 +79,9 @@ func TestOptionsFromJSONErrors(t *testing.T) {
 		{"world hours over cap", "confounding", `{"Hours": 1000000000}`, "Hours"},
 		{"world hours one past cap", "instrument", `{"Hours": 8761}`, "8760"},
 		{"horizon hours over cap", "collider", `{"Hours": 1000000000}`, "Hours"},
+		{"world hours under floor", "instrument", `{"Hours": 50}`, "100-hour floor"},
+		{"world hours one under floor", "mlab", `{"Hours": 99}`, "100-hour floor"},
+		{"cellular sessions under floor", "cellular", `{"N": 10}`, "cellular N"},
 		{"table1 weeks over cap", "table1", `{"Weeks": 1000000}`, "Weeks"},
 		{"chaos weeks over cap", "chaos", `{"Weeks": 53}`, "Weeks"},
 		{"cellular sessions over cap", "cellular", `{"N": 1000000000}`, "cellular N"},
@@ -102,6 +105,8 @@ func TestOptionsFromJSONErrors(t *testing.T) {
 	// Each cap itself is accepted.
 	for _, tc := range []struct{ id, raw string }{
 		{"confounding", `{"Hours": 8760}`},
+		{"familyknob", `{"Hours": 100}`},
+		{"cellular", `{"N": 100}`},
 		{"collider", `{"Hours": 8760}`},
 		{"table1", `{"Weeks": 52}`},
 		{"cellular", `{"N": 1000000}`},

@@ -309,28 +309,12 @@ func planQuery(q CausalQuery) (*QueryPlan, error) {
 	plan := &QueryPlan{Graph: g, Identification: id}
 
 	if q.Auto {
-		// Identification proposes sets over graph nodes; the estimators need
-		// measured columns. Take the first (smallest, lexicographically
-		// earliest) minimal set that is fully measured.
-		chosen := -1
-		for i, set := range sets {
-			measured := true
-			for _, v := range set {
-				if !isQueryColumn(v) {
-					measured = false
-					break
-				}
-			}
-			if measured {
-				chosen = i
-				break
-			}
-		}
-		if chosen < 0 {
+		set, ok := id.MeasuredAdjustmentSet(isQueryColumn)
+		if !ok {
 			return nil, fmt.Errorf("%w: every minimal adjustment set %v contains an unmeasured variable (columns: %s)",
 				ErrNotIdentifiable, sets, strings.Join(queryColumns(), ", "))
 		}
-		plan.Adjustment = append([]string(nil), sets[chosen]...)
+		plan.Adjustment = append([]string(nil), set...)
 	} else {
 		if !g.SatisfiesBackdoor(q.Treatment, q.Outcome, explicit) {
 			return nil, fmt.Errorf("%w: adjustment set %v does not satisfy the backdoor criterion for %s → %s (minimal valid sets: %v)",

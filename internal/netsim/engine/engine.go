@@ -88,12 +88,9 @@ type Engine struct {
 	rib   *bgp.RIB
 	dirty bool
 
-	// Dual-stack state (see family.go): the v6 policy and RIB. Events and
-	// adaptive egress operate on the v4 plane; the v6 plane changes only
-	// through PolicyFamily — the exogenous knob.
+	// policy6 is the v6 plane's policy (see family.go); its routes are
+	// what-if fixed points in whatif.
 	policy6 *bgp.Policy
-	rib6    *bgp.RIB
-	dirty6  bool
 
 	events  []Event
 	fired   int
@@ -173,13 +170,11 @@ func (e *Engine) RIB() (*bgp.RIB, error) {
 	return e.rib, nil
 }
 
-// MarkDirty forces a routing recomputation on next use (call after mutating
-// the topology or policy outside the event system). Topology changes affect
-// both address families; after a v4-only policy edit, MarkDirtyFamily(V4)
-// keeps the v6 routes. A what-if question ("what would this path be under
-// that policy?") needs neither: PerfToASWith answers it without touching
-// the factual policy or routes.
-func (e *Engine) MarkDirty() { e.dirty = true; e.dirty6 = true }
+// MarkDirty forces a recomputation of the factual (v4) routes on next use:
+// call it after mutating the topology or the v4 policy outside the event
+// system. What-if routes — PerfToASWith answers and the v6 plane — need no
+// flag: they are keyed on their policy's content and the topology epoch.
+func (e *Engine) MarkDirty() { e.dirty = true }
 
 // Step advances simulated time by StepHours: fires due events, then applies
 // adaptive egress reactions to current utilization. It is the simulation
@@ -199,7 +194,6 @@ func (e *Engine) Step() error {
 		}
 		e.eventLg = append(e.eventLg, ev.Name)
 		e.dirty = true
-		e.dirty6 = true // events may mutate the shared topology
 	}
 	if e.cfg.AdaptiveEgress {
 		if err := e.adaptEgress(); err != nil {

@@ -90,17 +90,17 @@ func TestFamilyPlanesIndependentPolicies(t *testing.T) {
 	// Depref one provider on v4 only.
 	e.Policy.SetLocalPref(asn, providers[0], 10)
 	e.MarkDirty()
-	rib4, err := e.RIBFamily(V4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rib6, err := e.RIBFamily(V6)
+	rib4, err := e.RIB()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// v6 must still be willing to use providers[0] somewhere v4 is not.
 	diverged := false
 	for _, dst := range tp.ASes() {
+		rib6, err := e.RoutesToward(dst.ASN, V6)
+		if err != nil {
+			t.Fatal(err)
+		}
 		r4 := rib4.Lookup(asn, dst.ASN)
 		r6 := rib6.Lookup(asn, dst.ASN)
 		if r4 == nil || r6 == nil {
@@ -136,7 +136,7 @@ func TestEngineReplayAcrossFamilies(t *testing.T) {
 			if i%2 == 1 {
 				fam = V6
 			}
-			perf, err := e.PerfFamily(pops[0].ID, pops[len(pops)-1].ID, fam)
+			perf, err := perfFamily(e, pops[0].ID, pops[len(pops)-1].ID, fam)
 			if err != nil {
 				continue
 			}

@@ -13,6 +13,12 @@ import (
 // are configured (and often drift) independently. §4 proposes exactly this
 // as an exogenous-variation knob: toggling the family changes the AS path
 // without touching network state, so family is usable as an instrument.
+//
+// The v4 plane is the factual one: events and adaptive egress edit its
+// policy, and its routes are the engine's RIB. The v6 plane changes only
+// through PolicyFamily — the exogenous knob — and is a standing what-if:
+// its routes toward an AS are the fixed point under the v6 policy, memoized
+// like any PerfToASWith question (see whatIfRIB).
 
 // Family is an IP address family.
 type Family int
@@ -39,46 +45,20 @@ func (e *Engine) PolicyFamily(f Family) (*bgp.Policy, error) {
 	}
 }
 
-// RIBFamily returns the converged routing state for the family.
-func (e *Engine) RIBFamily(f Family) (*bgp.RIB, error) {
-	switch f {
-	case V4:
+// RoutesToward returns the family's converged routes toward asn. For V4
+// that is the factual RIB. For V6 it is the one-destination fixed point
+// under the v6 policy, keyed on that policy's content and the topology
+// epoch, so a v4 edit never recomputes it and a v6 edit needs no dirty
+// flag. Link-level conditions (utilization, delay) are shared between
+// families; only the chosen path differs, so PerfOn over these routes
+// measures the family's path.
+func (e *Engine) RoutesToward(asn topo.ASN, f Family) (*bgp.RIB, error) {
+	if f == V4 {
 		return e.RIB()
-	case V6:
-		if e.dirty6 || e.rib6 == nil {
-			pol, err := e.PolicyFamily(V6)
-			if err != nil {
-				return nil, err
-			}
-			rib, err := bgp.Compute(e.ctx, e.cfg.Pool, e.Topo, pol)
-			if err != nil {
-				return nil, err
-			}
-			e.rib6 = rib
-			e.dirty6 = false
-		}
-		return e.rib6, nil
-	default:
-		return nil, fmt.Errorf("engine: unknown family %d", f)
 	}
-}
-
-// MarkDirtyFamily forces recomputation of one family's routes.
-func (e *Engine) MarkDirtyFamily(f Family) {
-	if f == V6 {
-		e.dirty6 = true
-		return
-	}
-	e.dirty = true
-}
-
-// PerfFamily computes current performance between two PoPs over the given
-// family's routes. Link-level conditions (utilization, delay) are shared
-// between families; only the chosen path differs.
-func (e *Engine) PerfFamily(src, dst topo.PoPID, f Family) (*PathPerf, error) {
-	rib, err := e.RIBFamily(f)
+	pol, err := e.PolicyFamily(f)
 	if err != nil {
 		return nil, err
 	}
-	return e.perfOn(rib, src, dst)
+	return e.whatIfRIB(asn, pol)
 }

@@ -32,7 +32,7 @@ func (e *Engine) Perf(src, dst topo.PoPID) (*PathPerf, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.perfOn(rib, src, dst)
+	return e.PerfOn(rib, src, dst)
 }
 
 // PerfToAS computes performance from a PoP to the nearest PoP of an AS
@@ -50,8 +50,8 @@ func (e *Engine) PerfToAS(src topo.PoPID, asn topo.ASN) (*PathPerf, error) {
 // on a clone of the policy, and only asn is converged under it — forwarding
 // from src to asn reads nothing but routes toward asn, so one fixed point
 // answers the question exactly. The factual state is left alone: the
-// engine's policies, RIBs and dirty flags are untouched, so the next
-// factual query pays for no recompute.
+// engine's policies, RIB and dirty flag are untouched, so the next factual
+// query pays for no recompute.
 //
 // The fixed point is memoized (see whatIfRIB), so asking the same question
 // every hour converges it once; the utilization-dependent performance along
@@ -67,7 +67,8 @@ func (e *Engine) PerfToASWith(src topo.PoPID, asn topo.ASN, edit func(*bgp.Polic
 }
 
 // maxWhatIfRIBs bounds the what-if memo; reaching it empties the memo.
-// The experiments ask two or three distinct questions per topology epoch.
+// The experiments ask two or three distinct questions per topology epoch,
+// plus one per destination the v6 plane is measured toward.
 const maxWhatIfRIBs = 64
 
 // whatifKey identifies one what-if fixed point: the destination and the
@@ -78,12 +79,13 @@ type whatifKey struct {
 }
 
 // whatIfRIB returns the one-destination RIB toward asn under pol,
-// converging it only on a memo miss. A fixed point is a function of the
-// destination, the policy and the topology's link state, so the memo is
-// keyed on the first two and flushed when the third moves (a new Epoch).
-// It is keyed on the policy's content rather than on a version counter
-// because events and experiments write the exported policy maps directly.
-// Failed computations are not memoized.
+// converging it only on a memo miss. It serves PerfToASWith's edited
+// policies and the v6 plane's policy (RoutesToward) alike. A fixed point
+// is a function of the destination, the policy and the topology's link
+// state, so the memo is keyed on the first two and flushed when the third
+// moves (a new Epoch). It is keyed on the policy's content rather than on
+// a version counter because events, experiments and the family knob write
+// the exported policy maps directly. Failed computations are not memoized.
 func (e *Engine) whatIfRIB(asn topo.ASN, pol *bgp.Policy) (*bgp.RIB, error) {
 	obs.Add(e.ctx, "whatif.queries", 1)
 	epoch := e.Topo.Epoch()
@@ -110,11 +112,12 @@ func (e *Engine) perfToASOn(rib *bgp.RIB, src topo.PoPID, asn topo.ASN) (*PathPe
 	if err != nil {
 		return nil, err
 	}
-	return e.perfOn(rib, src, dst)
+	return e.PerfOn(rib, src, dst)
 }
 
-// perfOn is Perf over a given RIB.
-func (e *Engine) perfOn(rib *bgp.RIB, src, dst topo.PoPID) (*PathPerf, error) {
+// PerfOn computes current performance between two PoPs over the given
+// routes: the engine's RIB, or RoutesToward's routes toward dst's AS.
+func (e *Engine) PerfOn(rib *bgp.RIB, src, dst topo.PoPID) (*PathPerf, error) {
 	p, err := rib.Forward(src, dst)
 	if err != nil {
 		return nil, err

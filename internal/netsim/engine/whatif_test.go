@@ -90,8 +90,8 @@ func multihomed(t *testing.T, tp *topo.Topology) (asn topo.ASN, providers []topo
 // generated world whose adaptive egress controller is moving the factual
 // policy, pinning a multihomed AS to each provider every hour through
 // PerfToASWith must answer exactly what the edit-recompute-restore sequence
-// answers — and must leave the factual policy, both RIBs and the dirty
-// flags alone, which the unchanged RIB pointers prove.
+// answers — and must leave the factual policy, RIB and dirty flag alone,
+// which the unchanged RIB pointer proves.
 func TestPerfToASWithMatchesForcedRecompute(t *testing.T) {
 	const hours = 240
 	tp, asn, providers, content := multihomedWorld(t)
@@ -132,10 +132,6 @@ func TestPerfToASWithMatchesForcedRecompute(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rib6, err := e.RIBFamily(V6)
-			if err != nil {
-				t.Fatal(err)
-			}
 			snap := snapshotPolicy(e.Policy)
 
 			got, err := e.PerfToASWith(src, content, pin(p))
@@ -147,9 +143,6 @@ func TestPerfToASWithMatchesForcedRecompute(t *testing.T) {
 			}
 			if r, _ := e.RIB(); r != rib4 {
 				t.Fatalf("hour %v: PerfToASWith triggered a v4 recompute", e.Hour())
-			}
-			if r, _ := e.RIBFamily(V6); r != rib6 {
-				t.Fatalf("hour %v: PerfToASWith triggered a v6 recompute", e.Hour())
 			}
 
 			// The reference: edit the live policy, recompute everything,
@@ -328,5 +321,204 @@ func TestWhatIfMemoMatchesMissPath(t *testing.T) {
 	if worlds < 5 || computes == 0 || computes >= queries || flaps == 0 || maint == 0 {
 		t.Fatalf("weak run: %d worlds, %.0f queries, %.0f computes, %d flaps, %d maintenance toggles",
 			worlds, queries, computes, flaps, maint)
+	}
+}
+
+// perfFamily is what a family speed test measures: performance from src to
+// dst over the family's routes toward dst's AS.
+func perfFamily(e *Engine, src, dst topo.PoPID, f Family) (*PathPerf, error) {
+	rib, err := e.RoutesToward(e.Topo.PoP(dst).AS, f)
+	if err != nil {
+		return nil, err
+	}
+	return e.PerfOn(rib, src, dst)
+}
+
+// TestV6RoutesMatchFullRecompute holds the v6 plane — a standing what-if
+// under the v6 policy — to a full recompute. On generated worlds with an
+// exchange, an adaptive-egress engine takes a random interleaving of steps
+// (its controller edits the v4 policy), link flaps through SetLinkUp, IXP
+// joins, v6 pins and releases of the multihomed AS, and factual v4
+// local-pref edits, with a v6 query after each. Every answer must equal what
+// a fresh bgp.Compute over every destination under a clone of the v6 policy
+// answers: the same AS path, and RTT, loss and throughput equal bit for bit.
+// A v4 edit must add no whatif.computes and change no v6 answer.
+func TestV6RoutesMatchFullRecompute(t *testing.T) {
+	var worlds, flaps, joins, pins, v4Edits, errs int
+	f := func(seed uint64) bool {
+		r := mathx.NewRNG(seed)
+		cfg := topo.DefaultGenConfig()
+		cfg.IXP = true
+		tp, err := topo.Generate(r, cfg, nil)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		asn, providers, content := multihomed(t, tp)
+		if asn == 0 {
+			return true
+		}
+		worlds++
+		rec := obs.NewRecorder()
+		e := New(tp, seed, Config{AdaptiveEgress: true}).Bind(obs.With(context.Background(), rec))
+		computes := func() float64 { return rec.Metrics()[""]["whatif.computes"] }
+		pol6, err := e.PolicyFamily(V6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, err := tp.Relationships()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range providers {
+			for _, id := range rel.Links[asn][p] {
+				e.Traffic.AddFlashCrowd(traffic.FlashCrowd{Link: id, StartHour: 5 + 15*float64(i), Hours: 20, Magnitude: 0.6})
+			}
+		}
+		ases := tp.ASes()
+		ixp := tp.IXPs()[0]
+		// joiner returns the first AS that can join the exchange: it has a
+		// PoP there and no link yet, up or down, to any member, which the
+		// new peerings would contradict.
+		joiner := func() topo.ASN {
+			ixp, err := tp.IXP(ixp.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			linked := make(map[topo.ASN]bool)
+			for _, l := range tp.Export().Links {
+				a, b := tp.PoP(l.A).AS, tp.PoP(l.B).AS
+				if slices.Contains(ixp.Members, a) {
+					linked[b] = true
+				}
+				if slices.Contains(ixp.Members, b) {
+					linked[a] = true
+				}
+			}
+			for _, as := range ases {
+				if _, err := tp.FindPoP(as.ASN, ixp.City); err == nil && !linked[as.ASN] {
+					return as.ASN
+				}
+			}
+			return 0
+		}
+		pops := tp.Export().PoPs
+		srcs := []topo.PoPID{tp.PoPsOf(asn)[0], pops[r.Intn(len(pops))].ID}
+		dsts := []topo.ASN{content, ases[r.Intn(len(ases))].ASN}
+		ask := func(src topo.PoPID, dst topo.ASN) (*PathPerf, error) {
+			rib, err := e.RoutesToward(dst, V6)
+			if err != nil {
+				return nil, err
+			}
+			d, err := rib.NearestPoP(src, dst)
+			if err != nil {
+				return nil, err
+			}
+			return e.PerfOn(rib, src, d)
+		}
+
+		var down []topo.LinkID
+		for op := 0; op < 120; op++ {
+			src, dst := srcs[r.Intn(len(srcs))], dsts[r.Intn(len(dsts))]
+			switch k := r.Intn(10); {
+			case k < 3:
+				if err := e.Step(); err != nil {
+					t.Log(err)
+					return false
+				}
+			case k == 3:
+				// Fail a link, or restore the oldest failure once two are
+				// down, so the world stays mostly connected.
+				if len(down) == 2 {
+					tp.SetLinkUp(down[0], true)
+					down = down[1:]
+				} else if id := topo.LinkID(r.Intn(tp.NumLinks())); tp.Link(id).Up {
+					tp.SetLinkUp(id, false)
+					down = append(down, id)
+				}
+				e.MarkDirty()
+				flaps++
+			case k == 4:
+				if a := joiner(); a != 0 {
+					if _, err := tp.JoinIXP(ixp.Name, a); err != nil {
+						t.Fatal(err)
+					}
+					e.MarkDirty()
+					joins++
+				}
+			case k == 5:
+				// Pin the multihomed AS's v6 egress to one provider, or
+				// release every pin.
+				if r.Intn(3) == 0 {
+					for _, q := range providers {
+						pol6.ClearLocalPref(asn, q)
+					}
+				} else {
+					p := providers[r.Intn(len(providers))]
+					for _, q := range providers {
+						if q != p {
+							pol6.SetLocalPref(asn, q, 10)
+						}
+					}
+					pol6.SetLocalPref(asn, p, bgp.PrefProvider)
+				}
+				pins++
+			case k == 6:
+				before, beforeErr := ask(src, dst)
+				n := computes()
+				a := ases[r.Intn(len(ases))].ASN
+				var ns []topo.ASN
+				for q := range rel.Rel[a] {
+					ns = append(ns, q)
+				}
+				slices.Sort(ns)
+				e.Policy.SetLocalPref(a, ns[r.Intn(len(ns))], []int{10, 150, 250}[r.Intn(3)])
+				e.MarkDirty()
+				if _, err := e.RIB(); err != nil {
+					t.Log(err)
+					return false
+				}
+				after, afterErr := ask(src, dst)
+				if computes() != n || !reflect.DeepEqual(after, before) || fmt.Sprint(afterErr) != fmt.Sprint(beforeErr) {
+					t.Logf("seed %d op %d: a v4 edit moved the v6 plane: %.0f -> %.0f computes, %+v -> %+v", seed, op, n, computes(), before, after)
+					return false
+				}
+				v4Edits++
+			}
+			got, gotErr := ask(src, dst)
+
+			rib, err := bgp.Compute(context.Background(), parallel.Pool{}, tp, pol6.Clone())
+			if err != nil {
+				t.Log(err)
+				return false
+			}
+			want, wantErr := e.perfToASOn(rib, src, dst)
+			if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+				t.Logf("seed %d op %d: v6 error %v, full recompute %v", seed, op, gotErr, wantErr)
+				return false
+			}
+			if gotErr != nil {
+				errs++
+				continue
+			}
+			if !slices.Equal(got.Path.ASPath, want.Path.ASPath) ||
+				math.Float64bits(got.RTTms) != math.Float64bits(want.RTTms) ||
+				math.Float64bits(got.LossRate) != math.Float64bits(want.LossRate) ||
+				math.Float64bits(got.ThroughputMbps) != math.Float64bits(want.ThroughputMbps) {
+				t.Logf("seed %d op %d: v6 %v %+v, full recompute %v %+v", seed, op, got.Path.ASPath, *got, want.Path.ASPath, *want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d worlds: %d flaps, %d IXP joins, %d v6 pins/releases, %d v4 edits, %d error answers",
+		worlds, flaps, joins, pins, v4Edits, errs)
+	// The property is only as strong as the paths it exercised.
+	if worlds < 5 || flaps == 0 || joins == 0 || pins == 0 || v4Edits == 0 {
+		t.Fatalf("weak run: %d worlds, %d flaps, %d IXP joins, %d v6 pins/releases, %d v4 edits",
+			worlds, flaps, joins, pins, v4Edits)
 	}
 }

@@ -82,10 +82,9 @@ func TestFamilyPlaneSharesTopologyEvents(t *testing.T) {
 	}
 }
 
-func TestPerfFamilyRejectsUnknown(t *testing.T) {
-	s, e, _ := world(t)
-	src, _ := s.Topo.FindPoP(3741, "Johannesburg")
-	if _, err := e.PerfFamily(src, src, engine.Family(9)); err == nil {
+func TestFamilyRejectsUnknown(t *testing.T) {
+	_, e, _ := world(t)
+	if _, err := e.RoutesToward(scenario.BigContent, engine.Family(9)); err == nil {
 		t.Fatal("unknown family accepted")
 	}
 	if _, err := e.PolicyFamily(engine.Family(9)); err == nil {

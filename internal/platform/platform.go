@@ -163,14 +163,21 @@ func (k *Knobs) ForceUpstreamFamily(family engine.Family, asn, provider topo.ASN
 	if !found {
 		return nil, fmt.Errorf("platform: AS%d is not a provider of AS%d", provider, asn)
 	}
+	// Only the factual v4 routes carry a dirty flag; v6 routes are keyed on
+	// their policy's content, so the edit itself moves them.
+	markDirty := func() {
+		if family == engine.V4 {
+			k.pr.Engine.MarkDirty()
+		}
+	}
 	for _, n := range others {
 		pol.SetLocalPref(asn, n, 10)
 	}
-	k.pr.Engine.MarkDirtyFamily(family)
+	markDirty()
 	return func() {
 		for _, n := range others {
 			pol.ClearLocalPref(asn, n)
 		}
-		k.pr.Engine.MarkDirtyFamily(family)
+		markDirty()
 	}, nil
 }

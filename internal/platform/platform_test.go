@@ -1,14 +1,18 @@
 package platform
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"sisyphus/internal/mathx"
+	"sisyphus/internal/netsim/bgp"
 	"sisyphus/internal/netsim/engine"
 	"sisyphus/internal/netsim/scenario"
 	"sisyphus/internal/netsim/topo"
 	"sisyphus/internal/netsim/traffic"
+	"sisyphus/internal/obs"
 	"sisyphus/internal/probe"
 )
 
@@ -266,12 +270,18 @@ func TestKnobsForceUpstream(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The knob edits only the v4 policy, so the converged v6 routes must
-	// survive both the forcing and its release without a recompute.
-	rib6, err := e.RIBFamily(engine.V6)
-	if err != nil {
-		t.Fatal(err)
+	// The knob edits only the v4 policy, so neither the forcing nor its
+	// release may recompute or move the v6 routes.
+	rec := obs.NewRecorder()
+	e.Bind(obs.With(context.Background(), rec))
+	v6 := func() (*bgp.Route, float64) {
+		rib6, err := e.RoutesToward(scenario.BigContent, engine.V6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rib6.Lookup(3741, scenario.BigContent), rec.Metrics()[""]["whatif.computes"]
 	}
+	route6, computes := v6()
 
 	// 3741 is multihomed to Transit-A and Transit-B. Force each and check
 	// the AS path follows the knob.
@@ -284,16 +294,16 @@ func TestKnobsForceUpstream(t *testing.T) {
 	if rt == nil || rt.Path[0] != scenario.ZATransitA {
 		t.Fatalf("forced route = %+v", rt)
 	}
-	if got, _ := e.RIBFamily(engine.V6); got != rib6 {
-		t.Fatal("forcing the v4 upstream recomputed the v6 RIB")
+	if got, n := v6(); n != computes || !reflect.DeepEqual(got, route6) {
+		t.Fatalf("forcing the v4 upstream moved the v6 plane: %.0f -> %.0f computes, %+v -> %+v", computes, n, route6, got)
 	}
 	release()
 	rib2, _ := e.RIB()
 	if rib2.Lookup(3741, scenario.BigContent) == nil {
 		t.Fatal("AS3741 lost its route after release")
 	}
-	if got, _ := e.RIBFamily(engine.V6); got != rib6 {
-		t.Fatal("releasing the v4 upstream recomputed the v6 RIB")
+	if got, n := v6(); n != computes || !reflect.DeepEqual(got, route6) {
+		t.Fatalf("releasing the v4 upstream moved the v6 plane: %.0f -> %.0f computes, %+v -> %+v", computes, n, route6, got)
 	}
 	// Unknown provider rejected.
 	if _, err := k.ForceUpstreamFamily(engine.V4, 3741, 9999); err == nil {

@@ -132,7 +132,7 @@ func (p *Prober) Traceroute(src, dst topo.PoPID, intent Intent, trigger string) 
 	if err != nil {
 		return nil, err
 	}
-	m := p.record(src, dst, perf, intent, trigger, true)
+	m := p.record(src, dst, perf, intent, trigger, 4)
 	m.Attempts = attempts
 	p.mutate(m, seq)
 	return m, nil
@@ -141,7 +141,14 @@ func (p *Prober) Traceroute(src, dst topo.PoPID, intent Intent, trigger string) 
 // SpeedTest measures throughput to the nearest PoP of a destination AS and
 // attaches a traceroute, mirroring M-Lab's NDT + triggered traceroute.
 func (p *Prober) SpeedTest(src topo.PoPID, dstAS topo.ASN, intent Intent, trigger string) (*Measurement, error) {
-	rib, err := p.Engine.RIB()
+	return p.SpeedTestFamily(src, dstAS, engine.V4, intent, trigger)
+}
+
+// SpeedTestFamily runs a speed test over the given IP family's routes —
+// the measurement half of §4's IPv4/IPv6 toggle knob. The destination PoP
+// is the family's own nearest edge (families can differ here too).
+func (p *Prober) SpeedTestFamily(src topo.PoPID, dstAS topo.ASN, family engine.Family, intent Intent, trigger string) (*Measurement, error) {
+	rib, err := p.Engine.RoutesToward(dstAS, family)
 	if err != nil {
 		return nil, err
 	}
@@ -149,21 +156,32 @@ func (p *Prober) SpeedTest(src topo.PoPID, dstAS topo.ASN, intent Intent, trigge
 	if err != nil {
 		return nil, err
 	}
-	return p.SpeedTestTo(src, dst, intent, trigger)
+	return p.speedTest(src, dst, family, intent, trigger, func() (*engine.PathPerf, error) {
+		return p.Engine.PerfOn(rib, src, dst)
+	})
 }
 
 // SpeedTestTo measures throughput to a specific server PoP (used when a
 // load balancer, not anycast, picks the server).
 func (p *Prober) SpeedTestTo(src, dst topo.PoPID, intent Intent, trigger string) (*Measurement, error) {
+	return p.speedTest(src, dst, engine.V4, intent, trigger, func() (*engine.PathPerf, error) {
+		return p.Engine.Perf(src, dst)
+	})
+}
+
+// speedTest is the body every speed test shares: the attempt, then (only
+// for a live one) perf, the record and the achieved-throughput draw, then
+// the fault hook's mutation.
+func (p *Prober) speedTest(src, dst topo.PoPID, family engine.Family, intent Intent, trigger string, perfOf func() (*engine.PathPerf, error)) (*Measurement, error) {
 	seq, attempts, failed := p.attempt(src)
 	if failed {
-		return p.failedRecord(src, dst, intent, trigger, 4, attempts), nil
+		return p.failedRecord(src, dst, intent, trigger, int(family), attempts), nil
 	}
-	perf, err := p.Engine.Perf(src, dst)
+	perf, err := perfOf()
 	if err != nil {
 		return nil, err
 	}
-	m := p.record(src, dst, perf, intent, trigger, true)
+	m := p.record(src, dst, perf, intent, trigger, int(family))
 	m.Attempts = attempts
 	eff := p.ThroughputEff + p.rng.Normal(0, 0.05)
 	if eff < 0.3 {
@@ -177,11 +195,8 @@ func (p *Prober) SpeedTestTo(src, dst topo.PoPID, intent Intent, trigger string)
 	return m, nil
 }
 
-func (p *Prober) record(src, dst topo.PoPID, perf *engine.PathPerf, intent Intent, trigger string, withHops bool) *Measurement {
-	return p.recordFamily(src, dst, perf, intent, trigger, withHops, 4)
-}
-
-func (p *Prober) recordFamily(src, dst topo.PoPID, perf *engine.PathPerf, intent Intent, trigger string, withHops bool, family int) *Measurement {
+// record builds a completed measurement with its traceroute hops.
+func (p *Prober) record(src, dst topo.PoPID, perf *engine.PathPerf, intent Intent, trigger string, family int) *Measurement {
 	t := p.Engine.Topo
 	sp, dp := t.PoP(src), t.PoP(dst)
 	p.nextID++
@@ -195,9 +210,7 @@ func (p *Prober) recordFamily(src, dst topo.PoPID, perf *engine.PathPerf, intent
 		TrueRTTms:   perf.RTTms,
 		TrueMaxUtil: perf.MaxUtil,
 	}
-	if withHops {
-		m.Hops = p.expandHops(perf, m.RTTms)
-	}
+	m.Hops = p.expandHops(perf, m.RTTms)
 	return m
 }
 
@@ -233,38 +246,4 @@ func (p *Prober) expandHops(perf *engine.PathPerf, finalRTT float64) []HopRecord
 func (m *Measurement) String() string {
 	return fmt.Sprintf("[%s@%.1fh] AS%d/%s -> AS%d/%s rtt=%.2fms tput=%.0fMbps hops=%d",
 		m.Intent, m.Hour, m.SrcASN, m.SrcCity, m.DstASN, m.DstCity, m.RTTms, m.ThroughputMbps, len(m.Hops))
-}
-
-// SpeedTestFamily runs a speed test over the given IP family's routes —
-// the measurement half of §4's IPv4/IPv6 toggle knob. The destination PoP
-// is the family's own nearest edge (families can differ here too).
-func (p *Prober) SpeedTestFamily(src topo.PoPID, dstAS topo.ASN, family engine.Family, intent Intent, trigger string) (*Measurement, error) {
-	rib, err := p.Engine.RIBFamily(family)
-	if err != nil {
-		return nil, err
-	}
-	dst, err := rib.NearestPoP(src, dstAS)
-	if err != nil {
-		return nil, err
-	}
-	seq, attempts, failed := p.attempt(src)
-	if failed {
-		return p.failedRecord(src, dst, intent, trigger, int(family), attempts), nil
-	}
-	perf, err := p.Engine.PerfFamily(src, dst, family)
-	if err != nil {
-		return nil, err
-	}
-	m := p.recordFamily(src, dst, perf, intent, trigger, true, int(family))
-	m.Attempts = attempts
-	eff := p.ThroughputEff + p.rng.Normal(0, 0.05)
-	if eff < 0.3 {
-		eff = 0.3
-	}
-	if eff > 1 {
-		eff = 1
-	}
-	m.ThroughputMbps = perf.ThroughputMbps * eff
-	p.mutate(m, seq)
-	return m, nil
 }

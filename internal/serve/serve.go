@@ -418,9 +418,6 @@ type respKeyConfig struct {
 // builder neither poisons the store nor aborts other requests' joins.
 func (s *Server) cachedResponse(ctx context.Context, kind, scenKey string, seed uint64,
 	cfg any, build func(context.Context) ([]byte, error)) ([]byte, error) {
-	if s.cfg.Store == nil {
-		return build(ctx)
-	}
 	key, err := artifact.NewKey(kind, scenKey, seed, cfg)
 	if err != nil {
 		return nil, err

@@ -157,6 +157,8 @@ func TestExperimentHandlerValidation(t *testing.T) {
 		{"opts power trials oversized", "/experiment/power?opts={\"Trials\":100000000}", http.StatusBadRequest, "Trials"},
 		{"opts power trials negative", "/experiment/power?opts={\"Trials\":-1}", http.StatusBadRequest, "Trials"},
 		{"opts world hours oversized", "/experiment/confounding?opts={\"Hours\":1000000000}", http.StatusBadRequest, "Hours"},
+		{"opts world hours undersized", "/experiment/instrument?opts={\"Hours\":10}", http.StatusBadRequest, "Hours"},
+		{"opts cellular sessions undersized", "/experiment/cellular?opts={\"N\":2}", http.StatusBadRequest, "cellular N"},
 		{"opts horizon hours oversized", "/experiment/collider?opts={\"Hours\":1000000000}", http.StatusBadRequest, "Hours"},
 		{"opts table1 weeks oversized", "/experiment/table1?opts={\"Weeks\":1000000}", http.StatusBadRequest, "Weeks"},
 		{"opts cellular sessions oversized", "/experiment/cellular?opts={\"N\":1000000000}", http.StatusBadRequest, "cellular N"},
@@ -216,6 +218,19 @@ func TestExperimentUnknownFlapLink(t *testing.T) {
 		} else if rec.Body.String() != first {
 			t.Errorf("repeat answered %s, first answered %s", rec.Body, first)
 		}
+	}
+}
+
+// TestExperimentCounterfactualShortHorizon: a horizon the options accept
+// but that leaves the counterfactual's SCM under QueryMinHours of fit is
+// refused by the run itself, and still answered as a caller's 400.
+func TestExperimentCounterfactualShortHorizon(t *testing.T) {
+	rec := get(t, newTestServer(t), `/experiment/counterfactual?opts={"Hours":205}`)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400 (body %s)", rec.Code, rec.Body)
+	}
+	if !strings.Contains(rec.Body.String(), "counterfactual Hours 205") {
+		t.Errorf("error %s does not name the horizon", rec.Body)
 	}
 }
 

@@ -147,29 +147,23 @@ func (s *Study) EstimateEffect(method EstimationMethod) (estimate.Estimate, erro
 	if err != nil {
 		return estimate.Estimate{}, err
 	}
-	adjust := func() ([]string, error) {
-		if len(id.AdjustmentSets) == 0 {
-			return nil, errors.New("sisyphus: no observed backdoor adjustment set exists")
-		}
-		return id.AdjustmentSets[0], nil
-	}
 	switch method {
 	case Naive:
 		return estimate.NaiveAssociation(s.frame, s.treatment, s.outcome)
 	case BackdoorStratified:
-		set, err := adjust()
+		set, err := s.adjustmentSet(id)
 		if err != nil {
 			return estimate.Estimate{}, err
 		}
 		return estimate.Stratified(s.frame, s.treatment, s.outcome, set, 10)
 	case BackdoorRegression:
-		set, err := adjust()
+		set, err := s.adjustmentSet(id)
 		if err != nil {
 			return estimate.Estimate{}, err
 		}
 		return estimate.Regression(s.frame, s.treatment, s.outcome, set)
 	case BackdoorIPW:
-		set, err := adjust()
+		set, err := s.adjustmentSet(id)
 		if err != nil {
 			return estimate.Estimate{}, err
 		}
@@ -195,6 +189,20 @@ func (s *Study) EstimateEffect(method EstimationMethod) (estimate.Estimate, erro
 	default:
 		return estimate.Estimate{}, fmt.Errorf("sisyphus: unknown estimation method %d", method)
 	}
+}
+
+// adjustmentSet picks the set the backdoor estimators condition on: the
+// first minimal adjustment set the attached data has every column of, as
+// POST /query picks among its measured columns.
+func (s *Study) adjustmentSet(id *Identification) ([]string, error) {
+	if len(id.AdjustmentSets) == 0 {
+		return nil, errors.New("sisyphus: no observed backdoor adjustment set exists")
+	}
+	set, ok := id.MeasuredAdjustmentSet(s.frame.Has)
+	if !ok {
+		return nil, fmt.Errorf("sisyphus: every minimal adjustment set %v has a variable with no data column", id.AdjustmentSets)
+	}
+	return set, nil
 }
 
 // Report renders the full causal-protocol report: question, assumptions,

@@ -1,6 +1,7 @@
 package sisyphus
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -142,6 +143,55 @@ func TestStudyNotIdentifiable(t *testing.T) {
 	s.WithData(confoundedFrame(3, 200, 1))
 	if _, err := s.EstimateEffect(Auto); err == nil {
 		t.Fatal("Auto should refuse unidentifiable effects")
+	}
+}
+
+// TestStudyAdjustsForMeasuredSet: the graph admits two minimal adjustment
+// sets, [A] and [B], and the data has a column for B only. EstimateEffect
+// and Refute must adjust for B, as POST /query would, rather than fail on
+// the first set's missing column.
+func TestStudyAdjustsForMeasuredSet(t *testing.T) {
+	r := mathx.NewRNG(5)
+	const n, effect = 4000, 3.0
+	tr, b, y := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range tr {
+		a := r.Normal(0, 1)
+		if 0.8*a+r.Normal(0, 1) > 0 {
+			tr[i] = 1
+		}
+		b[i] = a + r.Normal(0, 0.3)
+		y[i] = 10 + 2*b[i] + effect*tr[i] + r.Normal(0, 0.5)
+	}
+	f, err := data.FromColumns(map[string][]float64{"T": tr, "B": b, "Y": y})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStudy("two adjustment sets, one measured")
+	if err := s.WithGraphText("A -> T; A -> B; B -> Y; T -> Y"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Effect("T", "Y"); err != nil {
+		t.Fatal(err)
+	}
+	s.WithData(f)
+	id, err := s.Identify()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(id.AdjustmentSets) != "[[A] [B]]" {
+		t.Fatalf("adjustment sets = %v, want [[A] [B]]", id.AdjustmentSets)
+	}
+	for _, m := range []EstimationMethod{Auto, BackdoorRegression, BackdoorStratified, BackdoorIPW} {
+		est, err := s.EstimateEffect(m)
+		if err != nil {
+			t.Fatalf("method %d: %v", m, err)
+		}
+		if math.Abs(est.Effect-effect) > 0.5 {
+			t.Fatalf("method %d: effect %v, want about %v", m, est.Effect, effect)
+		}
+	}
+	if _, err := s.Refute(1); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -27,7 +27,10 @@ func (s *Study) Refute(seed uint64) ([]sensitivity.Refutation, error) {
 	if len(id.AdjustmentSets) == 0 {
 		return nil, errors.New("sisyphus: refuters currently require a backdoor-identifiable effect")
 	}
-	adjust := id.AdjustmentSets[0]
+	adjust, err := s.adjustmentSet(id)
+	if err != nil {
+		return nil, err
+	}
 	est := func(f *data.Frame) (estimate.Estimate, error) {
 		return estimate.Regression(f, s.treatment, s.outcome, adjust)
 	}
