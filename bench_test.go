@@ -434,12 +434,15 @@ func BenchmarkAblationAdjustmentMethods(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationWhatIfRouting compares the two ways to answer a forced
+// BenchmarkAblationWhatIfRouting compares the ways to answer a forced
 // contrast on the southafrica world — "what would AS3741's path to the
-// content AS be with Transit-A de-preffed?": editing the live policy and
-// recomputing every destination (then again after the restore), against
-// PerfToASWith converging only the measured destination on a policy clone
-// (whatif-miss) or answering a repeated question from its memo (whatif).
+// content AS be with Transit-A de-preffed?": converging every destination
+// under the edited policy and again under the restored one (recompute,
+// what the engine paid per edit before its route memo), editing the live
+// policy and re-keying the factual RIB, which the route memo answers after
+// the first time (live-edit), and PerfToASWith converging only the
+// measured destination on a policy clone (whatif-miss) or answering a
+// repeated question from its memo (whatif).
 func BenchmarkAblationWhatIfRouting(b *testing.B) {
 	s, err := scenario.BuildSouthAfrica()
 	if err != nil {
@@ -452,6 +455,27 @@ func BenchmarkAblationWhatIfRouting(b *testing.B) {
 	}
 	avoidA := func(p *bgp.Policy) { p.SetLocalPref(3741, scenario.ZATransitA, 10) }
 	b.Run("recompute", func(b *testing.B) {
+		ctx := context.Background()
+		for i := 0; i < b.N; i++ {
+			pol := e.Policy.Clone()
+			avoidA(pol)
+			rib, err := bgp.Compute(ctx, parallel.Pool{}, s.Topo, pol)
+			if err != nil {
+				b.Fatal(err)
+			}
+			dst, err := rib.NearestPoP(src, scenario.BigContent)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := e.PerfOn(rib, src, dst); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := bgp.Compute(ctx, parallel.Pool{}, s.Topo, e.Policy); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("live-edit", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			avoidA(e.Policy)
 			e.MarkDirty()

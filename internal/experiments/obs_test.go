@@ -300,6 +300,17 @@ func BenchmarkRecorderOverhead(b *testing.B) {
 // (confounding), over 7× the bound.
 const forcedContrastDestBound = 1000
 
+// forcedContrastFactualComputes bounds the full tables each forced-contrast
+// experiment converges for its factual routes, whatever its horizon: the
+// egress controller flips between a few policies, and the engine's route
+// memo hands a recurring ⟨topology epoch, policy⟩ state back without
+// converging it again. Measured at seed 42: 2 to 3 per experiment at 100
+// hours and at the default 1500/2000 hours alike (one fewer where the
+// artifact store's RIB seeds the engine), against the 47 to 81 re-keys
+// after egress shifts and releases at the defaults, each of which
+// converged every destination before the memo.
+const forcedContrastFactualComputes = 4
+
 // forcedContrastWhatIfComputes bounds the what-if fixed points each forced-
 // contrast experiment converges, whatever its horizon: it asks the same
 // two questions (avoid primary, avoid alternate) every hour, and the
@@ -339,7 +350,7 @@ func TestForcedContrastRoutingWorkBound(t *testing.T) {
 		}
 	}
 	// At the registered defaults (1500 or 2000 hours) the what-if work must
-	// not grow with the horizon.
+	// not grow with the horizon, and neither must the factual work.
 	full := run(nil)
 	for _, id := range ids {
 		queries, computes := full[id]["whatif.queries"], full[id]["whatif.computes"]
@@ -348,6 +359,16 @@ func TestForcedContrastRoutingWorkBound(t *testing.T) {
 		}
 		if bound := forcedContrastWhatIfComputes[id]; computes > bound {
 			t.Errorf("%s converged %.0f what-if fixed points for %.0f questions, bound %.0f: the what-if memo stopped hitting", id, computes, queries, bound)
+		}
+		queries, computes = full[id]["factual.queries"], full[id]["factual.computes"]
+		if queries < 10 {
+			t.Errorf("%s re-keyed its factual routes %.0f times at its default horizon, want tens: the bound below would pass vacuously", id, queries)
+		}
+		if computes > forcedContrastFactualComputes {
+			t.Errorf("%s converged %.0f factual full tables for %.0f re-keys, bound %d: the route memo stopped hitting", id, computes, queries, forcedContrastFactualComputes)
+		}
+		if short := short[id]["factual.computes"]; computes > short {
+			t.Errorf("%s converged %.0f factual full tables at its default horizon, %.0f at 100h: factual work grows with the horizon", id, computes, short)
 		}
 	}
 }

@@ -179,9 +179,10 @@ func (p *Policy) Key() string {
 // memo whenever the topology's Epoch moves. The Paths it hands out are
 // shared by every caller asking the same question and must be treated as
 // read-only too. The memo is unsynchronized: a RIB instance has one
-// forwarding owner — the engine it seeds, or the engine whose what-if memo
-// computed it. Such an engine keeps a what-if RIB, forwarding memo
-// included, across hours for as long as its topology's epoch holds. A RIB
+// forwarding owner — the engine it seeds, or the engine whose route memo
+// computed it. Such an engine keeps a memoized RIB, what-if or factual,
+// forwarding memo included, across hours for as long as its topology's
+// epoch holds. A RIB
 // held for sharing (the artifact store's original) is only ever forked,
 // and each Fork starts with an empty memo.
 type RIB struct {

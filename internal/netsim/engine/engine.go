@@ -1,9 +1,11 @@
 // Package engine drives the simulated Internet through time. It owns the
 // clock, fires scheduled events (IXP joins, link failures, maintenance
-// windows, policy changes), recomputes routing when the control plane is
-// dirtied, applies load-adaptive egress switching (the EdgeFabric/Espresso
-// behaviour that makes congestion a *cause* of route changes), and answers
-// performance queries (RTT, loss, throughput) along routed paths.
+// windows, policy changes), re-reads routing when the control plane is
+// dirtied — converging it only for a ⟨topology epoch, policy⟩ state it has
+// not converged before — applies load-adaptive egress switching (the
+// EdgeFabric/Espresso behaviour that makes congestion a *cause* of route
+// changes), and answers performance queries (RTT, loss, throughput) along
+// routed paths.
 //
 // Determinism contract: an Engine is fully determined by (topology
 // constructor, seed, event list). Two engines built the same way but with
@@ -20,6 +22,7 @@ import (
 	"sisyphus/internal/netsim/bgp"
 	"sisyphus/internal/netsim/topo"
 	"sisyphus/internal/netsim/traffic"
+	"sisyphus/internal/obs"
 	"sisyphus/internal/parallel"
 )
 
@@ -44,9 +47,13 @@ type Config struct {
 	// typically an artifact-store fork of the scenario's fixed point under
 	// the empty policy. The engine starts clean (not dirty): the first RIB
 	// query returns this state instead of recomputing it, and any event or
-	// policy change dirties it as usual. The caller must hand over a RIB
-	// computed over the engine's topology under an empty policy, which is
-	// exactly what every engine would compute for itself on first use.
+	// policy change dirties it as usual. It also seeds the route memo as
+	// the full table under the empty policy at the construction epoch, so
+	// returning to the empty policy (every egress override released)
+	// before the topology changes hands it back rather than recomputing
+	// it. The caller must hand over a RIB computed over the engine's
+	// topology under an empty policy, which is exactly what every engine
+	// would compute for itself on first use.
 	InitialRIB *bgp.RIB
 }
 
@@ -101,9 +108,10 @@ type Engine struct {
 	// egress is the provider plan of the RIB adaptEgress last ran on.
 	egress *egressPlan
 
-	// whatif memoizes PerfToASWith's one-destination RIBs by destination
-	// and edited policy, filled under topology epoch whatifEpoch (see
-	// whatIfRIB).
+	// whatif memoizes converged fixed points, filled under topology epoch
+	// whatifEpoch: PerfToASWith's and the v6 plane's one-destination RIBs
+	// by destination and policy (see whatIfRIB), and the factual full
+	// tables by policy (see RIB).
 	whatif      map[whatifKey]*bgp.RIB
 	whatifEpoch uint64
 
@@ -133,6 +141,8 @@ func New(t *topo.Topology, seed uint64, cfg Config) *Engine {
 	if cfg.InitialRIB != nil {
 		e.rib = cfg.InitialRIB
 		e.dirty = false
+		e.whatif = map[whatifKey]*bgp.RIB{{all: true, policy: e.Policy.Key()}: cfg.InitialRIB}
+		e.whatifEpoch = t.Epoch()
 	}
 	return e
 }
@@ -157,23 +167,37 @@ func (e *Engine) Schedule(ev Event) {
 // Hour returns the current simulated UTC hour since start.
 func (e *Engine) Hour() float64 { return e.hour }
 
-// RIB returns the current converged routing state, recomputing if needed.
+// RIB returns the current converged routing state. After the state has
+// been dirtied it re-keys it — the topology epoch and the v4 policy's
+// content — and reads the full table under that key from the route memo
+// (see memoized), converging every destination only on a miss. The
+// adaptive egress controller flips between a few policies per epoch, so a
+// recurring state hands back the very RIB it converged before, forwarding
+// memo included.
 func (e *Engine) RIB() (*bgp.RIB, error) {
-	if e.dirty || e.rib == nil {
-		rib, err := bgp.Compute(e.ctx, e.cfg.Pool, e.Topo, e.Policy)
-		if err != nil {
+	if !e.dirty {
+		return e.rib, nil
+	}
+	obs.Add(e.ctx, "factual.queries", 1)
+	k := whatifKey{all: true, policy: e.Policy.Key()}
+	rib, ok := e.memoized(k)
+	if !ok {
+		obs.Add(e.ctx, "factual.computes", 1)
+		var err error
+		if rib, err = bgp.Compute(e.ctx, e.cfg.Pool, e.Topo, e.Policy); err != nil {
 			return nil, err
 		}
-		e.rib = rib
-		e.dirty = false
+		e.whatif[k] = rib
 	}
-	return e.rib, nil
+	e.rib, e.dirty = rib, false
+	return rib, nil
 }
 
-// MarkDirty forces a recomputation of the factual (v4) routes on next use:
-// call it after mutating the topology or the v4 policy outside the event
-// system. What-if routes — PerfToASWith answers and the v6 plane — need no
-// flag: they are keyed on their policy's content and the topology epoch.
+// MarkDirty makes the next use re-read the factual (v4) routes from the
+// route memo under the current topology epoch and v4 policy: call it after
+// mutating the topology or the v4 policy outside the event system. What-if
+// routes — PerfToASWith answers and the v6 plane — need no flag: they are
+// re-keyed on every query.
 func (e *Engine) MarkDirty() { e.dirty = true }
 
 // Step advances simulated time by StepHours: fires due events, then applies

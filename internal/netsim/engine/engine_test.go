@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"sisyphus/internal/mathx"
 	"sisyphus/internal/netsim/topo"
 	"sisyphus/internal/netsim/traffic"
 )
@@ -140,6 +141,76 @@ func TestIXPJoinEventReducesRTT(t *testing.T) {
 	if !foundIXP {
 		t.Fatal("post-join path does not cross the IXP")
 	}
+}
+
+// TestJoinIXPOfMemberCustomerRoutes: on a generated world, a tier-1 that
+// sells transit to an exchange member joins the exchange, then a tier-2
+// customer of that tier-1 does. Each keeps its transit relationship and
+// peers over the LAN with the members it has no transit link with, so the
+// engine still routes: the tier-2 reaches a content member over the
+// exchange.
+func TestJoinIXPOfMemberCustomerRoutes(t *testing.T) {
+	for seed := uint64(1); seed < 200; seed++ {
+		cfg := topo.DefaultGenConfig()
+		cfg.IXP, cfg.Cities = true, 6
+		tp, err := topo.Generate(mathx.NewRNG(seed), cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ixp := tp.IXPs()[0]
+		rel, err := tp.Relationships()
+		if err != nil {
+			t.Fatal(err)
+		}
+		inCity := func(a topo.ASN) bool { _, err := tp.FindPoP(a, ixp.City); return err == nil }
+		var tier1, tier2, member topo.ASN
+		for _, m := range ixp.Members {
+			for p, k := range rel.Rel[m] {
+				if k == topo.RelCustomer && p < 2000 && inCity(p) && (tier1 == 0 || p < tier1) {
+					tier1, member = p, m
+				}
+			}
+		}
+		for _, as := range tp.ASes() {
+			if a := as.ASN; tier1 != 0 && tier2 == 0 && a >= 2000 && a < 3000 && inCity(a) && rel.Rel[a][tier1] == topo.RelCustomer {
+				tier2 = a
+			}
+		}
+		if tier2 == 0 {
+			continue
+		}
+		e := New(tp, seed, Config{})
+		e.Schedule(EvJoinIXP(1, ixp.Name, tier1, 0.02))
+		e.Schedule(EvJoinIXP(2, ixp.Name, tier2, 0.02))
+		if err := e.RunUntil(3); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		rib, err := e.RIB()
+		if err != nil {
+			t.Fatalf("seed %d: joining AS%d then AS%d broke routing: %v", seed, tier1, tier2, err)
+		}
+		if rib.Rel.Rel[member][tier1] != topo.RelCustomer || rib.Rel.Rel[tier2][tier1] != topo.RelCustomer {
+			t.Fatalf("seed %d: transit relationships changed: AS%d->AS%d %v, AS%d->AS%d %v",
+				seed, member, tier1, rib.Rel.Rel[member][tier1], tier2, tier1, rib.Rel.Rel[tier2][tier1])
+		}
+		src, err := tp.FindPoP(tier2, ixp.City)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perf, err := e.PerfToAS(src, member)
+		if err != nil {
+			t.Fatalf("seed %d: AS%d cannot reach member AS%d: %v", seed, tier2, member, err)
+		}
+		crosses := false
+		for _, h := range perf.Path.Hops {
+			crosses = crosses || (h.Link != nil && h.Link.IXP == ixp.Name)
+		}
+		if !crosses {
+			t.Fatalf("seed %d: AS%d reaches member AS%d over %v, not the exchange", seed, tier2, member, perf.Path.ASPath)
+		}
+		return
+	}
+	t.Fatal("no generated world with a tier-1 member provider and a tier-2 customer of it at the exchange")
 }
 
 func TestMaintenanceWindowRemovesAndRestores(t *testing.T) {

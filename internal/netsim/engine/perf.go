@@ -66,35 +66,47 @@ func (e *Engine) PerfToASWith(src topo.PoPID, asn topo.ASN, edit func(*bgp.Polic
 	return e.perfToASOn(rib, src, asn)
 }
 
-// maxWhatIfRIBs bounds the what-if memo; reaching it empties the memo.
-// The experiments ask two or three distinct questions per topology epoch,
-// plus one per destination the v6 plane is measured toward.
+// maxWhatIfRIBs bounds the route memo; reaching it empties the memo.
+// Per topology epoch the experiments ask two or three distinct what-if
+// questions, plus one per destination the v6 plane is measured toward, and
+// the adaptive egress controller visits a handful of factual policies.
 const maxWhatIfRIBs = 64
 
-// whatifKey identifies one what-if fixed point: the destination and the
-// edited policy's content (bgp.Policy.Key).
+// whatifKey identifies one memoized fixed point: the policy's content
+// (bgp.Policy.Key) and either one destination or, for the factual table,
+// all of them.
 type whatifKey struct {
 	asn    topo.ASN
+	all    bool
 	policy string
 }
 
-// whatIfRIB returns the one-destination RIB toward asn under pol,
-// converging it only on a memo miss. It serves PerfToASWith's edited
-// policies and the v6 plane's policy (RoutesToward) alike. A fixed point
-// is a function of the destination, the policy and the topology's link
+// memoized looks k up in the route memo, first emptying the memo if the
+// topology epoch has moved since it was filled or it is full. A fixed point
+// is a function of the destinations, the policy and the topology's link
 // state, so the memo is keyed on the first two and flushed when the third
-// moves (a new Epoch). It is keyed on the policy's content rather than on
-// a version counter because events, experiments and the family knob write
-// the exported policy maps directly. Failed computations are not memoized.
-func (e *Engine) whatIfRIB(asn topo.ASN, pol *bgp.Policy) (*bgp.RIB, error) {
-	obs.Add(e.ctx, "whatif.queries", 1)
+// moves. It is keyed on the policy's content rather than on a version
+// counter because events, experiments and the family knob write the
+// exported policy maps directly. Callers store what they converge on a
+// miss in e.whatif; failed computations are not memoized.
+func (e *Engine) memoized(k whatifKey) (*bgp.RIB, bool) {
 	epoch := e.Topo.Epoch()
 	if e.whatif == nil || e.whatifEpoch != epoch || len(e.whatif) >= maxWhatIfRIBs {
 		e.whatif = make(map[whatifKey]*bgp.RIB)
 		e.whatifEpoch = epoch
 	}
-	k := whatifKey{asn, pol.Key()}
-	if rib, ok := e.whatif[k]; ok {
+	rib, ok := e.whatif[k]
+	return rib, ok
+}
+
+// whatIfRIB returns the one-destination RIB toward asn under pol,
+// converging it only on a memo miss (see memoized). It serves
+// PerfToASWith's edited policies and the v6 plane's policy (RoutesToward)
+// alike.
+func (e *Engine) whatIfRIB(asn topo.ASN, pol *bgp.Policy) (*bgp.RIB, error) {
+	obs.Add(e.ctx, "whatif.queries", 1)
+	k := whatifKey{asn: asn, policy: pol.Key()}
+	if rib, ok := e.memoized(k); ok {
 		return rib, nil
 	}
 	obs.Add(e.ctx, "whatif.computes", 1)

@@ -89,9 +89,11 @@ func multihomed(t *testing.T, tp *topo.Topology) (asn topo.ASN, providers []topo
 // TestPerfToASWithMatchesForcedRecompute is the what-if contract: on a
 // generated world whose adaptive egress controller is moving the factual
 // policy, pinning a multihomed AS to each provider every hour through
-// PerfToASWith must answer exactly what the edit-recompute-restore sequence
-// answers — and must leave the factual policy, RIB and dirty flag alone,
-// which the unchanged RIB pointer proves.
+// PerfToASWith must answer exactly what the edit-rekey-restore sequence on
+// the live policy answers (its factual RIB is a memo hit or a full
+// compute, held to a fresh compute by TestFactualMemoMatchesMissPath) —
+// and must leave the factual policy, RIB and dirty flag alone, which the
+// unchanged RIB pointer proves.
 func TestPerfToASWithMatchesForcedRecompute(t *testing.T) {
 	const hours = 240
 	tp, asn, providers, content := multihomedWorld(t)
@@ -145,7 +147,7 @@ func TestPerfToASWithMatchesForcedRecompute(t *testing.T) {
 				t.Fatalf("hour %v: PerfToASWith triggered a v4 recompute", e.Hour())
 			}
 
-			// The reference: edit the live policy, recompute everything,
+			// The reference: edit the live policy, re-key the factual RIB,
 			// measure, restore the snapshot.
 			pin(p)(e.Policy)
 			e.MarkDirty()

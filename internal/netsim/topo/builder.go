@@ -156,8 +156,13 @@ func (b *Builder) Build() (*Topology, error) {
 
 // JoinIXP connects an AS (which must have a PoP in the IXP's city) to the
 // exchange: it becomes a LAN member and gains peer links to every existing
-// member. Returns the new link IDs. This is the E1 "treatment" — the paper's
-// intervention is exactly this call happening mid-measurement-campaign.
+// member it has no transit link with. A member it already buys transit
+// from or sells transit to, over a link up or down, keeps that
+// relationship and gets no LAN link: the pair cannot be both transit and
+// peers (Relationships rejects it). A member it privately peers with still
+// gets its LAN link. Returns the new link IDs. This is the E1 "treatment" —
+// the paper's intervention is exactly this call happening
+// mid-measurement-campaign.
 func (t *Topology) JoinIXP(name string, asn ASN) ([]LinkID, error) {
 	t.mutable("JoinIXP") // CoW promotion must precede the IXP lookup below
 	x, err := t.IXP(name)
@@ -171,8 +176,20 @@ func (t *Topology) JoinIXP(name string, asn ASN) ([]LinkID, error) {
 	if _, ok := t.ixpMemberIdx[name][asn]; ok {
 		return nil, fmt.Errorf("topo: AS%d is already a member of %s", asn, name)
 	}
+	transit := make(map[ASN]bool)
+	for _, p := range t.PoPsOf(asn) {
+		for _, id := range t.adj[p] {
+			if l := t.links[id]; l.Rel == CustomerOf {
+				transit[t.pops[l.A].AS] = true
+				transit[t.pops[l.B].AS] = true
+			}
+		}
+	}
 	var created []LinkID
 	for _, member := range x.Members {
+		if transit[member] {
+			continue
+		}
 		mpop, err := t.FindPoP(member, x.City)
 		if err != nil {
 			return nil, fmt.Errorf("topo: member AS%d lost its %s PoP: %w", member, x.City, err)

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -139,6 +140,65 @@ func TestJoinIXPCreatesPeerLinks(t *testing.T) {
 	// Joining without a PoP in the IXP city is rejected.
 	if _, err := topo.JoinIXP("NAPAfrica-JNB", 999); err == nil {
 		t.Fatal("join by unknown AS accepted")
+	}
+}
+
+// TestJoinIXPKeepsTransitRelationships: a joiner gets no LAN link to a
+// member it has a transit link with, in either direction and whether that
+// link is up or down, so relationships stay derivable; a member it
+// privately peers with still gets its LAN link.
+func TestJoinIXPKeepsTransitRelationships(t *testing.T) {
+	tp, err := NewBuilder(nil).
+		AddAS(100, "EyeballNet", Access, "Johannesburg").
+		AddAS(200, "TransitCo", Transit, "Johannesburg", "London").
+		AddAS(300, "ContentCo", Content, "London", "Johannesburg").
+		AddAS(400, "PeerNet", Access, "Johannesburg").
+		Connect(100, "Johannesburg", CustomerOf, 200, "Johannesburg").
+		Connect(300, "London", CustomerOf, 200, "London").
+		Connect(400, "Johannesburg", PeerWith, 300, "Johannesburg").
+		AddIXP("NAPAfrica-JNB", "Johannesburg", "196.60.8.").
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, asn := range []ASN{300, 400} {
+		if _, err := tp.JoinIXP("NAPAfrica-JNB", asn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The transit provider of member 300 joins: no LAN link to 300.
+	links, err := tp.JoinIXP("NAPAfrica-JNB", 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(links) != 1 || tp.PoP(tp.Link(links[0]).B).AS != 400 {
+		t.Fatalf("AS200's new links = %v, want one to AS400 only", links)
+	}
+	// A customer of member 200 joins with its transit link down: still no
+	// LAN link to 200, which would conflict once the link comes back up.
+	tp.SetLinkUp(0, false)
+	links, err = tp.JoinIXP("NAPAfrica-JNB", 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp.SetLinkUp(0, true)
+	var peers []ASN
+	for _, id := range links {
+		peers = append(peers, tp.PoP(tp.Link(id).B).AS)
+	}
+	if !slices.Equal(peers, []ASN{300, 400}) {
+		t.Fatalf("AS100's new LAN peers = %v, want [300 400]", peers)
+	}
+	rel, err := tp.Relationships()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rel.Rel[100][200] != RelCustomer || rel.Rel[200][300] != RelProvider {
+		t.Fatalf("transit relationships changed: 100->200 %v, 200->300 %v", rel.Rel[100][200], rel.Rel[200][300])
+	}
+	// 400 and 300 peer privately and now over the LAN too.
+	if rel.Rel[400][300] != RelPeer || len(rel.Links[400][300]) != 2 {
+		t.Fatalf("400-300 = %v over %v, want peer over the private and the LAN link", rel.Rel[400][300], rel.Links[400][300])
 	}
 }
 

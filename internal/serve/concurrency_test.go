@@ -216,11 +216,13 @@ func TestRequestTimeoutReturns504(t *testing.T) {
 		t.Skip("runs a simulation")
 	}
 	s := New(Config{
-		Store:          artifact.NewStore(),
-		Pool:           parallel.Pool{},
-		RequestTimeout: 20 * time.Millisecond, // a cold confounding build takes over 100 ms
+		Store: artifact.NewStore(),
+		Pool:  parallel.Pool{},
+		// A cold confounding build at the 8,760-hour cap takes over 100 ms;
+		// at its default 1,500 hours it takes about 20 ms, no margin.
+		RequestTimeout: 20 * time.Millisecond,
 	})
-	rec := get(t, s, "/experiment/confounding?seed=6")
+	rec := get(t, s, "/experiment/confounding?seed=6&opts="+`{"Hours":8760}`)
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504 (body %s)", rec.Code, rec.Body)
 	}
