@@ -11,6 +11,7 @@ package sisyphus
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"sisyphus/internal/artifact"
@@ -21,6 +22,7 @@ import (
 	"sisyphus/internal/netsim/engine"
 	"sisyphus/internal/netsim/scenario"
 	"sisyphus/internal/netsim/topo"
+	"sisyphus/internal/netsim/traffic"
 	"sisyphus/internal/parallel"
 	"sisyphus/internal/platform"
 	"sisyphus/internal/probe"
@@ -548,6 +550,49 @@ func BenchmarkSVD(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mathx.ComputeSVD(m)
+	}
+}
+
+// BenchmarkMulVecTo times classic synthetic control's Frank–Wolfe kernel at
+// its two shapes: the donor pre-period matrix (pre-period bins × ~20
+// donors) times the weights, and its transpose times the residual.
+func BenchmarkMulVecTo(b *testing.B) {
+	for _, sh := range []struct{ rows, cols int }{{42, 20}, {20, 42}} {
+		b.Run(fmt.Sprintf("%dx%d", sh.rows, sh.cols), func(b *testing.B) {
+			r := mathx.NewRNG(6)
+			m := mathx.NewMatrix(sh.rows, sh.cols)
+			for i := range m.Data {
+				m.Data[i] = r.Normal(0, 1)
+			}
+			v, out := make(mathx.Vector, sh.cols), make(mathx.Vector, sh.rows)
+			for i := range v {
+				v[i] = r.Normal(0, 1)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.MulVecTo(out, v)
+			}
+		})
+	}
+}
+
+// utilSink keeps BenchmarkUtilization's reads live.
+var utilSink float64
+
+// BenchmarkUtilization times one traffic-model read of a link's
+// utilization on a generated internet, read the way a simulation step reads
+// it: every link three times per step, so two reads in three are repeats.
+func BenchmarkUtilization(b *testing.B) {
+	tp, err := topo.Generate(mathx.NewRNG(4), topo.DefaultGenConfig(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := traffic.NewModel(tp, 1)
+	n := tp.NumLinks()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step := i / (3 * n)
+		utilSink = m.Utilization(topo.LinkID(i%n), float64(step), step)
 	}
 }
 

@@ -36,15 +36,20 @@ func OptionsFromJSON(id string, raw []byte) (Options, error) {
 		}
 		return nil, fmt.Errorf("experiments: %s takes no options, got %q", id, truncateForErr(trimmed))
 	}
+	// Every decode starts from a deep copy of the defaults: the JSON decoder
+	// writes slices, maps and pointed-to values in place, so a shallow copy
+	// would let one request, even a refused one, rewrite the registered
+	// defaults every later request starts from.
+	def := deepCopy(reflect.ValueOf(e.Defaults))
 	if len(trimmed) == 0 || string(trimmed) == "null" {
-		return e.Defaults, nil
+		return def.Interface().(Options), nil
 	}
 	// Decode into a fresh value of the registered options' dynamic type,
-	// pre-filled with the defaults. reflect.New gives the pointer the JSON
+	// pre-filled with that copy. reflect.New gives the pointer the JSON
 	// decoder needs; the registered type always implements Options by value,
 	// so the dereferenced result converts back without a second check.
-	pv := reflect.New(reflect.TypeOf(e.Defaults))
-	pv.Elem().Set(reflect.ValueOf(e.Defaults))
+	pv := reflect.New(def.Type())
+	pv.Elem().Set(def)
 	dec := json.NewDecoder(bytes.NewReader(trimmed))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(pv.Interface()); err != nil {
@@ -62,6 +67,50 @@ func OptionsFromJSON(id string, raw []byte) (Options, error) {
 		}
 	}
 	return opts, nil
+}
+
+// deepCopy returns a copy of v that shares no slice, map or pointer target
+// with it. Options are plain data (structs of scalars, slices, maps and
+// pointers; no interfaces, channels, funcs or cycles), and the decoder sets
+// exported fields only, so unexported ones are copied as they are.
+func deepCopy(v reflect.Value) reflect.Value {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() {
+			return v
+		}
+		c := reflect.New(v.Type().Elem())
+		c.Elem().Set(deepCopy(v.Elem()))
+		return c
+	case reflect.Slice:
+		if v.IsNil() {
+			return v
+		}
+		c := reflect.MakeSlice(v.Type(), v.Len(), v.Len())
+		for i := 0; i < v.Len(); i++ {
+			c.Index(i).Set(deepCopy(v.Index(i)))
+		}
+		return c
+	case reflect.Map:
+		if v.IsNil() {
+			return v
+		}
+		c := reflect.MakeMapWithSize(v.Type(), v.Len())
+		for it := v.MapRange(); it.Next(); {
+			c.SetMapIndex(it.Key(), deepCopy(it.Value()))
+		}
+		return c
+	case reflect.Struct:
+		c := reflect.New(v.Type()).Elem()
+		c.Set(v)
+		for i := 0; i < v.NumField(); i++ {
+			if c.Field(i).CanSet() {
+				c.Field(i).Set(deepCopy(v.Field(i)))
+			}
+		}
+		return c
+	}
+	return v
 }
 
 // truncateForErr keeps hostile or enormous documents from flooding error

@@ -96,15 +96,37 @@ func (m *Matrix) MulVec(v Vector) Vector {
 
 // MulVecTo writes the matrix-vector product m * v into out, which must have
 // length m.Rows, without allocating.
+//
+// Rows go four at a time through one pass over v, each with its own
+// accumulator: four independent add chains keep the loop from waiting on
+// one add's latency. Every row still sums its products left to right
+// (s += row[j]*v[j]), so out is bit-identical to one row at a time.
 func (m *Matrix) MulVecTo(out, v Vector) {
 	if m.Cols != len(v) || m.Rows != len(out) {
 		panic(fmt.Sprintf("mathx: mulVec %dx%d by %d into %d", m.Rows, m.Cols, len(v), len(out)))
 	}
-	for i := 0; i < m.Rows; i++ {
+	c := len(v)
+	i := 0
+	for ; i+4 <= len(out); i += 4 {
+		r0 := m.Data[i*c : (i+1)*c]
+		r1 := m.Data[(i+1)*c : (i+2)*c]
+		r2 := m.Data[(i+2)*c : (i+3)*c]
+		r3 := m.Data[(i+3)*c : (i+4)*c]
+		var s0, s1, s2, s3 float64
+		for j, x := range v {
+			s0 += r0[j] * x
+			s1 += r1[j] * x
+			s2 += r2[j] * x
+			s3 += r3[j] * x
+		}
+		o := out[i : i+4]
+		o[0], o[1], o[2], o[3] = s0, s1, s2, s3
+	}
+	for ; i < len(out); i++ {
+		row := m.Data[i*c : (i+1)*c][:len(v)] // proves row[j] in bounds
 		var s float64
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, x := range row {
-			s += x * v[j]
+		for j, x := range v {
+			s += row[j] * x
 		}
 		out[i] = s
 	}

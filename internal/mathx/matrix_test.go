@@ -140,6 +140,71 @@ func TestMatrixMulVecAgainstMul(t *testing.T) {
 	}
 }
 
+// mulVecReference is MulVecTo's specification: one row at a time, each
+// summed left to right.
+func mulVecReference(m *Matrix, v Vector) Vector {
+	out := make(Vector, m.Rows)
+	for i := range out {
+		var s float64
+		for j := 0; j < m.Cols; j++ {
+			s += m.At(i, j) * v[j]
+		}
+		out[i] = s
+	}
+	return out
+}
+
+// TestMulVecToMatchesRowOrderReference holds the row-blocked kernel to the
+// one-row-at-a-time sum under math.Float64bits: every shape up to 9 rows
+// (so every leftover-row count after the blocks) by 33 columns, on finite
+// inputs and on inputs sown with NaN, ±Inf, signed zeros and extremes.
+func TestMulVecToMatchesRowOrderReference(t *testing.T) {
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64}
+	r := NewRNG(11)
+	for _, specialEvery := range []int{0, 16, 4} {
+		draw := func() float64 {
+			if specialEvery > 0 && r.Intn(specialEvery) == 0 {
+				return special[r.Intn(len(special))]
+			}
+			return r.Normal(0, 1) * math.Pow(10, float64(r.Intn(9)-4))
+		}
+		for rows := 0; rows <= 9; rows++ {
+			for cols := 0; cols <= 33; cols++ {
+				m := NewMatrix(rows, cols)
+				for i := range m.Data {
+					m.Data[i] = draw()
+				}
+				v := make(Vector, cols)
+				for i := range v {
+					v[i] = draw()
+				}
+				want := mulVecReference(m, v)
+				got := make(Vector, rows)
+				for i := range got {
+					got[i] = 42 // MulVecTo overwrites, never accumulates
+				}
+				m.MulVecTo(got, v)
+				for i := range got {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%dx%d (special 1/%d) row %d: %v (%#x), reference %v (%#x)",
+							rows, cols, specialEvery, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+					}
+				}
+			}
+		}
+	}
+	for _, c := range []struct{ out, v int }{{4, 5}, {4, 3}, {3, 4}, {5, 4}, {0, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("MulVecTo of a 4x4 matrix by %d into %d did not panic", c.v, c.out)
+				}
+			}()
+			NewMatrix(4, 4).MulVecTo(make(Vector, c.out), make(Vector, c.v))
+		}()
+	}
+}
+
 func TestIdentityIsMulNeutral(t *testing.T) {
 	r := NewRNG(7)
 	m := NewMatrix(4, 4)

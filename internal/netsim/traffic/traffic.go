@@ -3,6 +3,12 @@
 // the simulator's congestion variable C — the confounder of the paper's
 // running example, since it both raises queueing latency (C → L) and
 // triggers load-adaptive egress switching (C → R).
+//
+// Utilization is memoized per link: a simulation step reads each link many
+// times (the egress controller, every probe and every user population
+// crossing it), and every read after the first of a ⟨link, step, hour⟩
+// returns the stored value. TestUtilizationMemoMatchesMissPath holds the
+// memo to a recompute.
 package traffic
 
 import (
@@ -54,14 +60,45 @@ func (f FlashCrowd) activeFactor(t float64) float64 {
 // noise process whose RNG is derived from the model seed and the link ID, so
 // two runs with the same seed produce identical noise for links they share —
 // the property counterfactual replay relies on.
+//
+// Each link's state is one slot of a slice indexed by LinkID: its resolved
+// baseline and UTC offset, its noise, its surges and load shifts, and its
+// last value with the ⟨step, hour, generation⟩ it was computed at.
+// AddFlashCrowd and AddLoadShift advance the generation, which invalidates
+// every stored value.
 type Model struct {
-	topo  *topo.Topology
-	seed  uint64
-	noise map[topo.LinkID]*ar1
-	flash []FlashCrowd
-	// ShiftedLoad adds a permanent utilization delta per link from a given
-	// hour (e.g. traffic moving onto a new IXP link after a join).
-	shifts map[topo.LinkID][]loadShift
+	topo *topo.Topology
+	seed uint64
+	// links holds each link's state, indexed by LinkID; it grows on demand
+	// as the topology gains links (an IXP join) or a surge names a link
+	// not yet read.
+	links []linkState
+	// gen counts AddFlashCrowd and AddLoadShift calls; a memoized value is
+	// valid only under the generation it was computed in.
+	gen uint64
+}
+
+// linkState is one link's inputs to Utilization, its noise process and its
+// memoized last value.
+type linkState struct {
+	// resolved reports that utcOffset, baseUtil and noise are set: they
+	// are read from the topology on the link's first Utilization.
+	resolved  bool
+	utcOffset float64
+	baseUtil  float64
+	noise     ar1
+	// flash and shifts are the link's surges and load shifts, in the order
+	// they were added, so their sums run in that order.
+	flash  []FlashCrowd
+	shifts []loadShift
+
+	// The memo: val is Utilization at ⟨memoStep, memoHour (the hour's
+	// bits), memoGen⟩, valid when memoOK.
+	memoOK   bool
+	memoStep int
+	memoHour uint64
+	memoGen  uint64
+	val      float64
 }
 
 type loadShift struct {
@@ -70,7 +107,7 @@ type loadShift struct {
 }
 
 type ar1 struct {
-	rng   *mathx.RNG
+	rng   mathx.RNG
 	state float64
 	// phi is persistence, sigma the innovation scale.
 	phi, sigma float64
@@ -79,67 +116,81 @@ type ar1 struct {
 
 // NewModel returns a utilization model for the topology.
 func NewModel(t *topo.Topology, seed uint64) *Model {
-	return &Model{
-		topo:   t,
-		seed:   seed,
-		noise:  make(map[topo.LinkID]*ar1),
-		shifts: make(map[topo.LinkID][]loadShift),
+	return &Model{topo: t, seed: seed}
+}
+
+// link returns id's state, growing the table to hold it.
+func (m *Model) link(id topo.LinkID) *linkState {
+	if n := int(id) + 1; n > len(m.links) {
+		m.links = append(m.links, make([]linkState, n-len(m.links))...)
 	}
+	return &m.links[id]
 }
 
 // AddFlashCrowd schedules a demand surge.
-func (m *Model) AddFlashCrowd(f FlashCrowd) { m.flash = append(m.flash, f) }
+func (m *Model) AddFlashCrowd(f FlashCrowd) {
+	s := m.link(f.Link)
+	s.flash = append(s.flash, f)
+	m.gen++
+}
 
 // AddLoadShift permanently changes a link's baseline utilization from the
 // given hour onward (positive or negative).
 func (m *Model) AddLoadShift(id topo.LinkID, fromHour, delta float64) {
-	m.shifts[id] = append(m.shifts[id], loadShift{fromHour, delta})
+	s := m.link(id)
+	s.shifts = append(s.shifts, loadShift{fromHour, delta})
+	m.gen++
 }
 
-func (m *Model) noiseFor(id topo.LinkID) *ar1 {
-	n, ok := m.noise[id]
-	if !ok {
-		n = &ar1{
-			rng:      mathx.NewRNG(m.seed ^ (uint64(id)+1)*0x9e3779b97f4a7c15),
-			phi:      0.9,
-			sigma:    0.02,
-			lastStep: -1,
-		}
-		m.noise[id] = n
+// resolve reads the link's baseline and its city's UTC offset from the
+// topology and seeds its noise process.
+func (m *Model) resolve(id topo.LinkID, s *linkState) {
+	l := m.topo.Link(id)
+	s.utcOffset = m.topo.Registry.MustGet(m.topo.PoP(l.A).City).UTCOffset
+	s.baseUtil = l.BaseUtil
+	s.noise = ar1{
+		rng:      *mathx.NewRNG(m.seed ^ (uint64(id)+1)*0x9e3779b97f4a7c15),
+		phi:      0.9,
+		sigma:    0.02,
+		lastStep: -1,
 	}
-	return n
+	s.resolved = true
 }
 
 // Utilization returns the link's utilization at the given UTC hour, for the
 // given integer step index (noise advances once per step). The result is
 // clamped to [0, 0.985] so queueing delay stays finite.
 func (m *Model) Utilization(id topo.LinkID, utcHour float64, step int) float64 {
-	l := m.topo.Link(id)
-	cityA := m.topo.Registry.MustGet(m.topo.PoP(l.A).City)
-	base := l.BaseUtil * Diurnal(utcHour, cityA.UTCOffset)
+	s := m.link(id)
+	hour := math.Float64bits(utcHour)
+	if s.memoOK && s.memoStep == step && s.memoHour == hour && s.memoGen == m.gen {
+		return s.val
+	}
+	if !s.resolved {
+		m.resolve(id, s)
+	}
+	base := s.baseUtil * Diurnal(utcHour, s.utcOffset)
 
-	n := m.noiseFor(id)
+	n := &s.noise
 	for n.lastStep < step {
 		n.state = n.phi*n.state + n.rng.Normal(0, n.sigma)
 		n.lastStep++
 	}
 	u := base + n.state
-	for _, f := range m.flash {
-		if f.Link == id {
-			u += f.activeFactor(utcHour)
-		}
+	for _, f := range s.flash {
+		u += f.activeFactor(utcHour)
 	}
-	for _, s := range m.shifts[id] {
-		if utcHour >= s.fromHour {
-			u += s.delta
+	for _, sh := range s.shifts {
+		if utcHour >= sh.fromHour {
+			u += sh.delta
 		}
 	}
 	if u < 0 {
-		return 0
+		u = 0
+	} else if u > 0.985 {
+		u = 0.985
 	}
-	if u > 0.985 {
-		return 0.985
-	}
+	s.memoOK, s.memoStep, s.memoHour, s.memoGen, s.val = true, step, hour, m.gen, u
 	return u
 }
 

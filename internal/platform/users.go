@@ -40,10 +40,21 @@ type UserModel struct {
 	// from the previous step (default 3).
 	ChangeBoost float64
 
-	emaRTT map[topo.PoPID]float64
-	// lastPath is each population's AS path on the previous step: the
-	// memoized Path's own slice, read-only.
-	lastPath map[topo.PoPID][]topo.ASN
+	// habit is the per-source-PoP state, indexed by PoPID: populations
+	// behind one PoP share it.
+	habit []popHabit
+}
+
+// popHabit is what the users behind one PoP carry between steps.
+type popHabit struct {
+	// seen reports that the PoP has been observed: emaRTT and lastPath are
+	// set.
+	seen bool
+	// emaRTT is the habitual RTT baseline.
+	emaRTT float64
+	// lastPath is the AS path on the previous step: the memoized Path's
+	// own slice, read-only.
+	lastPath []topo.ASN
 }
 
 // NewUserModel returns a user model with its own RNG stream.
@@ -51,8 +62,6 @@ func NewUserModel(pops []UserPop, seed uint64) *UserModel {
 	return &UserModel{
 		Pops: pops, rng: mathx.NewRNG(seed),
 		BaseRate: 0.2, PerfBoost: 3, ChangeBoost: 3,
-		emaRTT:   make(map[topo.PoPID]float64),
-		lastPath: make(map[topo.PoPID][]topo.ASN),
 	}
 }
 
@@ -72,28 +81,32 @@ type StepObservation struct {
 // (Poisson with state-dependent rate), executes them through the prober,
 // and returns both the observations and the measurements.
 func (u *UserModel) Step(p *probe.Prober) ([]StepObservation, []*probe.Measurement, error) {
-	var obs []StepObservation
+	obs := make([]StepObservation, 0, len(u.Pops))
 	var out []*probe.Measurement
 	for _, pop := range u.Pops {
 		perf, err := p.Engine.PerfToAS(pop.Src, pop.Dst)
 		if err != nil {
 			return nil, nil, fmt.Errorf("platform: user pop %v: %w", pop, err)
 		}
+		if n := int(pop.Src) + 1; n > len(u.habit) {
+			u.habit = append(u.habit, make([]popHabit, n-len(u.habit))...)
+		}
+		h := &u.habit[pop.Src]
 		path := perf.Path.ASPath
-		prev, ok := u.lastPath[pop.Src]
-		changed := ok && !slices.Equal(prev, path)
-		u.lastPath[pop.Src] = path
+		changed := h.seen && !slices.Equal(h.lastPath, path)
+		h.lastPath = path
 
-		ema, ok := u.emaRTT[pop.Src]
-		if !ok {
+		ema := h.emaRTT
+		if !h.seen {
 			ema = perf.RTTms
 		}
+		h.seen = true
 		degradation := 0.0
 		if ema > 0 && perf.RTTms > ema {
 			degradation = (perf.RTTms - ema) / ema
 		}
 		// Habit updates slowly so sustained shifts eventually normalize.
-		u.emaRTT[pop.Src] = 0.95*ema + 0.05*perf.RTTms
+		h.emaRTT = 0.95*ema + 0.05*perf.RTTms
 
 		// Rate scales with degradation (PerfBoost per 50% excess RTT) and
 		// jumps multiplicatively when the route just changed.
