@@ -250,6 +250,15 @@ func (s *Store) PerKey() map[Key]KeyStats {
 	return out
 }
 
+// addKeyed adds delta to the per-key obs counter prefix+key.ID(). The label
+// is built only when a recorder rides ctx, so the nil-recorder path stays
+// allocation-free.
+func addKeyed(ctx context.Context, prefix string, key Key, delta int64) {
+	if obs.From(ctx) != nil {
+		obs.Add(ctx, prefix+key.ID(), delta)
+	}
+}
+
 // keyStatsLocked returns the per-key counter slot, creating it if needed.
 func (s *Store) keyStatsLocked(k Key) *KeyStats {
 	ks := s.perKey[k]
@@ -338,7 +347,7 @@ func GetOrBuild[T any](ctx context.Context, s *Store, key Key, spec Spec[T]) (T,
 		s.keyStatsLocked(key).Hits++
 		s.mu.Unlock()
 		obs.Add(ctx, "cache.hits", 1)
-		obs.Add(ctx, "cache.hit."+key.ID(), 1)
+		addKeyed(ctx, "cache.hit.", key, 1)
 		select {
 		case <-e.ready:
 		case <-ctx.Done():
@@ -368,7 +377,7 @@ func GetOrBuild[T any](ctx context.Context, s *Store, key Key, spec Spec[T]) (T,
 	s.keyStatsLocked(key).Misses++
 	s.mu.Unlock()
 	obs.Add(ctx, "cache.misses", 1)
-	obs.Add(ctx, "cache.miss."+key.ID(), 1)
+	addKeyed(ctx, "cache.miss.", key, 1)
 
 	val, fromDisk, err := func() (T, bool, error) {
 		// A build that panics abandons its entry like a failed one, so
@@ -452,10 +461,10 @@ func resolveMiss[T any](ctx context.Context, s *Store, key Key, spec Spec[T]) (v
 	if err != nil {
 		// The failed attempt's duration is labeled separately — folding it
 		// into build_ms would pollute the successful-build timing series.
-		obs.Add(ctx, "cache.build_errors."+key.ID(), 1)
+		addKeyed(ctx, "cache.build_errors.", key, 1)
 		return val, false, err
 	}
-	obs.Add(ctx, "cache.build_ms."+key.ID(), time.Since(start).Milliseconds())
+	addKeyed(ctx, "cache.build_ms.", key, time.Since(start).Milliseconds())
 	return val, false, nil
 }
 
@@ -494,7 +503,7 @@ func diskLoad[T any](ctx context.Context, s *Store, key Key, spec Spec[T]) (T, b
 	}
 	s.countDisk(&s.stats.DiskHits)
 	obs.Add(ctx, "disk.hits", 1)
-	obs.Add(ctx, "disk.hit."+key.ID(), 1)
+	addKeyed(ctx, "disk.hit.", key, 1)
 	return val, true
 }
 

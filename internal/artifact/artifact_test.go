@@ -122,6 +122,38 @@ func boxSpec(builds *atomic.Int64, val []int) Spec[*[]int] {
 	}
 }
 
+// TestHitWithoutRecorderAllocatesNothing is the store's half of the
+// zero-cost-when-off invariant: with no obs recorder on the context, a
+// cache hit whose Fork returns its argument allocates nothing — the
+// per-key metric labels are never built.
+func TestHitWithoutRecorderAllocatesNothing(t *testing.T) {
+	s := NewStore()
+	key, err := NewKey("world", "southafrica", 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := 7
+	spec := Spec[*int]{
+		Build: func(context.Context) (*int, error) { return &v, nil },
+		Fork:  func(p *int) *int { return p },
+	}
+	ctx := context.Background()
+	if _, err := GetOrBuild(ctx, s, key, spec); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := GetOrBuild(ctx, s, key, spec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("nil-recorder cache hit allocates %.1f objects/op, want 0", allocs)
+	}
+	if st := s.Stats(); st.Hits < 200 || st.Builds != 1 {
+		t.Fatalf("stats %+v: want one build and every later call a hit", st)
+	}
+}
+
 func TestGetOrBuildBuildsOnce(t *testing.T) {
 	ctx := context.Background()
 	s := NewStore()

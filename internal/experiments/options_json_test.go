@@ -90,6 +90,17 @@ func TestOptionsFromJSONErrors(t *testing.T) {
 		{"table1 bins too wide", "table1", `{"BinHours": 10000}`, "BinHours"},
 		{"table1 flaps too frequent", "table1", `{"FlapEveryHours": 0.0001, "FlapLink": 3}`, "FlapEveryHours"},
 		{"chaos levels over cap", "chaos", `{"Intensities": [0,0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4,0.45,0.5,0.55,0.6,0.65,0.7,0.8]}`, "Intensities"},
+		{"table1 retry attempts over cap", "table1", `{"Faults": {"Seed": 1, "DropRate": 1}, "Retry": {"MaxAttempts": 2000000000}}`, "MaxAttempts"},
+		{"table1 retry attempts negative", "table1", `{"Retry": {"MaxAttempts": -1}}`, "MaxAttempts"},
+		{"table1 drop rate over one", "table1", `{"Faults": {"Seed": 1, "DropRate": 1.5}}`, "DropRate"},
+		{"table1 truncate rate negative", "table1", `{"Faults": {"TruncateRate": -0.1}}`, "TruncateRate"},
+		{"table1 duplicate rate over one", "table1", `{"Faults": {"DuplicateRate": 2}}`, "DuplicateRate"},
+		{"table1 reorder rate over one", "table1", `{"Faults": {"ReorderRate": 1.01}}`, "ReorderRate"},
+		{"table1 skew over cap", "table1", `{"Faults": {"TimestampSkewStdHours": 1e9}}`, "TimestampSkewStdHours"},
+		{"table1 outage rate over cap", "table1", `{"Faults": {"Seed": 1, "OutagesPerKiloHour": 1e15, "OutageMeanHours": 1e-15}}`, "OutagesPerKiloHour"},
+		{"table1 outage mean under floor", "table1", `{"Faults": {"OutagesPerKiloHour": 10, "OutageMeanHours": 1e-15}}`, "OutageMeanHours"},
+		{"table1 outage mean negative", "table1", `{"Faults": {"OutagesPerKiloHour": 10, "OutageMeanHours": -5}}`, "OutageMeanHours"},
+		{"did takes no fault knobs", "did", `{"Faults": {"DropRate": 0.5}}`, "Faults"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -113,6 +124,7 @@ func TestOptionsFromJSONErrors(t *testing.T) {
 		{"table1", `{"UserRate": 4, "BinHours": 48, "FlapEveryHours": 12}`},
 		{"table1", `{"BinHours": 1}`},
 		{"chaos", `{"Weeks": 52, "Intensities": [0,0.1,0.2,0.3,0.4,0.5,0.6,0.7]}`},
+		{"table1", `{"Faults": {"DropRate": 1, "TruncateRate": 1, "DuplicateRate": 1, "ReorderRate": 1, "TimestampSkewStdHours": 24, "OutagesPerKiloHour": 100, "OutageMeanHours": 1}, "Retry": {"MaxAttempts": 8}}`},
 	} {
 		if _, err := OptionsFromJSON(tc.id, []byte(tc.raw)); err != nil {
 			t.Errorf("%s %s at the cap: %v", tc.id, tc.raw, err)

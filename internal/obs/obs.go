@@ -8,7 +8,7 @@
 // account: pipeline stages record spans (wall time, item counts, error tags),
 // estimator hot paths record the quantities they already compute but used to
 // discard (placebo fits attempted/skipped, BGP sweeps to fixed point,
-// Monte-Carlo shards, fault-injector drops, store coverage).
+// Monte-Carlo shards, injected fault drops, store coverage).
 //
 // # The zero-cost-when-off invariant
 //

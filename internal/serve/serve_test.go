@@ -166,6 +166,11 @@ func TestExperimentHandlerValidation(t *testing.T) {
 		{"opts table1 bins too narrow", "/experiment/table1?opts={\"BinHours\":0.0001}", http.StatusBadRequest, "BinHours"},
 		{"opts table1 bins too wide", "/experiment/table1?opts={\"BinHours\":10000}", http.StatusBadRequest, "BinHours"},
 		{"opts table1 flaps too frequent", "/experiment/table1?opts={\"FlapEveryHours\":0.0001,\"FlapLink\":3}", http.StatusBadRequest, "FlapEveryHours"},
+		{"opts table1 retry attempts oversized", `/experiment/table1?opts={"Faults":{"Seed":1,"DropRate":1},"Retry":{"MaxAttempts":2000000000}}`, http.StatusBadRequest, "MaxAttempts"},
+		{"opts table1 drop rate over one", `/experiment/table1?opts={"Faults":{"DropRate":1.5}}`, http.StatusBadRequest, "DropRate"},
+		{"opts table1 skew oversized", `/experiment/table1?opts={"Faults":{"TimestampSkewStdHours":1e9}}`, http.StatusBadRequest, "TimestampSkewStdHours"},
+		{"opts table1 outage storm", `/experiment/table1?opts={"Faults":{"Seed":1,"OutagesPerKiloHour":1e15,"OutageMeanHours":1e-15}}`, http.StatusBadRequest, "OutagesPerKiloHour"},
+		{"opts table1 outages too short", `/experiment/table1?opts={"Faults":{"OutagesPerKiloHour":10,"OutageMeanHours":1e-15}}`, http.StatusBadRequest, "OutageMeanHours"},
 		{"opts chaos too many levels", "/experiment/chaos?opts={\"Intensities\":[0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8]}", http.StatusBadRequest, "Intensities"},
 		{"scenario unknown id", "/experiment/table1?scenario=atlantis", http.StatusBadRequest, "atlantis"},
 		{"scenario bad gen spec", "/experiment/table1?scenario=gen:bogus%3D1", http.StatusBadRequest, "gen:"},
