@@ -185,9 +185,11 @@ func BenchmarkSweepGrid(b *testing.B) { benchSweep(b, "table1") }
 // BenchmarkSweepGridWide runs the full-breadth grid the scenario-generic
 // experiment layer unlocked: Table 1 plus three of the newly
 // scenario-capable runners (did, exposure, rootcause) over both worlds.
-// did shares table1's campaign artifact per ⟨scenario, seed⟩, so the wide
-// grid's marginal cost over BenchmarkSweepGrid is mostly the extra
-// analysis — the number that justifies sweeping the widened set by default.
+// did's 4-week campaigns are keys of their own, but they branch from the
+// no-join trunk table1's campaigns share per ⟨scenario, seed⟩, so did
+// simulates only the hours after its week-2 join — the wide grid's
+// marginal cost over BenchmarkSweepGrid is mostly the extra analysis, the
+// number that justifies sweeping the widened set by default.
 func BenchmarkSweepGridWide(b *testing.B) {
 	benchSweep(b, "table1", "did", "exposure", "rootcause")
 }

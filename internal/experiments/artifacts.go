@@ -6,13 +6,11 @@ import (
 	"sisyphus/internal/artifact"
 	"sisyphus/internal/faults"
 	"sisyphus/internal/netsim/bgp"
-	"sisyphus/internal/netsim/engine"
 	"sisyphus/internal/netsim/scenario"
 	"sisyphus/internal/netsim/topo"
 	"sisyphus/internal/obs"
 	"sisyphus/internal/parallel"
 	"sisyphus/internal/platform"
-	"sisyphus/internal/probe"
 )
 
 // Artifact kinds the experiments request through the store. A "world" is a
@@ -20,11 +18,14 @@ import (
 // randomness); a "rib" is the world's converged BGP fixed point under the
 // empty policy (what every engine computes on first use); a "campaign" is a
 // fully simulated measurement run — post-simulation world plus the platform
-// store of everything the probes delivered.
+// store of everything the probes delivered; a "trunk" is a campaign
+// family's shared no-join simulation, which campaigns branch from (see
+// trunk).
 const (
 	kindWorld    = "world"
 	kindRIB      = "rib"
 	kindCampaign = "campaign"
+	kindTrunk    = "trunk"
 )
 
 // fetchWorld returns a caller-owned scenario world plus (when the cache is
@@ -130,7 +131,7 @@ func campaignParamsFrom(cfg Table1Config, join bool) campaignParams {
 }
 
 // hours is the campaign's simulated horizon.
-func (p campaignParams) hours() float64 { return float64(p.Weeks) * 7 * 24 }
+func (p campaignParams) hours() float64 { return float64(p.Weeks * hoursPerWeek) }
 
 // flapHours returns the link-flap schedule: flap i goes down at the
 // closed-form hour 100 + i*period, up 6 hours later, for every flap before
@@ -161,69 +162,29 @@ type campaign struct {
 	store *platform.Store
 }
 
-// runCampaign simulates one clean measurement campaign from scratch: fetch
-// (or build) the world, seed an adaptive-egress engine, schedule the joins
-// and flaps the params call for, drive the user model over the full
-// horizon, and ingest everything into a platform store. This is the build
-// function behind the campaign artifact and the single place campaign
-// simulation happens — Table 1's pipeline, the DiD re-analysis and every
-// chaos level draw from it. It reads no fault params.
+// runCampaign builds one clean measurement campaign: the branch of its
+// family's trunk (see trunk.branch), which simulates only the hours the
+// campaign does not share with the family's no-join simulation. This is
+// the build function behind the campaign artifact and the single place
+// campaign simulation happens — Table 1's pipeline, the DiD re-analysis and
+// every chaos level draw from it. It reads no fault params.
 func runCampaign(ctx context.Context, pool parallel.Pool, id string, seed uint64, p campaignParams) (campaign, error) {
-	totalHours := p.hours()
-	joinHour := float64(p.JoinWeek) * 7 * 24
-
-	s, rib, err := fetchWorld(ctx, pool, id)
+	t, err := fetchTrunk(ctx, pool, id, seed, p)
 	if err != nil {
 		return campaign{}, err
 	}
-	if p.FlapEveryHours > 0 && (p.FlapLink < 0 || int(p.FlapLink) >= s.Topo.NumLinks()) {
-		return campaign{}, queryInvalidf("FlapLink %d is not a link of world %q (it has %d)", p.FlapLink, id, s.Topo.NumLinks())
+	c, err := t.branch(ctx, p)
+	if err != nil {
+		return campaign{}, err
 	}
-	e := engine.New(s.Topo, seed, engine.Config{AdaptiveEgress: true, Pool: pool, InitialRIB: rib}).Bind(ctx)
-	pr := probe.NewProber(e, seed+1)
-	if p.Join {
-		for _, asn := range s.TreatedASNs {
-			e.Schedule(engine.EvJoinIXP(joinHour, s.IXPName, asn, 0.02))
-		}
-		for _, asn := range p.AlsoJoin {
-			e.Schedule(engine.EvJoinIXP(joinHour, s.IXPName, asn, 0.02))
-		}
-	}
-	for _, h := range flapHours(totalHours, p.FlapEveryHours) {
-		e.Schedule(engine.EvLinkDown(h, p.FlapLink))
-		e.Schedule(engine.EvLinkUp(h+6, p.FlapLink))
-	}
-	var pops []platform.UserPop
-	for _, u := range s.AllUnits() {
-		src, err := s.UserPoP(u)
-		if err != nil {
-			return campaign{}, err
-		}
-		pops = append(pops, platform.UserPop{Src: src, Dst: s.MeasureDst(), Size: 1})
-	}
-	um := platform.NewUserModel(pops, seed+2)
-	um.BaseRate = p.UserRate
-	store := platform.NewStore()
-	for e.Hour() < totalHours {
-		if err := e.Step(); err != nil {
-			return campaign{}, err
-		}
-		_, ms, err := um.Step(pr)
-		if err != nil {
-			return campaign{}, err
-		}
-		if err := store.Add(ms...); err != nil {
-			return campaign{}, err
-		}
-	}
-	// Run-trace accounting, per simulated campaign (cache hits skip it: no
-	// simulation happened). No-ops without a recorder.
-	cov := store.TotalCoverage()
+	// Run-trace accounting, per built campaign (cache hits skip it).
+	// No-ops without a recorder.
+	cov := c.store.TotalCoverage()
 	obs.Add(ctx, "store.scheduled", int64(cov.Scheduled))
 	obs.Add(ctx, "store.delivered", int64(cov.Delivered))
 	obs.Add(ctx, "store.failed", int64(cov.Failed))
 	obs.Gauge(ctx, "store.coverage", cov.Fraction())
-	return campaign{world: s, store: store}, nil
+	return c, nil
 }
 
 // campaignCodec is the campaign artifact's disk-tier codec.

@@ -11,12 +11,21 @@
 // constructor, seed, event list). Two engines built the same way but with
 // different event lists share all noise for the components they have in
 // common, which is what makes ground-truth counterfactuals ("replay the
-// same six weeks without the IXP join") meaningful.
+// same six weeks without the IXP join") meaningful. The contract extends to
+// forks: a Fork taken after n steps is the engine those n steps produced,
+// so stepping it under some events is bit-identical to stepping the
+// original under them, and an engine built with an event list whose events
+// up to hour h are the ones fired is a Fork at h whose pending events
+// Reschedule replaced — which is how a campaign that differs from its
+// no-join counterfactual only from its join hour on simulates only the
+// hours after it.
 package engine
 
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"sisyphus/internal/netsim/bgp"
@@ -158,10 +167,85 @@ func (e *Engine) Bind(ctx context.Context) *Engine {
 	return e
 }
 
-// Schedule registers an event; events fire in AtHour order during Step.
+// Schedule registers an event; events fire in AtHour order during Step, and
+// events due at the same hour fire in the order they were scheduled.
 func (e *Engine) Schedule(ev Event) {
 	e.events = append(e.events, ev)
 	sort.SliceStable(e.events, func(i, j int) bool { return e.events[i].AtHour < e.events[j].AtHour })
+}
+
+// Reschedule replaces every event that has not fired with the events of
+// evs an engine scheduled with evs from the start would not have fired by
+// now (after step 0, those after the current hour), in evs' order. Given a
+// schedule whose events fired so far are the ones this engine has fired,
+// the engine then runs on exactly as one built with that schedule would:
+// the fired events and their order agree, and the pending ones are what
+// that engine would hold. A campaign branch forked from a shared trunk
+// installs its own joins and flaps this way.
+func (e *Engine) Reschedule(evs ...Event) {
+	e.events = e.events[:e.fired:e.fired]
+	for _, ev := range evs {
+		if e.step == 0 || ev.AtHour > e.hour {
+			e.events = append(e.events, ev)
+		}
+	}
+	sort.SliceStable(e.events, func(i, j int) bool { return e.events[i].AtHour < e.events[j].AtHour })
+}
+
+// Fork returns an independent copy of the running engine, bound to ctx.
+// Stepped under the same events, the engine and its fork stay
+// bit-identical; stepping either, scheduling on it, or mutating its
+// topology, policies or traffic leaves the other as it was. The fork owns a
+// clone of the topology, copies of both policies, of the traffic model and
+// of the event queue and log, and the egress controller's state. Converged
+// RIBs are immutable, so the route memo's entries — the current RIB among
+// them — are re-homed onto the clone (bgp.RIB.Fork): they share their
+// tables and start with empty forwarding memos. Fork only reads e, so any
+// number of forks may be taken of an engine nobody steps.
+func (e *Engine) Fork(ctx context.Context) *Engine {
+	t := e.Topo.Clone()
+	f := &Engine{
+		Topo:      t,
+		Policy:    e.Policy.Clone(),
+		Traffic:   e.Traffic.Fork(t),
+		cfg:       e.cfg,
+		hour:      e.hour,
+		step:      e.step,
+		dirty:     e.dirty,
+		events:    slices.Clone(e.events),
+		fired:     e.fired,
+		eventLg:   slices.Clone(e.eventLg),
+		depreffed: maps.Clone(e.depreffed),
+	}
+	if e.policy6 != nil {
+		f.policy6 = e.policy6.Clone()
+	}
+	// One fork per RIB, so the identities the engine relies on (the
+	// egress plan's RIB is the current one) hold in the fork too.
+	forks := make(map[*bgp.RIB]*bgp.RIB)
+	rehome := func(r *bgp.RIB) *bgp.RIB {
+		if r == nil {
+			return nil
+		}
+		if _, ok := forks[r]; !ok {
+			forks[r] = r.Fork(t)
+		}
+		return forks[r]
+	}
+	// A memo filled under an older epoch would be flushed at its next use
+	// anyway; the fork starts without it.
+	if e.whatif != nil && e.whatifEpoch == e.Topo.Epoch() {
+		f.whatif = make(map[whatifKey]*bgp.RIB, len(e.whatif))
+		for k, r := range e.whatif {
+			f.whatif[k] = rehome(r)
+		}
+		f.whatifEpoch = t.Epoch()
+	}
+	f.rib = rehome(e.rib)
+	if e.egress != nil {
+		f.egress = &egressPlan{rib: rehome(e.egress.rib), ases: e.egress.ases}
+	}
+	return f.Bind(ctx)
 }
 
 // Hour returns the current simulated UTC hour since start.

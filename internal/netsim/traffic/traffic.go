@@ -13,6 +13,7 @@ package traffic
 
 import (
 	"math"
+	"slices"
 
 	"sisyphus/internal/mathx"
 	"sisyphus/internal/netsim/topo"
@@ -117,6 +118,23 @@ type ar1 struct {
 // NewModel returns a utilization model for the topology.
 func NewModel(t *topo.Topology, seed uint64) *Model {
 	return &Model{topo: t, seed: seed}
+}
+
+// Fork returns an independent copy of the model that reads t, a clone of
+// the model's own topology: the fork keeps every link's noise process
+// (its RNG by value), surges, load shifts and memoized value, so both
+// return the same utilizations from here on, and a surge or load shift
+// added to either stays its own. The fork's surge and shift slices share
+// the original's arrays clipped to their length: the fork's first append
+// copies them, and the original's appends land past what the fork reads.
+func (m *Model) Fork(t *topo.Topology) *Model {
+	links := slices.Clone(m.links)
+	for i := range links {
+		s := &links[i]
+		s.flash = slices.Clip(s.flash)
+		s.shifts = slices.Clip(s.shifts)
+	}
+	return &Model{topo: t, seed: m.seed, links: links, gen: m.gen}
 }
 
 // link returns id's state, growing the table to hold it.

@@ -64,7 +64,10 @@ func (c *StreamCoverage) add(m *probe.Measurement) {
 // re-checks them on every fetch, so any illegal write through a shared
 // *Measurement is caught loudly.
 type Store struct {
-	ms     []*probe.Measurement
+	ms []*probe.Measurement
+	// seen indexes every stored ID. It stays nil while IDs arrive strictly
+	// increasing — then a new ID is unique iff it exceeds the last — and
+	// is built on the first ID that does not.
 	seen   map[int]bool
 	cov    map[probe.Intent]*StreamCoverage
 	frozen bool
@@ -73,7 +76,7 @@ type Store struct {
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{seen: make(map[int]bool), cov: make(map[probe.Intent]*StreamCoverage)}
+	return &Store{cov: make(map[probe.Intent]*StreamCoverage)}
 }
 
 // Add appends measurements, rejecting any whose ID the store has already
@@ -85,10 +88,18 @@ func (s *Store) Add(ms ...*probe.Measurement) error {
 		return fmt.Errorf("platform: Add on frozen store (build a new store instead)")
 	}
 	for _, m := range ms {
-		if s.seen[m.ID] {
-			return fmt.Errorf("platform: duplicate measurement ID %d (intent %s, hour %.2f)", m.ID, m.Intent, m.Hour)
+		if s.seen == nil && len(s.ms) > 0 && m.ID <= s.ms[len(s.ms)-1].ID {
+			s.seen = make(map[int]bool, len(s.ms))
+			for _, old := range s.ms {
+				s.seen[old.ID] = true
+			}
 		}
-		s.seen[m.ID] = true
+		if s.seen != nil {
+			if s.seen[m.ID] {
+				return fmt.Errorf("platform: duplicate measurement ID %d (intent %s, hour %.2f)", m.ID, m.Intent, m.Hour)
+			}
+			s.seen[m.ID] = true
+		}
 		c := s.cov[m.Intent]
 		if c == nil {
 			c = &StreamCoverage{}

@@ -65,6 +65,19 @@ func NewUserModel(pops []UserPop, seed uint64) *UserModel {
 	}
 }
 
+// Fork returns a copy of the model that draws exactly what the model would
+// from here on: its RNG by value, its knobs, and a copy of every PoP's
+// habit (the remembered AS paths are read-only and stay shared). Neither
+// copy's steps move the other.
+func (u *UserModel) Fork() *UserModel {
+	f := *u
+	rng := *u.rng
+	f.rng = &rng
+	f.Pops = slices.Clone(u.Pops)
+	f.habit = slices.Clone(u.habit)
+	return &f
+}
+
 // StepObservation is what the user model saw for one population this step —
 // exported so experiments can compute ground truth (e.g. "all traffic" vs
 // "tests that ran").
@@ -114,13 +127,11 @@ func (u *UserModel) Step(p *probe.Prober) ([]StepObservation, []*probe.Measureme
 		if changed {
 			rate *= u.ChangeBoost
 		}
+		// Each test runs over the path just measured: the same routes,
+		// PoP and hour a fresh SpeedTest would read.
 		n := u.rng.Poisson(rate)
 		for i := 0; i < n; i++ {
-			m, err := p.SpeedTest(pop.Src, pop.Dst, probe.IntentUserInitiated, "user")
-			if err != nil {
-				return nil, nil, err
-			}
-			out = append(out, m)
+			out = append(out, p.SpeedTestOn(perf, probe.IntentUserInitiated, "user"))
 		}
 		obs = append(obs, StepObservation{
 			Pop: pop, RTTms: perf.RTTms, RouteChanged: changed,

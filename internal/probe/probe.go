@@ -107,6 +107,17 @@ func NewProber(e *engine.Engine, seed uint64) *Prober {
 	return &Prober{Engine: e, rng: mathx.NewRNG(seed), RTTJitterMs: 1.2, ThroughputEff: 0.85}
 }
 
+// Fork returns a copy of the prober measuring e — typically a Fork of the
+// prober's own engine. The copy carries the noise stream by value and the
+// next record ID, so it draws exactly what the prober would draw from here
+// on, and neither one's draws move the other.
+func (p *Prober) Fork(e *engine.Engine) *Prober {
+	f := *p
+	rng := *p.rng
+	f.Engine, f.rng = e, &rng
+	return &f
+}
+
 func (p *Prober) jitter() float64 {
 	// Positive-skewed jitter: queue variance only ever adds latency.
 	return p.rng.Exponential(1 / p.RTTJitterMs)
@@ -119,7 +130,7 @@ func (p *Prober) Traceroute(src, dst topo.PoPID, intent Intent, trigger string) 
 	if err != nil {
 		return nil, err
 	}
-	return p.record(src, dst, perf, intent, trigger, 4), nil
+	return p.record(perf, intent, trigger, 4), nil
 }
 
 // SpeedTest measures throughput to the nearest PoP of a destination AS and
@@ -140,27 +151,35 @@ func (p *Prober) SpeedTestFamily(src topo.PoPID, dstAS topo.ASN, family engine.F
 	if err != nil {
 		return nil, err
 	}
-	return p.speedTest(src, dst, family, intent, trigger, func() (*engine.PathPerf, error) {
-		return p.Engine.PerfOn(rib, src, dst)
-	})
+	perf, err := p.Engine.PerfOn(rib, src, dst)
+	if err != nil {
+		return nil, err
+	}
+	return p.speedTest(perf, family, intent, trigger), nil
+}
+
+// SpeedTestOn runs a v4 speed test over perf, a PathPerf the caller read
+// from the engine's current routes at the current hour — PerfToAS toward
+// the test's destination AS. It records and draws exactly what SpeedTest
+// toward that AS would, without measuring the path again.
+func (p *Prober) SpeedTestOn(perf *engine.PathPerf, intent Intent, trigger string) *Measurement {
+	return p.speedTest(perf, engine.V4, intent, trigger)
 }
 
 // SpeedTestTo measures throughput to a specific server PoP (used when a
 // load balancer, not anycast, picks the server).
 func (p *Prober) SpeedTestTo(src, dst topo.PoPID, intent Intent, trigger string) (*Measurement, error) {
-	return p.speedTest(src, dst, engine.V4, intent, trigger, func() (*engine.PathPerf, error) {
-		return p.Engine.Perf(src, dst)
-	})
-}
-
-// speedTest is the body every speed test shares: perf, the record and the
-// achieved-throughput draw.
-func (p *Prober) speedTest(src, dst topo.PoPID, family engine.Family, intent Intent, trigger string, perfOf func() (*engine.PathPerf, error)) (*Measurement, error) {
-	perf, err := perfOf()
+	perf, err := p.Engine.Perf(src, dst)
 	if err != nil {
 		return nil, err
 	}
-	m := p.record(src, dst, perf, intent, trigger, int(family))
+	return p.speedTest(perf, engine.V4, intent, trigger), nil
+}
+
+// speedTest is the body every speed test shares: the record and the
+// achieved-throughput draw.
+func (p *Prober) speedTest(perf *engine.PathPerf, family engine.Family, intent Intent, trigger string) *Measurement {
+	m := p.record(perf, intent, trigger, int(family))
 	eff := p.ThroughputEff + p.rng.Normal(0, 0.05)
 	if eff < 0.3 {
 		eff = 0.3
@@ -169,13 +188,16 @@ func (p *Prober) speedTest(src, dst topo.PoPID, family engine.Family, intent Int
 		eff = 1
 	}
 	m.ThroughputMbps = perf.ThroughputMbps * eff
-	return m, nil
+	return m
 }
 
-// record builds a completed measurement with its traceroute hops.
-func (p *Prober) record(src, dst topo.PoPID, perf *engine.PathPerf, intent Intent, trigger string, family int) *Measurement {
+// record builds a completed measurement with its traceroute hops. The AS
+// path is the forwarded path's own immutable slice, shared through a
+// full-slice expression so an append on the record copies it first.
+func (p *Prober) record(perf *engine.PathPerf, intent Intent, trigger string, family int) *Measurement {
 	t := p.Engine.Topo
-	sp, dp := t.PoP(src), t.PoP(dst)
+	sp, dp := t.PoP(perf.Path.Src), t.PoP(perf.Path.Dst)
+	asPath := perf.Path.ASPath
 	p.nextID++
 	m := &Measurement{
 		ID: p.nextID, Hour: p.Engine.Hour(), Intent: intent, Trigger: trigger,
@@ -184,7 +206,7 @@ func (p *Prober) record(src, dst topo.PoPID, perf *engine.PathPerf, intent Inten
 		Attempts:    1,
 		RTTms:       perf.RTTms + p.jitter(),
 		LossRate:    perf.LossRate,
-		ASPath:      append([]topo.ASN(nil), perf.Path.ASPath...),
+		ASPath:      asPath[:len(asPath):len(asPath)],
 		TrueRTTms:   perf.RTTms,
 		TrueMaxUtil: perf.MaxUtil,
 	}
