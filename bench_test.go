@@ -24,8 +24,6 @@ import (
 	"sisyphus/internal/netsim/topo"
 	"sisyphus/internal/netsim/traffic"
 	"sisyphus/internal/parallel"
-	"sisyphus/internal/platform"
-	"sisyphus/internal/probe"
 	"sisyphus/internal/sweep"
 )
 
@@ -157,23 +155,6 @@ func BenchmarkAllSuite(b *testing.B) {
 			run(b, store)
 		}
 	})
-	// The disk tier's two modes: cold write-through (build everything, plus
-	// encode + fsync + rename per artifact) and warm disk-hit (a fresh
-	// in-memory store each iteration, so every artifact is read, verified,
-	// and decoded from disk — the cross-process restart cost).
-	b.Run("disk-cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			run(b, diskBenchStore(b, b.TempDir()))
-		}
-	})
-	b.Run("disk-warm", func(b *testing.B) {
-		dir := b.TempDir()
-		run(b, diskBenchStore(b, dir))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			run(b, diskBenchStore(b, dir))
-		}
-	})
 }
 
 // BenchmarkSweepGrid runs the sweep driver over a small but real grid — the
@@ -222,19 +203,6 @@ func benchSweep(b *testing.B, experiments ...string) {
 			b.Fatalf("sweep cells failed: %+v", rep.Failures)
 		}
 	}
-}
-
-// diskBenchStore opens a disk-backed store on dir with a pinned fingerprint
-// (so warmed dirs stay valid across `go test` recompiles) and silent logging.
-func diskBenchStore(b *testing.B, dir string) *artifact.Store {
-	b.Helper()
-	d, err := artifact.OpenDisk(artifact.DiskConfig{
-		Dir: dir, Fingerprint: "bench-fp", Log: func(string, ...any) {},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return artifact.NewStore(artifact.WithDisk(d))
 }
 
 // --- Fork benchmarks: the copy-on-write cache-hit primitives ---
@@ -297,35 +265,10 @@ func BenchmarkForkRIB(b *testing.B) {
 	})
 }
 
-// benchCampaign builds the campaign the codec benchmark encodes: the Table 1
-// world and 3000 synthetic measurements (one simulated record per ~20
-// minutes over six weeks, the Table 1 volume).
-func benchCampaign(b *testing.B) (*scenario.World, *platform.Store) {
-	b.Helper()
-	s, err := scenario.Build(scenario.SouthAfricaID)
-	if err != nil {
-		b.Fatal(err)
-	}
-	st := platform.NewStore()
-	for i := 0; i < 3000; i++ {
-		m := &probe.Measurement{
-			ID: i + 1, Intent: probe.IntentBaseline, Hour: float64(i) / 3,
-			SrcASN: 3741, SrcCity: "Johannesburg", DstASN: 300,
-			RTTms: 180, ThroughputMbps: 40,
-			Hops: make([]probe.HopRecord, 6),
-		}
-		if err := st.Add(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return s, st
-}
-
 // Package-level sinks keep the compiler from eliding the forks.
 var (
 	benchWorldSink *scenario.World
 	benchRIBSink   *bgp.RIB
-	benchStoreSink *platform.Store
 )
 
 // --- Ablations (DESIGN.md "design choices called out for ablation") ---
@@ -644,94 +587,3 @@ func BenchmarkTromboneEraContrast(b *testing.B) {
 		}
 	}
 }
-
-// --- Disk-tier codec benchmarks: the per-kind encode/decode costs that a
-// write-through (encode) and a warm start (decode) pay per artifact. The
-// decode side includes full validation and index rebuilding — the price of
-// the "never serve unverified values" invariant.
-
-func BenchmarkDiskCodecWorld(b *testing.B) {
-	s, err := scenario.Build(scenario.SouthAfricaID)
-	if err != nil {
-		b.Fatal(err)
-	}
-	data, err := experiments.EncodeWorldArtifact(s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("encode", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if benchBytesSink, err = experiments.EncodeWorldArtifact(s); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("decode", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if benchWorldSink, err = experiments.DecodeWorldArtifact(data); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkDiskCodecRIB(b *testing.B) {
-	pool := parallel.Pool{}
-	s, err := scenario.Build(scenario.SouthAfricaID)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rib, err := bgp.Compute(context.Background(), pool, s.Topo, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	data, err := experiments.EncodeRIBArtifact(rib)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("encode", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if benchBytesSink, err = experiments.EncodeRIBArtifact(rib); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("decode", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if benchRIBSink, err = experiments.DecodeRIBArtifact(data, s.Topo); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkDiskCodecCampaign(b *testing.B) {
-	s, st := benchCampaign(b)
-	data, err := experiments.EncodeCampaignArtifact(s, st)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("encode", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if benchBytesSink, err = experiments.EncodeCampaignArtifact(s, st); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("decode", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if benchWorldSink, benchStoreSink, err = experiments.DecodeCampaignArtifact(data); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// benchBytesSink keeps the compiler from eliding encodes.
-var benchBytesSink []byte

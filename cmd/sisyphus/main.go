@@ -6,7 +6,6 @@
 //	sisyphus -list
 //	sisyphus -experiment table1 [-seed 42]
 //	sisyphus -all [-workers 8] [-timeout 5m]
-//	sisyphus -all -cache-dir ~/.cache/sisyphus
 //	sisyphus -all -trace run.jsonl -metrics [-pprof localhost:6060]
 //
 // -all runs the experiments concurrently on the -workers pool and prints
@@ -64,23 +63,6 @@ func validateFlags(workers int) error {
 func validateCacheFlag(cache string) error {
 	if cache != "on" && cache != "off" {
 		return fmt.Errorf("-cache must be \"on\" or \"off\" (got %q)", cache)
-	}
-	return nil
-}
-
-// validateCacheDirFlag rejects -cache-dir combinations that cannot mean
-// what the user intended: a persistent tier under a disabled cache is a
-// contradiction, and one attached to an invocation that runs nothing
-// (-list, or no mode) could only ever sit idle.
-func validateCacheDirFlag(cacheDir, cache string, runs bool) error {
-	if cacheDir == "" {
-		return nil
-	}
-	if cache == "off" {
-		return fmt.Errorf("-cache-dir requires the cache; drop -cache=off or -cache-dir")
-	}
-	if !runs {
-		return fmt.Errorf("-cache-dir requires a run (-all, -experiment, or -sweep)")
 	}
 	return nil
 }
@@ -171,7 +153,6 @@ func main() {
 		metrics   = flag.Bool("metrics", false, "print a metrics summary after the run (a \"metrics\" JSON object with -json)")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the run")
 		cache     = flag.String("cache", "on", "artifact cache: \"on\" shares scenario worlds, RIBs and campaigns across experiments; \"off\" rebuilds everything (output bytes are identical either way)")
-		cacheDir  = flag.String("cache-dir", "", "persist artifacts across runs in this directory: run N+1 reuses worlds, RIBs and campaigns run N built (output bytes are identical; corrupted or stale files rebuild silently)")
 		scen      = flag.String("scenario", "", "with -experiment, run on this world instead of the default (a registered id or a gen: spec; see "+scenario.GenGrammar+")")
 		sweepMode = flag.Bool("sweep", false, "run a scenario×seed sweep of -experiments and report estimate distributions")
 		sweepExps = flag.String("experiments", "table1", "with -sweep, comma-separated experiment ids to sweep (scenario-capable only)")
@@ -209,10 +190,6 @@ func main() {
 		os.Exit(2)
 	}
 	runs := *all || *exp != "" || *sweepMode
-	if err := validateCacheDirFlag(*cacheDir, *cache, runs); err != nil {
-		fmt.Fprintln(os.Stderr, "sisyphus:", err)
-		os.Exit(2)
-	}
 	if err := validateObsFlags(*traceFile, *metrics, *pprofAddr, runs); err != nil {
 		fmt.Fprintln(os.Stderr, "sisyphus:", err)
 		os.Exit(2)
@@ -252,24 +229,10 @@ func main() {
 
 	// The artifact store is likewise a per-invocation value. With -cache=off
 	// it stays nil and every fetch inside the experiments builds fresh — the
-	// exact pre-cache code path, so output bytes cannot differ. -cache-dir
-	// attaches the persistent tier: artifacts this run builds are reusable
-	// by the next run (and by concurrent processes sharing the directory).
+	// exact pre-cache code path, so output bytes cannot differ.
 	var store *artifact.Store
 	if *cache == "on" {
-		var opts []artifact.Option
-		if *cacheDir != "" {
-			disk, err := artifact.OpenDisk(artifact.DiskConfig{
-				Dir:         *cacheDir,
-				Fingerprint: artifact.BinaryFingerprint(),
-			})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "sisyphus: -cache-dir:", err)
-				os.Exit(2)
-			}
-			opts = append(opts, artifact.WithDisk(disk))
-		}
-		store = artifact.NewStore(opts...)
+		store = artifact.NewStore()
 	}
 
 	cfg := experiments.Config{Seed: *seed, Pool: pool, Artifacts: store}

@@ -132,29 +132,3 @@ func TestValidateCacheFlag(t *testing.T) {
 		})
 	}
 }
-
-func TestValidateCacheDirFlag(t *testing.T) {
-	cases := []struct {
-		name     string
-		cacheDir string
-		cache    string
-		runs     bool
-		wantErr  bool
-	}{
-		{"no dir no run", "", "on", false, false},
-		{"no dir cache off", "", "off", true, false},
-		{"dir with run", "/tmp/c", "on", true, false},
-		{"dir without run", "/tmp/c", "on", false, true},
-		{"dir with cache off", "/tmp/c", "off", true, true},
-		{"dir with cache off and no run", "/tmp/c", "off", false, true},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			err := validateCacheDirFlag(c.cacheDir, c.cache, c.runs)
-			if (err != nil) != c.wantErr {
-				t.Fatalf("validateCacheDirFlag(%q, %q, %v) error = %v, wantErr %v",
-					c.cacheDir, c.cache, c.runs, err, c.wantErr)
-			}
-		})
-	}
-}

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	sisyphusd -addr :8080
-//	sisyphusd -addr :8080 -cache-dir ~/.cache/sisyphus -request-timeout 2m
+//	sisyphusd -addr :8080 -request-timeout 2m
 //	sisyphusd -addr :8080 -admin localhost:6060
 //
 // Endpoints:
@@ -19,8 +19,7 @@
 // A GET /experiment response is byte-identical to
 // `sisyphus -experiment <id> -seed N -json`. All requests share one
 // artifact store: identical concurrent requests collapse into a single
-// build, and -cache-dir persists worlds, RIBs and campaigns across
-// restarts. -admin binds a second listener with /metrics, /trace (JSONL
+// build. -admin binds a second listener with /metrics, /trace (JSONL
 // spans, bounded ring) and /debug/pprof/.
 package main
 
@@ -63,7 +62,6 @@ type serveFlags struct {
 	workers        int
 	requestTimeout time.Duration
 	cache          string
-	cacheDir       string
 	maxSpans       int
 }
 
@@ -82,9 +80,6 @@ func validateServeFlags(f serveFlags) error {
 	if f.cache != "on" && f.cache != "off" {
 		return fmt.Errorf("-cache must be \"on\" or \"off\" (got %q)", f.cache)
 	}
-	if f.cacheDir != "" && f.cache == "off" {
-		return fmt.Errorf("-cache-dir requires the cache; drop -cache=off or -cache-dir")
-	}
 	if f.admin != "" && f.admin == f.addr {
 		return fmt.Errorf("-admin must differ from -addr (both %q)", f.addr)
 	}
@@ -101,13 +96,12 @@ func main() {
 		nworkers = flag.Int("workers", 0, "default worker-pool width for request execution (0 = GOMAXPROCS); requests may override with ?workers=")
 		reqTO    = flag.Duration("request-timeout", 2*time.Minute, "per-request wall-clock bound; requests exceeding it return 504 (0 = no limit)")
 		cache    = flag.String("cache", "on", "artifact cache: \"on\" shares worlds, RIBs, campaigns and responses across requests; \"off\" rebuilds per request (response bytes identical either way)")
-		cacheDir = flag.String("cache-dir", "", "persist artifacts across restarts in this directory (requires -cache=on)")
 		maxSpans = flag.Int("max-spans", 4096, "with -admin, keep at most this many recent latency spans in the trace ring (0 = unbounded)")
 	)
 	flag.Parse()
 	f := serveFlags{
 		addr: *addr, admin: *admin, workers: *nworkers,
-		requestTimeout: *reqTO, cache: *cache, cacheDir: *cacheDir, maxSpans: *maxSpans,
+		requestTimeout: *reqTO, cache: *cache, maxSpans: *maxSpans,
 	}
 	if err := validateServeFlags(f); err != nil {
 		fmt.Fprintln(os.Stderr, "sisyphusd:", err)
@@ -128,19 +122,7 @@ func main() {
 	// the zero-cost-when-off invariant on the serving path.
 	var store *artifact.Store
 	if *cache == "on" {
-		var opts []artifact.Option
-		if *cacheDir != "" {
-			disk, err := artifact.OpenDisk(artifact.DiskConfig{
-				Dir:         *cacheDir,
-				Fingerprint: artifact.BinaryFingerprint(),
-			})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "sisyphusd: -cache-dir:", err)
-				os.Exit(2)
-			}
-			opts = append(opts, artifact.WithDisk(disk))
-		}
-		store = artifact.NewStore(opts...)
+		store = artifact.NewStore()
 	}
 	var rec *obs.Recorder
 	if *admin != "" {

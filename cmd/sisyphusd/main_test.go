@@ -26,7 +26,6 @@ func TestValidateServeFlags(t *testing.T) {
 		{"negative workers", func(f *serveFlags) { f.workers = -1 }, "-workers"},
 		{"negative timeout", func(f *serveFlags) { f.requestTimeout = -time.Second }, "-request-timeout"},
 		{"cache typo", func(f *serveFlags) { f.cache = "of" }, "-cache"},
-		{"cache-dir without cache", func(f *serveFlags) { f.cache = "off"; f.cacheDir = "/tmp/x" }, "-cache-dir"},
 		{"admin collides with addr", func(f *serveFlags) { f.admin = f.addr }, "-admin"},
 		{"negative span bound", func(f *serveFlags) { f.maxSpans = -1 }, "-max-spans"},
 	}

@@ -120,10 +120,6 @@ type Spec[T any] struct {
 	// Size estimates the artifact's resident bytes for the LRU byte bound.
 	// Nil counts the entry as zero bytes (the entry bound still applies).
 	Size func(T) int64
-	// Codec, if non-nil and the store has a disk tier, persists this
-	// artifact kind across runs: misses probe the disk before building, and
-	// fresh builds write through. Nil keeps the kind memory-only.
-	Codec *Codec[T]
 }
 
 // entry is one cache slot. ready closes when the build finishes; val/err are
@@ -153,18 +149,6 @@ type Stats struct {
 	// Entries and Bytes describe current residency.
 	Entries int
 	Bytes   int64
-
-	// Disk-tier counters; all zero without a disk tier. DiskHits counts
-	// memory misses served by decoding a verified file (no Build ran);
-	// DiskMisses counts probes that found no file. DiskCorrupt, DiskStale
-	// and DiskReadErrors classify failed loads — each one degraded to a
-	// rebuild, never to an error or a bad value. DiskWrites counts
-	// successful write-throughs, DiskWriteErrors failed ones (the value
-	// still served from memory).
-	DiskHits, DiskMisses            int64
-	DiskCorrupt, DiskStale          int64
-	DiskReadErrors, DiskWriteErrors int64
-	DiskWrites                      int64
 }
 
 // KeyStats is the per-key slice of the counters.
@@ -183,9 +167,6 @@ type Store struct {
 	bytes      int64
 	stats      Stats
 	perKey     map[Key]*KeyStats
-	// disk is the persistent tier, or nil for a memory-only store. Set at
-	// construction, immutable afterwards.
-	disk *Disk
 }
 
 // Option tweaks a Store at construction.
@@ -196,12 +177,6 @@ func WithMaxEntries(n int) Option { return func(s *Store) { s.maxEntries = n } }
 
 // WithMaxBytes bounds total estimated resident bytes (default 1 GiB).
 func WithMaxBytes(n int64) Option { return func(s *Store) { s.maxBytes = n } }
-
-// WithDisk attaches a persistent tier beneath the in-memory store: memory
-// misses probe it before building, fresh builds write through to it, and
-// every failure mode on it (corruption, staleness, I/O errors) degrades to
-// a counted rebuild. Only Specs carrying a Codec participate.
-func WithDisk(d *Disk) Option { return func(s *Store) { s.disk = d } }
 
 // NewStore returns an empty store with LRU bounds.
 func NewStore(opts ...Option) *Store {
@@ -304,13 +279,6 @@ func (s *Store) evictLocked() {
 // spec.Fork of the stored original — callers may mutate whatever the fork
 // gives them that does not refuse writes.
 //
-// With a disk tier attached (WithDisk) and a Codec on the spec, a memory
-// miss probes the disk before building — a verified file decodes, freezes
-// and inserts exactly like a fresh build, without running spec.Build — and
-// fresh builds write through. Any disk failure (corruption, staleness, I/O
-// error) is counted and answered by building; the disk can slow this call
-// down but never fail it.
-//
 // A waiter whose designated builder failed with the builder's own context
 // error (cancellation or deadline) re-enters the miss path and retries,
 // provided the waiter's own ctx is still live — one caller's cancelled
@@ -367,8 +335,7 @@ func GetOrBuild[T any](ctx context.Context, s *Store, key Key, spec Spec[T]) (T,
 	}
 
 	// Miss: insert the pending entry (lock still held from the loop), then
-	// resolve it outside the lock — from disk when possible, by building
-	// otherwise.
+	// build outside the lock.
 	e = &entry{key: key, ready: make(chan struct{})}
 	s.seq++
 	e.lruSeq = s.seq
@@ -379,7 +346,7 @@ func GetOrBuild[T any](ctx context.Context, s *Store, key Key, spec Spec[T]) (T,
 	obs.Add(ctx, "cache.misses", 1)
 	addKeyed(ctx, "cache.miss.", key, 1)
 
-	val, fromDisk, err := func() (T, bool, error) {
+	val, err := func() (T, error) {
 		// A build that panics abandons its entry like a failed one, so
 		// waiters and later fetches are not left parked on a ready channel
 		// nobody closes; the panic then goes on to the builder's caller.
@@ -389,7 +356,7 @@ func GetOrBuild[T any](ctx context.Context, s *Store, key Key, spec Spec[T]) (T,
 				panic(r)
 			}
 		}()
-		return resolveMiss(ctx, s, key, spec)
+		return build(ctx, s, key, spec)
 	}()
 	if err != nil {
 		s.abandon(key, e, err)
@@ -398,13 +365,8 @@ func GetOrBuild[T any](ctx context.Context, s *Store, key Key, spec Spec[T]) (T,
 	if spec.Freeze != nil {
 		// Freeze before the value is stored or any fork escapes: every
 		// Fork — including the builder's own return value below — sees an
-		// immutable original and may share structure with it. Disk-loaded
-		// values freeze identically: a decode must be indistinguishable
-		// from a build.
+		// immutable original and may share structure with it.
 		spec.Freeze(val)
-	}
-	if !fromDisk {
-		diskSave(ctx, s, key, spec, val)
 	}
 	s.mu.Lock()
 	e.val = val
@@ -430,112 +392,23 @@ func (s *Store) abandon(key Key, e *entry, err error) {
 	s.mu.Unlock()
 }
 
-// resolveMiss produces the value for a pending entry: from the disk tier
-// when a verified artifact exists, by running spec.Build otherwise. With a
-// disk tier, builders of one key serialize across processes on a file lock,
-// and a builder that had to wait re-probes the disk first — the previous
-// holder usually just wrote the artifact this builder wanted.
-func resolveMiss[T any](ctx context.Context, s *Store, key Key, spec Spec[T]) (val T, fromDisk bool, err error) {
-	onDisk := s.disk != nil && spec.Codec != nil
-	if onDisk {
-		if val, ok := diskLoad(ctx, s, key, spec); ok {
-			return val, true, nil
-		}
-		release, waited, lerr := s.disk.lockKey(ctx, key)
-		if lerr != nil {
-			return val, false, lerr // ctx gave out while waiting for the lock
-		}
-		defer release()
-		if waited {
-			if val, ok := diskLoad(ctx, s, key, spec); ok {
-				return val, true, nil
-			}
-		}
-	}
+// build runs spec.Build for a pending entry, counting the build and timing
+// it for the per-key obs labels.
+func build[T any](ctx context.Context, s *Store, key Key, spec Spec[T]) (T, error) {
 	s.mu.Lock()
 	s.stats.Builds++
 	s.keyStatsLocked(key).Builds++
 	s.mu.Unlock()
 	start := time.Now()
-	val, err = spec.Build(ctx)
+	val, err := spec.Build(ctx)
 	if err != nil {
 		// The failed attempt's duration is labeled separately — folding it
 		// into build_ms would pollute the successful-build timing series.
 		addKeyed(ctx, "cache.build_errors.", key, 1)
-		return val, false, err
+		return val, err
 	}
 	addKeyed(ctx, "cache.build_ms.", key, time.Since(start).Milliseconds())
-	return val, false, nil
-}
-
-// diskLoad probes the disk tier for key and decodes what it finds. Every
-// outcome is counted; every failure answer is "no" (rebuild), never an
-// error. A decode failure on a verified envelope counts as corruption and
-// discards the file — the payload passed its checksum but does not decode
-// under this codec version, so it can never serve.
-func diskLoad[T any](ctx context.Context, s *Store, key Key, spec Spec[T]) (T, bool) {
-	var zero T
-	payload, status := s.disk.load(key, spec.Codec.Version)
-	switch status {
-	case diskMiss:
-		s.countDisk(&s.stats.DiskMisses)
-		obs.Add(ctx, "disk.misses", 1)
-		return zero, false
-	case diskCorrupt:
-		s.countDisk(&s.stats.DiskCorrupt)
-		obs.Add(ctx, "disk.corrupt", 1)
-		return zero, false
-	case diskStale:
-		s.countDisk(&s.stats.DiskStale)
-		obs.Add(ctx, "disk.stale", 1)
-		return zero, false
-	case diskReadError:
-		s.countDisk(&s.stats.DiskReadErrors)
-		obs.Add(ctx, "disk.read_errors", 1)
-		return zero, false
-	}
-	val, err := spec.Codec.Decode(payload)
-	if err != nil {
-		s.disk.discard(key, "corrupt", err)
-		s.countDisk(&s.stats.DiskCorrupt)
-		obs.Add(ctx, "disk.corrupt", 1)
-		return zero, false
-	}
-	s.countDisk(&s.stats.DiskHits)
-	obs.Add(ctx, "disk.hits", 1)
-	addKeyed(ctx, "disk.hit.", key, 1)
-	return val, true
-}
-
-// diskSave encodes a freshly built (and already frozen) value and writes it
-// through to the disk tier. Failures are counted and logged once per class;
-// the in-memory value serves regardless.
-func diskSave[T any](ctx context.Context, s *Store, key Key, spec Spec[T], val T) {
-	if s.disk == nil || spec.Codec == nil {
-		return
-	}
-	payload, err := spec.Codec.Encode(val)
-	if err != nil {
-		s.disk.logOnce("encode_error", "artifact disk: encode %s: %v (not persisted)", key.ID(), err)
-		s.countDisk(&s.stats.DiskWriteErrors)
-		obs.Add(ctx, "disk.write_errors", 1)
-		return
-	}
-	if err := s.disk.save(key, spec.Codec.Version, payload); err != nil {
-		s.disk.logOnce("write_error", "artifact disk: write %s: %v (not persisted)", key.ID(), err)
-		s.countDisk(&s.stats.DiskWriteErrors)
-		obs.Add(ctx, "disk.write_errors", 1)
-		return
-	}
-	s.countDisk(&s.stats.DiskWrites)
-	obs.Add(ctx, "disk.writes", 1)
-}
-
-// countDisk bumps one disk-tier counter under the store lock.
-func (s *Store) countDisk(c *int64) {
-	s.mu.Lock()
-	*c++
-	s.mu.Unlock()
+	return val, nil
 }
 
 // ctxKey carries the store on a context.
@@ -556,20 +429,11 @@ func From(ctx context.Context) *Store {
 }
 
 // RenderStats formats a one-line human-readable cache summary, sorted keys
-// omitted — the per-key breakdown lives in the obs metrics table. With a
-// disk tier attached the line grows a disk section; its exact shape is load-
-// bearing for the warm-cache CI gate, which asserts "0 builds" and the
-// corrupt count off this line.
+// omitted — the per-key breakdown lives in the obs metrics table.
 func (s *Store) RenderStats() string {
 	st := s.Stats()
-	line := fmt.Sprintf("cache: %d hits, %d misses, %d builds, %d evictions, %d entries, %s resident",
+	return fmt.Sprintf("cache: %d hits, %d misses, %d builds, %d evictions, %d entries, %s resident",
 		st.Hits, st.Misses, st.Builds, st.Evictions, st.Entries, humanBytes(st.Bytes))
-	if s != nil && s.disk != nil {
-		line += fmt.Sprintf(" | disk: %d hits, %d misses, %d writes, %d corrupt, %d stale, %d errors",
-			st.DiskHits, st.DiskMisses, st.DiskWrites, st.DiskCorrupt, st.DiskStale,
-			st.DiskReadErrors+st.DiskWriteErrors)
-	}
-	return line
 }
 
 func humanBytes(n int64) string {

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // keyCfg is a test config; FieldB before FieldA in construction order below
@@ -337,6 +338,148 @@ func TestGetOrBuildRequiresFork(t *testing.T) {
 	}
 }
 
+// freezeBox is an artifact that records whether Freeze has run on it.
+type freezeBox struct {
+	frozen bool
+	v      int
+}
+
+// TestFreezeContract pins Spec.Freeze: it runs exactly once per successful
+// build, before any Fork (the builder's own return value included); never
+// on the nil-store path or on a build that errors or panics; and the
+// joiners of an in-flight build do not freeze it again.
+func TestFreezeContract(t *testing.T) {
+	type counts struct{ builds, freezes, forks int64 }
+	cases := []struct {
+		name     string
+		nilStore bool
+		fail     string // "error" or "panic" fails the first build only
+		fetches  int    // sequential fetches of the key
+		joiners  int    // concurrent fetches of the key sharing one build
+		evict    bool   // fetch, evict with a second key, fetch again
+		want     counts
+	}{
+		{name: "hits share one freeze", fetches: 3, want: counts{1, 1, 3}},
+		{name: "nil store never freezes", nilStore: true, fetches: 2, want: counts{2, 0, 0}},
+		{name: "failed build is not frozen", fail: "error", fetches: 2, want: counts{2, 1, 1}},
+		{name: "panicking build is not frozen", fail: "panic", fetches: 2, want: counts{2, 1, 1}},
+		{name: "joiners do not refreeze", joiners: 8, want: counts{1, 1, 8}},
+		{name: "rebuild after eviction freezes again", evict: true, want: counts{3, 3, 3}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var builds, freezes, forks, unfrozenForks atomic.Int64
+			hold := make(chan struct{})
+			if c.joiners == 0 {
+				close(hold)
+			}
+			spec := Spec[*freezeBox]{
+				Build: func(ctx context.Context) (*freezeBox, error) {
+					n := builds.Add(1)
+					<-hold
+					if n == 1 && c.fail == "error" {
+						return nil, errors.New("boom")
+					}
+					if n == 1 && c.fail == "panic" {
+						panic("boom")
+					}
+					return &freezeBox{v: int(n)}, nil
+				},
+				Freeze: func(b *freezeBox) {
+					freezes.Add(1)
+					b.frozen = true
+				},
+				Fork: func(b *freezeBox) *freezeBox {
+					forks.Add(1)
+					if !b.frozen {
+						unfrozenForks.Add(1)
+					}
+					cp := *b
+					return &cp
+				},
+			}
+			var s *Store
+			switch {
+			case c.evict:
+				s = NewStore(WithMaxEntries(1))
+			case !c.nilStore:
+				s = NewStore()
+			}
+			key, _ := NewKey("world", "s", 0, nil)
+			fetch := func(key Key) (b *freezeBox, err error) {
+				defer func() {
+					if r := recover(); r != nil {
+						err = fmt.Errorf("panic: %v", r)
+					}
+				}()
+				return GetOrBuild(context.Background(), s, key, spec)
+			}
+
+			for i := 0; i < c.fetches; i++ {
+				b, err := fetch(key)
+				if i == 0 && c.fail != "" {
+					if err == nil {
+						t.Fatalf("first fetch succeeded; want the %s", c.fail)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("fetch %d: %v", i, err)
+				}
+				if c.nilStore && b.frozen {
+					t.Fatal("nil-store fetch returned a frozen value")
+				}
+			}
+			if c.joiners > 0 {
+				var wg sync.WaitGroup
+				errs := make(chan error, c.joiners)
+				for i := 0; i < c.joiners; i++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						_, err := fetch(key)
+						errs <- err
+					}()
+				}
+				// Every joiner but the builder counts its hit before parking
+				// on the pending entry; release the build once all have.
+				for deadline := time.Now().Add(5 * time.Second); s.Stats().Hits < int64(c.joiners-1); time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatal("joiners never piled onto one build")
+					}
+				}
+				close(hold)
+				wg.Wait()
+				close(errs)
+				for err := range errs {
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if c.evict {
+				other, _ := NewKey("world", "other", 0, nil)
+				for _, k := range []Key{key, other, key} {
+					if _, err := fetch(k); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if st := s.Stats(); st.Evictions != 2 {
+					t.Fatalf("evictions = %d, want 2", st.Evictions)
+				}
+			}
+
+			got := counts{builds.Load(), freezes.Load(), forks.Load()}
+			if got != c.want {
+				t.Fatalf("builds, freezes, forks = %+v, want %+v", got, c.want)
+			}
+			if n := unfrozenForks.Load(); n != 0 {
+				t.Fatalf("%d forks were taken of a value not yet frozen", n)
+			}
+		})
+	}
+}
+
 func TestLRUEvictsByEntryBound(t *testing.T) {
 	ctx := context.Background()
 	s := NewStore(WithMaxEntries(2))
@@ -451,6 +594,9 @@ func TestRenderStats(t *testing.T) {
 	got := s.RenderStats()
 	if !strings.Contains(got, "1 misses") || !strings.Contains(got, "1 builds") || !strings.Contains(got, "16 B") {
 		t.Fatalf("RenderStats() = %q", got)
+	}
+	if !strings.HasPrefix(got, "cache: ") || strings.Count(got, ":") != 1 {
+		t.Fatalf("RenderStats() = %q, want one cache: segment", got)
 	}
 }
 

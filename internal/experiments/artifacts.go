@@ -48,11 +48,6 @@ func fetchWorld(ctx context.Context, pool parallel.Pool, id string) (*scenario.W
 		Fork:   (*scenario.World).Fork,
 		Freeze: (*scenario.World).Freeze,
 		Size:   (*scenario.World).SizeBytes,
-		Codec: &artifact.Codec[*scenario.World]{
-			Version: worldCodecVersion,
-			Encode:  EncodeWorldArtifact,
-			Decode:  DecodeWorldArtifact,
-		},
 	})
 	if err != nil {
 		return nil, nil, err
@@ -76,20 +71,6 @@ func fetchWorld(ctx context.Context, pool parallel.Pool, id string) (*scenario.W
 		// RIB is immutable, so every fork shares its route tables.
 		Fork: func(r *bgp.RIB) *bgp.RIB { return r.Fork(s.Topo) },
 		Size: (*bgp.RIB).SizeBytes,
-		Codec: &artifact.Codec[*bgp.RIB]{
-			Version: ribCodecVersion,
-			Encode:  EncodeRIBArtifact,
-			// Decode rebinds onto a freshly built private world, exactly as
-			// Build computes over its own private world: no caller-owned
-			// topology leaks into the stored original either way.
-			Decode: func(b []byte) (*bgp.RIB, error) {
-				w, err := scenario.Build(id)
-				if err != nil {
-					return nil, err
-				}
-				return DecodeRIBArtifact(b, w.Topo)
-			},
-		},
 	})
 	if err != nil {
 		return nil, nil, err
@@ -187,19 +168,6 @@ func runCampaign(ctx context.Context, pool parallel.Pool, id string, seed uint64
 	return c, nil
 }
 
-// campaignCodec is the campaign artifact's disk-tier codec.
-var campaignCodec = &artifact.Codec[campaign]{
-	Version: campaignCodecVersion,
-	Encode:  func(c campaign) ([]byte, error) { return EncodeCampaignArtifact(c.world, c.store) },
-	Decode: func(b []byte) (campaign, error) {
-		w, st, err := DecodeCampaignArtifact(b)
-		if err != nil {
-			return campaign{}, err
-		}
-		return campaign{world: w, store: st}, nil
-	},
-}
-
 // fetchCampaign returns a campaign — a caller-owned post-simulation world
 // and the measurement store — through the artifact cache when one rides the
 // context, or by simulating directly when not. The clean campaign is
@@ -231,8 +199,7 @@ func fetchCampaign(ctx context.Context, pool parallel.Pool, id string, seed uint
 		// The campaign's residency is the measurement store (with its
 		// indexes) plus the post-simulation world riding along with it —
 		// the old store-only size undercounted what the LRU actually held.
-		Size:  func(c campaign) int64 { return c.store.SizeBytes() + c.world.SizeBytes() },
-		Codec: campaignCodec,
+		Size: func(c campaign) int64 { return c.store.SizeBytes() + c.world.SizeBytes() },
 	})
 	if err != nil {
 		return nil, nil, err

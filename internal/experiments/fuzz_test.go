@@ -2,16 +2,11 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"encoding/gob"
 	"encoding/json"
 	"reflect"
 	"slices"
 	"testing"
-
-	"sisyphus/internal/netsim/bgp"
-	"sisyphus/internal/netsim/scenario"
-	"sisyphus/internal/parallel"
 )
 
 // FuzzOptionsFromJSON throws hostile documents at the ?opts= decoder for
@@ -93,98 +88,4 @@ func checkDefaults(tb testing.TB, snap map[string]Options, doc []byte) {
 			tb.Fatalf("%s: defaults changed to %+v (want %+v) after decoding %q", id, e.Defaults, want, doc)
 		}
 	}
-}
-
-// southafricaArtifacts encodes the Table 1 world and its converged
-// empty-policy RIB: the seeds for the disk-tier payload fuzzers.
-func southafricaArtifacts(f *testing.F) (world, rib []byte) {
-	f.Helper()
-	w, err := scenario.Build(scenario.SouthAfricaID)
-	if err != nil {
-		f.Fatal(err)
-	}
-	if world, err = EncodeWorldArtifact(w); err != nil {
-		f.Fatal(err)
-	}
-	r, err := bgp.Compute(context.Background(), parallel.Pool{}, w.Topo, nil)
-	if err != nil {
-		f.Fatal(err)
-	}
-	if rib, err = EncodeRIBArtifact(r); err != nil {
-		f.Fatal(err)
-	}
-	return world, rib
-}
-
-// recodeStable holds a payload a decoder accepted to the disk tier's
-// determinism contract: its re-encoding decodes, and encodes again to
-// exactly the same bytes, since the envelope's checksum treats the payload
-// as content-addressed.
-func recodeStable[T any](t *testing.T, name string, v T, enc func(T) ([]byte, error), dec func([]byte) (T, error)) {
-	t.Helper()
-	first, err := enc(v)
-	if err != nil {
-		t.Fatalf("%s: re-encoding an accepted payload: %v", name, err)
-	}
-	back, err := dec(first)
-	if err != nil {
-		t.Fatalf("%s: re-encoded payload rejected: %v", name, err)
-	}
-	encodeAgain(t, name, first, func() ([]byte, error) { return enc(back) })
-}
-
-// FuzzDecodeWorldArtifact throws hostile payloads at the world decoder the
-// disk tier runs on every file it reads: decoding never panics, and an
-// accepted payload is recodeStable.
-func FuzzDecodeWorldArtifact(f *testing.F) {
-	world, _ := southafricaArtifacts(f)
-	f.Add(world)
-	f.Add(world[:len(world)/2])
-	f.Fuzz(func(t *testing.T, b []byte) {
-		if w, err := DecodeWorldArtifact(b); err == nil {
-			recodeStable(t, "world", w, EncodeWorldArtifact, DecodeWorldArtifact)
-		}
-	})
-}
-
-// FuzzDecodeRIBArtifact is FuzzDecodeWorldArtifact for the RIB payload,
-// decoded against the southafrica topology (itself decoded from its
-// artifact, as the disk tier would).
-func FuzzDecodeRIBArtifact(f *testing.F) {
-	world, rib := southafricaArtifacts(f)
-	sa, err := DecodeWorldArtifact(world)
-	if err != nil {
-		f.Fatal(err)
-	}
-	dec := func(b []byte) (*bgp.RIB, error) { return DecodeRIBArtifact(b, sa.Topo) }
-	f.Add(rib)
-	f.Add(rib[:len(rib)/2])
-	f.Fuzz(func(t *testing.T, b []byte) {
-		if r, err := dec(b); err == nil {
-			recodeStable(t, "rib", r, EncodeRIBArtifact, dec)
-		}
-	})
-}
-
-// FuzzDecodeCampaignArtifact is FuzzDecodeWorldArtifact for the campaign
-// payload — a post-simulation world plus every measurement — seeded with a
-// short southafrica campaign, the shape TestCampaignArtifactRoundTrip
-// round-trips.
-func FuzzDecodeCampaignArtifact(f *testing.F) {
-	p := campaignParams{Weeks: 1, JoinWeek: 0, UserRate: 0.25, Join: true}
-	c, err := runCampaign(context.Background(), parallel.Pool{}, scenario.SouthAfricaID, 42, p)
-	if err != nil {
-		f.Fatal(err)
-	}
-	data, err := campaignCodec.Encode(c)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(data)
-	f.Add(data[:len(data)/2])
-	f.Fuzz(func(t *testing.T, b []byte) {
-		if c, err := campaignCodec.Decode(b); err == nil {
-			recodeStable(t, "campaign", c, campaignCodec.Encode, campaignCodec.Decode)
-		}
-	})
 }

@@ -9,11 +9,11 @@ import (
 )
 
 // TestArtifactKeyStability pins the canned worlds' artifact key ids as
-// literals. These ids are the cache's on-disk and cross-run identity: a
-// drift here silently invalidates every persisted artifact (and the
-// world-sharing the sweep driver depends on), so renames and registry
-// refactors must leave them byte-identical. If this test fails, the fix is
-// almost never to re-pin — it is to restore the identity.
+// literals. These ids are the cache's cross-run identity, named in every
+// per-key metric label: a drift here silently changes that identity (and
+// can break the world-sharing the sweep driver depends on), so renames and
+// registry refactors must leave them byte-identical. If this test fails,
+// the fix is almost never to re-pin — it is to restore the identity.
 func TestArtifactKeyStability(t *testing.T) {
 	cases := []struct {
 		kind, scenarioID string

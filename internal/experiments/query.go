@@ -477,8 +477,7 @@ func runQueryPlan(ctx context.Context, stage string, pool parallel.Pool, plan *Q
 }
 
 // queryFrame is the cached observational substrate: the running example's
-// per-hour columns plus the forced-route ground truth. Exported fields so
-// the gob codec persists it on the disk tier.
+// per-hour columns plus the forced-route ground truth.
 type queryFrame struct {
 	R, L, C, Hour []float64
 	AltShare      float64
@@ -486,10 +485,7 @@ type queryFrame struct {
 	TrueN         int
 }
 
-const (
-	kindQueryFrame         = "qframe"
-	queryFrameCodecVersion = "qframe-gob-v1"
-)
+const kindQueryFrame = "qframe"
 
 // fetchQueryFrame returns a caller-owned observational frame for
 // ⟨scenario, seed, hours⟩, through the artifact store when one rides the
@@ -509,20 +505,6 @@ func fetchQueryFrame(ctx context.Context, pool parallel.Pool, scenarioID string,
 		},
 		Fork: (*queryFrame).fork,
 		Size: (*queryFrame).sizeBytes,
-		Codec: &artifact.Codec[*queryFrame]{
-			Version: queryFrameCodecVersion,
-			Encode:  func(q *queryFrame) ([]byte, error) { return gobEncode(q) },
-			Decode: func(b []byte) (*queryFrame, error) {
-				var q queryFrame
-				if err := gobDecode(b, &q); err != nil {
-					return nil, fmt.Errorf("qframe artifact: %w", err)
-				}
-				if len(q.L) != len(q.R) || len(q.C) != len(q.R) || len(q.Hour) != len(q.R) {
-					return nil, fmt.Errorf("qframe artifact: ragged columns")
-				}
-				return &q, nil
-			},
-		},
 	})
 }
 

@@ -220,7 +220,7 @@ func (t *trunk) branch(ctx context.Context, p campaignParams) (campaign, error) 
 // store rides the context. A trunk is not copied on fetch: it is extended
 // under its own lock, and what it hands out — frozen checkpoints and record
 // prefixes — is never written. It has no size estimate (the records it
-// holds are the ones its campaigns' stores count) and no disk codec.
+// holds are the ones its campaigns' stores count).
 func fetchTrunk(ctx context.Context, pool parallel.Pool, id string, seed uint64, p campaignParams) (*trunk, error) {
 	fam := p.family()
 	key, err := artifact.NewKey(kindTrunk, id, seed, fam)

@@ -63,24 +63,14 @@ func (r *Registry) Names() []string {
 	return out
 }
 
-// Cities returns every registered city sorted by name — the canonical
-// serialized form of a registry, used by the artifact disk tier's codecs.
+// Cities returns every registered city sorted by name: the registry's part
+// of a topology snapshot (topo.Export).
 func (r *Registry) Cities() []City {
 	out := make([]City, 0, len(r.cities))
 	for _, n := range r.Names() {
 		out = append(out, r.cities[n])
 	}
 	return out
-}
-
-// FromCities rebuilds a registry from a serialized city list. Later entries
-// with the same name win, matching repeated Add calls.
-func FromCities(cs []City) *Registry {
-	r := NewRegistry()
-	for _, c := range cs {
-		r.Add(c)
-	}
-	return r
 }
 
 // earthRadiusKm is the mean Earth radius.

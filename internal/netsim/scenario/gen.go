@@ -3,7 +3,7 @@
 // seed — canonically hashes to a gen/<cfghash> id; RegisterGen puts the
 // spec's builder in the world registry under that id, after which the id
 // works everywhere a canned id does: experiment configs, artifact keys,
-// disk envelopes, and the -scenario/-scenarios flags.
+// and the -scenario/-scenarios flags.
 package scenario
 
 import (
@@ -36,7 +36,7 @@ const (
 // GenSpec is the complete identity of a generated world: the topology
 // generator's config plus the seed all generation randomness flows from.
 // Equal specs build equal worlds, which is what lets the spec's hash serve
-// as a world id in artifact keys and disk envelopes.
+// as a world id in artifact keys.
 type GenSpec struct {
 	Config topo.GenConfig
 	Seed   uint64

@@ -122,10 +122,10 @@ func (s *World) Fork() *World {
 	return out
 }
 
-// validate checks the casting lists against the topology so every
-// constructor — canned build, generated build, codec import — hands out
-// worlds the experiments can actually measure on: the IXP exists, every
-// unit has a user PoP, and every cast ASN is in the topology.
+// validate checks the casting lists against the topology so both
+// constructors — canned build and generated build — hand out worlds the
+// experiments can actually measure on: the IXP exists, every unit has a
+// user PoP, and every cast ASN is in the topology.
 func (s *World) validate(op string) error {
 	if s.IXPName != "" {
 		if _, err := s.Topo.IXP(s.IXPName); err != nil {

@@ -236,8 +236,8 @@ func scanPoPAddr(t *Topology, id PoPID) string {
 }
 
 // TestPoPAddrMatchesScan: the addresses computed once per core equal the
-// per-call scan on every generated shape, through Import and through a
-// frozen topology's copy-on-write clone.
+// per-call scan on every generated shape, and through a frozen topology's
+// copy-on-write clone.
 func TestPoPAddrMatchesScan(t *testing.T) {
 	for _, c := range genPropertyConfigs {
 		t.Run(c.name, func(t *testing.T) {
@@ -246,12 +246,8 @@ func TestPoPAddrMatchesScan(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
-				imp, err := Import(g.Export())
-				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
 				g.Freeze()
-				for _, tp := range []*Topology{g, imp, g.Clone()} {
+				for _, tp := range []*Topology{g, g.Clone()} {
 					for _, p := range tp.pops {
 						if got, want := tp.PoPAddr(p.ID), scanPoPAddr(tp, p.ID); got != want {
 							t.Fatalf("seed %d: PoPAddr(%d) = %s, scan %s", seed, p.ID, got, want)

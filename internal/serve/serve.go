@@ -36,10 +36,7 @@ import (
 
 // Artifact kinds the server introduces. A "response" is the encoded JSON
 // document for one GET /experiment request; a "queryresp" the same for one
-// normalized POST /query. Response artifacts are memory-only (no Codec):
-// their bytes are a function of all experiment code, so persisting them
-// across binaries would tie cache validity to the whole program, while the
-// worlds, RIBs, campaigns and query frames underneath still persist.
+// normalized POST /query.
 const (
 	kindResponse      = "response"
 	kindResponseText  = "responsetext"
