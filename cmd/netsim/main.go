@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"sisyphus/internal/mathx"
@@ -21,18 +23,43 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		var usage usageError
+		if errors.As(err, &usage) {
+			os.Exit(2) // the flag package has printed the problem and usage
+		}
+		fmt.Fprintln(os.Stderr, "netsim:", err)
+		os.Exit(1)
+	}
+}
+
+// usageError is a command line the flag package rejected.
+type usageError struct{ error }
+
+// run is the whole command: it parses args, simulates, and writes the CSV,
+// description or summary to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("netsim", flag.ContinueOnError)
 	var (
-		hours    = flag.Float64("hours", 168, "simulated hours")
-		join     = flag.Float64("join", 0, "hour at which treated ASes join the IXP (0 = never)")
-		seed     = flag.Uint64("seed", 42, "random seed")
-		summary  = flag.Bool("summary", false, "print per-unit RTT summaries instead of CSV")
-		describe = flag.Bool("describe", false, "print per-column statistics instead of CSV")
+		hours    = fs.Float64("hours", 168, "simulated hours")
+		join     = fs.Float64("join", 0, "hour at which treated ASes join the IXP (0 = never)")
+		seed     = fs.Uint64("seed", 42, "random seed")
+		summary  = fs.Bool("summary", false, "print per-unit RTT summaries instead of CSV")
+		describe = fs.Bool("describe", false, "print per-column statistics instead of CSV")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return usageError{err}
+	}
 
 	s, err := scenario.BuildSouthAfrica()
 	if err != nil {
-		fail(err)
+		return err
 	}
 	e := engine.New(s.Topo, *seed, engine.Config{AdaptiveEgress: true})
 	pr := probe.NewProber(e, *seed+1)
@@ -45,27 +72,27 @@ func main() {
 	for _, u := range s.AllUnits() {
 		src, err := s.UserPoP(u)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		pops = append(pops, platform.UserPop{Src: src, Dst: scenario.BigContent, Size: 1})
 	}
 	um := platform.NewUserModel(pops, *seed+2)
 	store := platform.NewStore()
+	var ms []*probe.Measurement
 	for e.Hour() < *hours {
 		if err := e.Step(); err != nil {
-			fail(err)
+			return err
 		}
-		_, ms, err := um.Step(pr)
-		if err != nil {
-			fail(err)
+		if ms, err = um.Step(pr, ms[:0], nil); err != nil {
+			return err
 		}
 		if err := store.Add(ms...); err != nil {
-			fail(err)
+			return err
 		}
 	}
 
 	if *summary {
-		fmt.Printf("%d measurements over %.0f hours from %d units\n\n", store.Len(), *hours, len(pops))
+		fmt.Fprintf(stdout, "%d measurements over %.0f hours from %d units\n\n", store.Len(), *hours, len(pops))
 		for _, u := range store.Units() {
 			ms := store.Filter(func(m *probe.Measurement) bool {
 				return m.SrcASN == u.ASN && m.SrcCity == u.City
@@ -75,21 +102,14 @@ func main() {
 				rtts[i] = m.RTTms
 			}
 			sum := mathx.Summarize(rtts)
-			fmt.Printf("  %-28s n=%4d  median=%6.2f ms  p95=%6.2f ms\n", u, sum.N, sum.Median, sum.P95)
+			fmt.Fprintf(stdout, "  %-28s n=%4d  median=%6.2f ms  p95=%6.2f ms\n", u, sum.N, sum.Median, sum.P95)
 		}
-		return
+		return nil
 	}
 	frame := platform.Frame(store.All())
 	if *describe {
-		fmt.Print(frame.Describe())
-		return
+		_, err := fmt.Fprint(stdout, frame.Describe())
+		return err
 	}
-	if err := frame.WriteCSV(os.Stdout); err != nil {
-		fail(err)
-	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "netsim:", err)
-	os.Exit(1)
+	return frame.WriteCSV(stdout)
 }

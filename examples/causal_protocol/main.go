@@ -79,7 +79,7 @@ func main() {
 		case flip.Bernoulli(0.25):
 			avoid = scenario.ZATransitB
 		}
-		var perf *engine.PathPerf
+		var perf engine.PathPerf
 		if avoid != 0 {
 			perf, err = e.PerfToASWith(src, scenario.BigContent, func(p *bgp.Policy) {
 				p.SetLocalPref(3741, avoid, 10)

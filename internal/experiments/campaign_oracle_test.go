@@ -55,12 +55,12 @@ func runCampaignFromScratch(ctx context.Context, pool parallel.Pool, id string, 
 	um := platform.NewUserModel(pops, seed+2)
 	um.BaseRate = p.UserRate
 	store := platform.NewStore()
+	var ms []*probe.Measurement
 	for e.Hour() < totalHours {
 		if err := e.Step(); err != nil {
 			return campaign{}, err
 		}
-		_, ms, err := um.Step(pr)
-		if err != nil {
+		if ms, err = um.Step(pr, ms[:0], nil); err != nil {
 			return campaign{}, err
 		}
 		if err := store.Add(ms...); err != nil {

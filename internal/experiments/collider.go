@@ -131,12 +131,15 @@ func colliderScenario(ctx context.Context, pool parallel.Pool, seed uint64, hour
 	um.PerfBoost = 8
 	um.ChangeBoost = 10
 
+	var ms []*probe.Measurement
+	var obs []platform.StepObservation
 	for e.Hour() < float64(hours) {
 		if err := e.Step(); err != nil {
 			return err
 		}
-		obs, _, err := um.Step(pr)
-		if err != nil {
+		obs = obs[:0]
+		var err error
+		if ms, err = um.Step(pr, ms[:0], &obs); err != nil {
 			return err
 		}
 		o := obs[0]

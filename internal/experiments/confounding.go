@@ -112,7 +112,7 @@ func confoundingScenario(ctx context.Context, pool parallel.Pool, scenarioID str
 		if err := e.Step(); err != nil {
 			return nil, err
 		}
-		var perf *engine.PathPerf
+		var perf engine.PathPerf
 		switch {
 		case flipRNG.Bernoulli(0.25):
 			perf, err = eye.observeForced(eye.cast.Alternate) // force primary

@@ -108,7 +108,7 @@ func (h *eyeball) onAlternate(path []topo.ASN) float64 {
 // observeForced measures the eyeball's performance with the given transit
 // avoided for one instant: a what-if on a policy clone, so the factual
 // policy and routes are never touched.
-func (h *eyeball) observeForced(avoid topo.ASN) (*engine.PathPerf, error) {
+func (h *eyeball) observeForced(avoid topo.ASN) (engine.PathPerf, error) {
 	other := h.cast.Primary
 	if avoid == h.cast.Primary {
 		other = h.cast.Alternate

@@ -123,6 +123,7 @@ func intentScenario(ctx context.Context, pool parallel.Pool, seed uint64, hours 
 	}
 	watch := platform.NewBGPWatch(src, dst)
 
+	var ms []*probe.Measurement
 	for e.Hour() < float64(hours) {
 		if err := e.Step(); err != nil {
 			return err
@@ -134,8 +135,7 @@ func intentScenario(ctx context.Context, pool parallel.Pool, seed uint64, hours 
 		*truthSum += perf.RTTms
 		*truthN++
 
-		_, ms, err := um.Step(pr)
-		if err != nil {
+		if ms, err = um.Step(pr, ms[:0], nil); err != nil {
 			return err
 		}
 		if err := store.Add(ms...); err != nil {

@@ -72,16 +72,19 @@ func (s sim) fork(ctx context.Context) sim {
 }
 
 // runUntil steps the simulation until its clock reads hour, handing each
-// step's records to add, and returns the steps it took.
+// step's records to add, and returns the steps it took. add must not keep
+// the slice it is handed (the records themselves it may): the next step
+// reuses it.
 func (s sim) runUntil(hour float64, add func(...*probe.Measurement) error) (int, error) {
 	steps := 0
+	var ms []*probe.Measurement
 	for s.e.Hour() < hour {
 		if err := s.e.Step(); err != nil {
 			return steps, err
 		}
 		steps++
-		_, ms, err := s.um.Step(s.pr)
-		if err != nil {
+		var err error
+		if ms, err = s.um.Step(s.pr, ms[:0], nil); err != nil {
 			return steps, err
 		}
 		if err := add(ms...); err != nil {

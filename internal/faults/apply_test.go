@@ -52,7 +52,7 @@ func hookedCampaign(t *testing.T, s *scenario.World, seed uint64, hours, joinHou
 		if err := e.Step(); err != nil {
 			t.Fatal(err)
 		}
-		_, ms, err := um.Step(pr)
+		ms, err := um.Step(pr, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,13 +71,13 @@ func hookedCampaign(t *testing.T, s *scenario.World, seed uint64, hours, joinHou
 				batch = append(batch, &probe.Measurement{
 					ID: m.ID, Hour: e.Hour(), Intent: m.Intent, Trigger: m.Trigger,
 					SrcASN: m.SrcASN, SrcCity: m.SrcCity, DstASN: m.DstASN, DstCity: m.DstCity,
-					Family: m.Family, Failed: true, Attempts: attempts,
+					Family: m.Family, Failed: true, Attempts: int32(attempts),
 				})
 				continue
 			}
 			f := *m
 			f.Hops = slices.Clone(m.Hops)
-			f.Attempts = attempts
+			f.Attempts = int32(attempts)
 			in.mutate(&f, m.ID)
 			batch = append(batch, &f)
 		}

@@ -190,7 +190,7 @@ func (in *injector) attempt(m *probe.Measurement, src topo.PoPID, maxAttempts in
 	for a := 1; a <= maxAttempts; a++ {
 		if !in.attemptFails(src, m.Hour, m.ID, a) {
 			f := *m
-			f.Attempts = a
+			f.Attempts = int32(a)
 			in.mutate(&f, m.ID)
 			return &f
 		}
@@ -198,7 +198,7 @@ func (in *injector) attempt(m *probe.Measurement, src topo.PoPID, maxAttempts in
 	return &probe.Measurement{
 		ID: m.ID, Hour: m.Hour, Intent: m.Intent, Trigger: m.Trigger,
 		SrcASN: m.SrcASN, SrcCity: m.SrcCity, DstASN: m.DstASN, DstCity: m.DstCity,
-		Server: m.Server, Family: m.Family, Failed: true, Attempts: maxAttempts,
+		Server: m.Server, Family: m.Family, Failed: true, Attempts: int32(maxAttempts),
 	}
 }
 

@@ -79,7 +79,7 @@ func TestApplyRetriesUntilSuccess(t *testing.T) {
 			}
 		}
 		if want == 0 {
-			if !m.Failed || m.Attempts != retry.MaxAttempts {
+			if !m.Failed || int(m.Attempts) != retry.MaxAttempts {
 				t.Fatalf("record %d: every attempt dropped, got Failed=%v Attempts=%d", c.ID, m.Failed, m.Attempts)
 			}
 			continue
@@ -87,7 +87,7 @@ func TestApplyRetriesUntilSuccess(t *testing.T) {
 		if m == c {
 			t.Fatalf("record %d: surviving record aliases the clean one", c.ID)
 		}
-		if m.Failed || m.Attempts != want {
+		if m.Failed || int(m.Attempts) != want {
 			t.Fatalf("record %d: Failed=%v Attempts=%d, want a live record after %d attempts", c.ID, m.Failed, m.Attempts, want)
 		}
 		if m.ID != c.ID || m.RTTms != c.RTTms || m.ThroughputMbps != c.ThroughputMbps || len(m.Hops) != len(c.Hops) {

@@ -222,7 +222,7 @@ func TestFactualMemoMatchesMissPath(t *testing.T) {
 						math.Float64bits(gp.LossRate) != math.Float64bits(wp.LossRate) ||
 						math.Float64bits(gp.ThroughputMbps) != math.Float64bits(wp.ThroughputMbps) ||
 						math.Float64bits(gp.MaxUtil) != math.Float64bits(wp.MaxUtil) {
-						t.Logf("seed %d op %d: memo %v %+v, fresh %v %+v", seed, op, gp.Path.ASPath, *gp, wp.Path.ASPath, *wp)
+						t.Logf("seed %d op %d: memo %v %+v, fresh %v %+v", seed, op, gp.Path.ASPath, gp, wp.Path.ASPath, wp)
 						return false
 					}
 				}

@@ -123,7 +123,7 @@ func forkState(e *Engine, pops []forkPop) string {
 	for id := 0; id < e.Topo.NumLinks(); id++ {
 		fmt.Fprintf(&b, "%x,", math.Float64bits(e.Utilization(topo.LinkID(id))))
 	}
-	perf := func(p *PathPerf, err error) {
+	perf := func(p PathPerf, err error) {
 		if err != nil {
 			fmt.Fprintf(&b, "err %v;", err)
 			return

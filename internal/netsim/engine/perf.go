@@ -10,7 +10,9 @@ import (
 )
 
 // PathPerf is the engine's ground-truth performance along one path at one
-// instant (no measurement noise — probes add that).
+// instant (no measurement noise — probes add that). It is a value: the
+// Perf queries return it by value and allocate nothing, and the Path it
+// carries is the RIB's own shared, read-only path.
 type PathPerf struct {
 	Path *bgp.Path
 	// RTTms is the round-trip time: 2× (propagation + queueing + per-hop).
@@ -27,20 +29,20 @@ type PathPerf struct {
 }
 
 // Perf computes current performance between two PoPs.
-func (e *Engine) Perf(src, dst topo.PoPID) (*PathPerf, error) {
+func (e *Engine) Perf(src, dst topo.PoPID) (PathPerf, error) {
 	rib, err := e.RIB()
 	if err != nil {
-		return nil, err
+		return PathPerf{}, err
 	}
 	return e.PerfOn(rib, src, dst)
 }
 
 // PerfToAS computes performance from a PoP to the nearest PoP of an AS
 // (anycast-style server selection).
-func (e *Engine) PerfToAS(src topo.PoPID, asn topo.ASN) (*PathPerf, error) {
+func (e *Engine) PerfToAS(src topo.PoPID, asn topo.ASN) (PathPerf, error) {
 	rib, err := e.RIB()
 	if err != nil {
-		return nil, err
+		return PathPerf{}, err
 	}
 	return e.perfToASOn(rib, src, asn)
 }
@@ -56,12 +58,12 @@ func (e *Engine) PerfToAS(src topo.PoPID, asn topo.ASN) (*PathPerf, error) {
 // The fixed point is memoized (see whatIfRIB), so asking the same question
 // every hour converges it once; the utilization-dependent performance along
 // the path is still read at the current hour.
-func (e *Engine) PerfToASWith(src topo.PoPID, asn topo.ASN, edit func(*bgp.Policy)) (*PathPerf, error) {
+func (e *Engine) PerfToASWith(src topo.PoPID, asn topo.ASN, edit func(*bgp.Policy)) (PathPerf, error) {
 	pol := e.Policy.Clone()
 	edit(pol)
 	rib, err := e.whatIfRIB(asn, pol)
 	if err != nil {
-		return nil, err
+		return PathPerf{}, err
 	}
 	return e.perfToASOn(rib, src, asn)
 }
@@ -119,26 +121,26 @@ func (e *Engine) whatIfRIB(asn topo.ASN, pol *bgp.Policy) (*bgp.RIB, error) {
 }
 
 // perfToASOn is PerfToAS over a given RIB.
-func (e *Engine) perfToASOn(rib *bgp.RIB, src topo.PoPID, asn topo.ASN) (*PathPerf, error) {
+func (e *Engine) perfToASOn(rib *bgp.RIB, src topo.PoPID, asn topo.ASN) (PathPerf, error) {
 	dst, err := rib.NearestPoP(src, asn)
 	if err != nil {
-		return nil, err
+		return PathPerf{}, err
 	}
 	return e.PerfOn(rib, src, dst)
 }
 
 // PerfOn computes current performance between two PoPs over the given
 // routes: the engine's RIB, or RoutesToward's routes toward dst's AS.
-func (e *Engine) PerfOn(rib *bgp.RIB, src, dst topo.PoPID) (*PathPerf, error) {
+func (e *Engine) PerfOn(rib *bgp.RIB, src, dst topo.PoPID) (PathPerf, error) {
 	p, err := rib.Forward(src, dst)
 	if err != nil {
-		return nil, err
+		return PathPerf{}, err
 	}
 	return e.perfAlong(p), nil
 }
 
-func (e *Engine) perfAlong(p *bgp.Path) *PathPerf {
-	out := &PathPerf{Path: p, ThroughputMbps: 1e9, BottleneckLink: -1}
+func (e *Engine) perfAlong(p *bgp.Path) PathPerf {
+	out := PathPerf{Path: p, ThroughputMbps: 1e9, BottleneckLink: -1}
 	oneWay := 0.0
 	survive := 1.0
 	for _, h := range p.Hops {

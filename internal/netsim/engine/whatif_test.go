@@ -159,7 +159,7 @@ func TestPerfToASWithMatchesForcedRecompute(t *testing.T) {
 			e.MarkDirty()
 
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("hour %v, pinned to AS%d: what-if %+v, recompute %+v", e.Hour(), p, *got, *want)
+				t.Fatalf("hour %v, pinned to AS%d: what-if %+v, recompute %+v", e.Hour(), p, got, want)
 			}
 			paths = append(paths, fmt.Sprint(got.Path.ASPath))
 		}
@@ -305,7 +305,7 @@ func TestWhatIfMemoMatchesMissPath(t *testing.T) {
 				math.Float64bits(got.LossRate) != math.Float64bits(want.LossRate) ||
 				math.Float64bits(got.ThroughputMbps) != math.Float64bits(want.ThroughputMbps) ||
 				math.Float64bits(got.MaxUtil) != math.Float64bits(want.MaxUtil) {
-				t.Logf("seed %d op %d: what-if %v %+v, miss path %v %+v", seed, op, got.Path.ASPath, *got, want.Path.ASPath, *want)
+				t.Logf("seed %d op %d: what-if %v %+v, miss path %v %+v", seed, op, got.Path.ASPath, got, want.Path.ASPath, want)
 				return false
 			}
 		}
@@ -328,10 +328,10 @@ func TestWhatIfMemoMatchesMissPath(t *testing.T) {
 
 // perfFamily is what a family speed test measures: performance from src to
 // dst over the family's routes toward dst's AS.
-func perfFamily(e *Engine, src, dst topo.PoPID, f Family) (*PathPerf, error) {
+func perfFamily(e *Engine, src, dst topo.PoPID, f Family) (PathPerf, error) {
 	rib, err := e.RoutesToward(e.Topo.PoP(dst).AS, f)
 	if err != nil {
-		return nil, err
+		return PathPerf{}, err
 	}
 	return e.PerfOn(rib, src, dst)
 }
@@ -407,14 +407,14 @@ func TestV6RoutesMatchFullRecompute(t *testing.T) {
 		pops := tp.Export().PoPs
 		srcs := []topo.PoPID{tp.PoPsOf(asn)[0], pops[r.Intn(len(pops))].ID}
 		dsts := []topo.ASN{content, ases[r.Intn(len(ases))].ASN}
-		ask := func(src topo.PoPID, dst topo.ASN) (*PathPerf, error) {
+		ask := func(src topo.PoPID, dst topo.ASN) (PathPerf, error) {
 			rib, err := e.RoutesToward(dst, V6)
 			if err != nil {
-				return nil, err
+				return PathPerf{}, err
 			}
 			d, err := rib.NearestPoP(src, dst)
 			if err != nil {
-				return nil, err
+				return PathPerf{}, err
 			}
 			return e.PerfOn(rib, src, d)
 		}
@@ -507,7 +507,7 @@ func TestV6RoutesMatchFullRecompute(t *testing.T) {
 				math.Float64bits(got.RTTms) != math.Float64bits(want.RTTms) ||
 				math.Float64bits(got.LossRate) != math.Float64bits(want.LossRate) ||
 				math.Float64bits(got.ThroughputMbps) != math.Float64bits(want.ThroughputMbps) {
-				t.Logf("seed %d op %d: v6 %v %+v, full recompute %v %+v", seed, op, got.Path.ASPath, *got, want.Path.ASPath, *want)
+				t.Logf("seed %d op %d: v6 %v %+v, full recompute %v %+v", seed, op, got.Path.ASPath, got, want.Path.ASPath, want)
 				return false
 			}
 		}

@@ -34,7 +34,8 @@ func (s userSim) step() (string, error) {
 	if err := s.e.Step(); err != nil {
 		return "", err
 	}
-	obs, ms, err := s.um.Step(s.pr)
+	var obs []StepObservation
+	ms, err := s.um.Step(s.pr, nil, &obs)
 	if err != nil {
 		return "", err
 	}

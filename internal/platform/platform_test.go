@@ -163,7 +163,7 @@ func TestUserModelColliderBehaviour(t *testing.T) {
 		if err := e.Step(); err != nil {
 			t.Fatal(err)
 		}
-		_, ms, err := um.Step(p)
+		ms, err := um.Step(p, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,8 @@ func TestUserModelColliderBehaviour(t *testing.T) {
 		if err := e.Step(); err != nil {
 			t.Fatal(err)
 		}
-		obs, ms, err := um.Step(p)
+		var obs []StepObservation
+		ms, err := um.Step(p, nil, &obs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -374,5 +375,55 @@ func TestFrameDeterministicAcrossRuns(t *testing.T) {
 	s := mathx.Summarize(a)
 	if s.Std == 0 {
 		t.Fatal("RTT series is suspiciously constant")
+	}
+}
+
+// TestUserStepAllocations bounds what a user step allocates over a warmed
+// engine (routes converged, every path's hop identity built): nothing per
+// population, and per measurement only the record and its hop slice.
+func TestUserStepAllocations(t *testing.T) {
+	s, err := scenario.BuildSouthAfrica()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := engine.New(s.Topo, 11, engine.Config{AdaptiveEgress: true})
+	p := probe.NewProber(e, 12)
+	var pops []UserPop
+	for _, u := range s.AllUnits() {
+		src, err := s.UserPoP(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pops = append(pops, UserPop{Src: src, Dst: scenario.BigContent, Size: 1})
+	}
+	for _, rate := range []float64{0, 0.5} {
+		um := NewUserModel(pops, 13)
+		um.BaseRate = rate
+		ms := make([]*probe.Measurement, 0, 1024)
+		for i := 0; i < 5; i++ {
+			if err := e.Step(); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			if ms, err = um.Step(p, ms[:0], nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const runs = 50
+		records, calls := 0, 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			var err error
+			if ms, err = um.Step(p, ms[:0], nil); err != nil {
+				t.Fatal(err)
+			}
+			if calls++; calls > 1 { // the first call is AllocsPerRun's warm-up
+				records += len(ms)
+			}
+		})
+		perRun := float64(records) / runs
+		t.Logf("rate %v: %.2f allocations and %.2f records per step over %d populations", rate, allocs, perRun, len(pops))
+		if allocs > 2*perRun {
+			t.Errorf("rate %v: %.2f allocations per step for %.2f records; want at most 2 per record", rate, allocs, perRun)
+		}
 	}
 }

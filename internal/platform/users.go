@@ -91,15 +91,16 @@ type StepObservation struct {
 
 // Step advances the model one engine step: it observes current conditions
 // for every population, updates habit baselines, decides how many tests run
-// (Poisson with state-dependent rate), executes them through the prober,
-// and returns both the observations and the measurements.
-func (u *UserModel) Step(p *probe.Prober) ([]StepObservation, []*probe.Measurement, error) {
-	obs := make([]StepObservation, 0, len(u.Pops))
-	var out []*probe.Measurement
+// (Poisson with state-dependent rate) and executes them through the prober.
+// It appends the measurements to ms and returns the extended slice, so a
+// caller stepping in a loop can reuse one buffer. When obs is non-nil it
+// also appends one StepObservation per population to *obs; a caller that
+// reads no observations passes nil and none are built.
+func (u *UserModel) Step(p *probe.Prober, ms []*probe.Measurement, obs *[]StepObservation) ([]*probe.Measurement, error) {
 	for _, pop := range u.Pops {
 		perf, err := p.Engine.PerfToAS(pop.Src, pop.Dst)
 		if err != nil {
-			return nil, nil, fmt.Errorf("platform: user pop %v: %w", pop, err)
+			return nil, fmt.Errorf("platform: user pop %v: %w", pop, err)
 		}
 		if n := int(pop.Src) + 1; n > len(u.habit) {
 			u.habit = append(u.habit, make([]popHabit, n-len(u.habit))...)
@@ -131,12 +132,14 @@ func (u *UserModel) Step(p *probe.Prober) ([]StepObservation, []*probe.Measureme
 		// PoP and hour a fresh SpeedTest would read.
 		n := u.rng.Poisson(rate)
 		for i := 0; i < n; i++ {
-			out = append(out, p.SpeedTestOn(perf, probe.IntentUserInitiated, "user"))
+			ms = append(ms, p.SpeedTestOn(perf, probe.IntentUserInitiated, "user"))
 		}
-		obs = append(obs, StepObservation{
-			Pop: pop, RTTms: perf.RTTms, RouteChanged: changed,
-			Degradation: degradation, TestsRun: n,
-		})
+		if obs != nil {
+			*obs = append(*obs, StepObservation{
+				Pop: pop, RTTms: perf.RTTms, RouteChanged: changed,
+				Degradation: degradation, TestsRun: n,
+			})
+		}
 	}
-	return obs, out, nil
+	return ms, nil
 }
