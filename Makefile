@@ -21,7 +21,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race verify unreached verify-cache-off verify-sweep verify-examples bench
+.PHONY: build test vet race verify unreached verify-cli-golden verify-sweep verify-examples bench
 
 build:
 	$(GO) build ./...
@@ -43,14 +43,13 @@ verify: build vet race
 unreached:
 	$(GO) run ./internal/tools/unreached
 
-# The cache golden check, through the real CLI: the suite must print
-# byte-for-byte the pinned seed-42 golden with the artifact cache off and
-# on. The off run pins the off switch; the on run pins the cached path
-# (shared worlds, RIBs, trunks and campaigns) end to end, which the in-repo
-# equivalence tests (TestSuiteCached*) also check through the library.
-verify-cache-off:
-	$(GO) run ./cmd/sisyphus -all -seed 42 -cache=off | cmp - internal/experiments/testdata/all_seed42.golden.txt
-	$(GO) run ./cmd/sisyphus -all -seed 42 -cache=on | cmp - internal/experiments/testdata/all_seed42.golden.txt
+# The CLI golden check: the real CLI must print byte-for-byte the pinned
+# seed-42 golden with one worker and with the default pool. Pool width is
+# the one setting left that could leak into the bytes; the shared worlds,
+# RIBs, trunks and campaigns are on the path of both runs.
+verify-cli-golden:
+	$(GO) run ./cmd/sisyphus -all -seed 42 -workers 1 | cmp - internal/experiments/testdata/all_seed42.golden.txt
+	$(GO) run ./cmd/sisyphus -all -seed 42 | cmp - internal/experiments/testdata/all_seed42.golden.txt
 
 # The sweep-driver determinism gate, through the real CLI: one binary runs
 # the same grid — four experiments (Table 1 plus three of the newly

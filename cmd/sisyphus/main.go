@@ -57,16 +57,6 @@ func validateFlags(workers int) error {
 	return nil
 }
 
-// validateCacheFlag rejects anything but the two documented -cache states;
-// a typo like -cache=of silently running uncached would defeat the flag's
-// purpose as an explicit identity-proof switch.
-func validateCacheFlag(cache string) error {
-	if cache != "on" && cache != "off" {
-		return fmt.Errorf("-cache must be \"on\" or \"off\" (got %q)", cache)
-	}
-	return nil
-}
-
 // validateObsFlags rejects observability flags on invocations that run no
 // experiments (-list or no mode at all): a trace or metrics request that
 // could only ever produce an empty report is a mistake, not a no-op.
@@ -152,7 +142,6 @@ func main() {
 		traceFile = flag.String("trace", "", "write a JSONL span trace of the run to this file")
 		metrics   = flag.Bool("metrics", false, "print a metrics summary after the run (a \"metrics\" JSON object with -json)")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the run")
-		cache     = flag.String("cache", "on", "artifact cache: \"on\" shares scenario worlds, RIBs and campaigns across experiments; \"off\" rebuilds everything (output bytes are identical either way)")
 		scen      = flag.String("scenario", "", "with -experiment, run on this world instead of the default (a registered id or a gen: spec; see "+scenario.GenGrammar+")")
 		sweepMode = flag.Bool("sweep", false, "run a scenario×seed sweep of -experiments and report estimate distributions")
 		sweepExps = flag.String("experiments", "table1", "with -sweep, comma-separated experiment ids to sweep (scenario-capable only)")
@@ -183,10 +172,6 @@ func main() {
 	}
 	if *timeout < 0 {
 		fmt.Fprintf(os.Stderr, "sisyphus: -timeout must be >= 0 (got %v)\n", *timeout)
-		os.Exit(2)
-	}
-	if err := validateCacheFlag(*cache); err != nil {
-		fmt.Fprintln(os.Stderr, "sisyphus:", err)
 		os.Exit(2)
 	}
 	runs := *all || *exp != "" || *sweepMode
@@ -227,14 +212,9 @@ func main() {
 		defer closer.Close()
 	}
 
-	// The artifact store is likewise a per-invocation value. With -cache=off
-	// it stays nil and every fetch inside the experiments builds fresh — the
-	// exact pre-cache code path, so output bytes cannot differ.
-	var store *artifact.Store
-	if *cache == "on" {
-		store = artifact.NewStore()
-	}
-
+	// The artifact store is likewise a per-invocation value, shared by
+	// every experiment or sweep cell the invocation runs.
+	store := artifact.NewStore()
 	cfg := experiments.Config{Seed: *seed, Pool: pool, Artifacts: store}
 
 	emit := func(res experiments.Renderable) {
@@ -358,7 +338,7 @@ func main() {
 
 	// Cache epilogue: one summary line on stderr after a successful run, so
 	// stdout (the golden surface) never sees it.
-	if store != nil && runs {
+	if runs {
 		fmt.Fprintf(os.Stderr, "sisyphus: %s\n", store.RenderStats())
 	}
 

@@ -109,26 +109,3 @@ func TestValidateSweepFlags(t *testing.T) {
 		})
 	}
 }
-
-func TestValidateCacheFlag(t *testing.T) {
-	cases := []struct {
-		cache   string
-		wantErr bool
-	}{
-		{"on", false},
-		{"off", false},
-		{"", true},
-		{"of", true},
-		{"ON", true},
-		{"true", true},
-		{"0", true},
-	}
-	for _, c := range cases {
-		t.Run(c.cache, func(t *testing.T) {
-			err := validateCacheFlag(c.cache)
-			if (err != nil) != c.wantErr {
-				t.Fatalf("validateCacheFlag(%q) error = %v, wantErr %v", c.cache, err, c.wantErr)
-			}
-		})
-	}
-}

@@ -34,7 +34,6 @@ import (
 	"os/signal"
 	"time"
 
-	"sisyphus/internal/artifact"
 	"sisyphus/internal/obs"
 	"sisyphus/internal/parallel"
 	"sisyphus/internal/serve"
@@ -61,7 +60,6 @@ type serveFlags struct {
 	admin          string
 	workers        int
 	requestTimeout time.Duration
-	cache          string
 	maxSpans       int
 }
 
@@ -76,9 +74,6 @@ func validateServeFlags(f serveFlags) error {
 	}
 	if f.requestTimeout < 0 {
 		return fmt.Errorf("-request-timeout must be >= 0 (got %v)", f.requestTimeout)
-	}
-	if f.cache != "on" && f.cache != "off" {
-		return fmt.Errorf("-cache must be \"on\" or \"off\" (got %q)", f.cache)
 	}
 	if f.admin != "" && f.admin == f.addr {
 		return fmt.Errorf("-admin must differ from -addr (both %q)", f.addr)
@@ -95,13 +90,12 @@ func main() {
 		admin    = flag.String("admin", "", "admin listen address for /metrics, /trace and /debug/pprof/ (empty = no admin endpoint, no recorder)")
 		nworkers = flag.Int("workers", 0, "default worker-pool width for request execution (0 = GOMAXPROCS); requests may override with ?workers=")
 		reqTO    = flag.Duration("request-timeout", 2*time.Minute, "per-request wall-clock bound; requests exceeding it return 504 (0 = no limit)")
-		cache    = flag.String("cache", "on", "artifact cache: \"on\" shares worlds, RIBs, campaigns and responses across requests; \"off\" rebuilds per request (response bytes identical either way)")
 		maxSpans = flag.Int("max-spans", 4096, "with -admin, keep at most this many recent latency spans in the trace ring (0 = unbounded)")
 	)
 	flag.Parse()
 	f := serveFlags{
 		addr: *addr, admin: *admin, workers: *nworkers,
-		requestTimeout: *reqTO, cache: *cache, maxSpans: *maxSpans,
+		requestTimeout: *reqTO, maxSpans: *maxSpans,
 	}
 	if err := validateServeFlags(f); err != nil {
 		fmt.Fprintln(os.Stderr, "sisyphusd:", err)
@@ -117,13 +111,10 @@ func main() {
 		pool = parallel.NewPool(*nworkers)
 	}
 
-	// The store is shared by every request for the server's lifetime; the
-	// recorder exists only when an admin endpoint will read it, preserving
-	// the zero-cost-when-off invariant on the serving path.
-	var store *artifact.Store
-	if *cache == "on" {
-		store = artifact.NewStore()
-	}
+	// The server's artifact store (serve.New makes one) is shared by every
+	// request for its lifetime; the recorder exists only when an admin
+	// endpoint will read it, preserving the zero-cost-when-off invariant on
+	// the serving path.
 	var rec *obs.Recorder
 	if *admin != "" {
 		rec = obs.NewRecorder()
@@ -131,7 +122,6 @@ func main() {
 	}
 
 	srv := serve.New(serve.Config{
-		Store:          store,
 		Pool:           pool,
 		RequestTimeout: *reqTO,
 		Recorder:       rec,

@@ -11,21 +11,19 @@ import (
 // at startup; main exits 2 (usage) on each, matching the sisyphus CLI's
 // convention.
 func TestValidateServeFlags(t *testing.T) {
-	ok := serveFlags{addr: ":8080", cache: "on", requestTimeout: 2 * time.Minute, maxSpans: 4096}
+	ok := serveFlags{addr: ":8080", requestTimeout: 2 * time.Minute, maxSpans: 4096}
 	cases := []struct {
 		name     string
 		mutate   func(*serveFlags)
 		contains string // empty = valid
 	}{
 		{"defaults valid", func(f *serveFlags) {}, ""},
-		{"cache off valid", func(f *serveFlags) { f.cache = "off" }, ""},
 		{"admin valid", func(f *serveFlags) { f.admin = "localhost:6060" }, ""},
 		{"no timeout valid", func(f *serveFlags) { f.requestTimeout = 0 }, ""},
 		{"unbounded spans valid", func(f *serveFlags) { f.maxSpans = 0 }, ""},
 		{"empty addr", func(f *serveFlags) { f.addr = "" }, "-addr"},
 		{"negative workers", func(f *serveFlags) { f.workers = -1 }, "-workers"},
 		{"negative timeout", func(f *serveFlags) { f.requestTimeout = -time.Second }, "-request-timeout"},
-		{"cache typo", func(f *serveFlags) { f.cache = "of" }, "-cache"},
 		{"admin collides with addr", func(f *serveFlags) { f.admin = f.addr }, "-admin"},
 		{"negative span bound", func(f *serveFlags) { f.maxSpans = -1 }, "-max-spans"},
 	}

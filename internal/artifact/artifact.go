@@ -26,10 +26,11 @@
 //     fetch gets its own world fork (IXP joins, link flaps stay private)
 //     and the one frozen measurement store.
 //
-// A nil *Store is the universal off switch: GetOrBuild builds directly and
-// returns the value unforked — exactly the code path the experiments ran
-// before this layer existed, which is how `-cache=off` stays byte-identical
-// to the pinned goldens by construction.
+// There is one path through the layer. A nil *Store is a store nobody
+// shares: GetOrBuild builds, freezes and forks exactly as on a miss, and
+// keeps nothing. Where a run starts (an experiment run, a suite, a causal
+// query, a sweep grid, a server) a nil store becomes one fresh store for
+// that run (OrNew, With), so a run always shares its own builds.
 package artifact
 
 import (
@@ -109,13 +110,11 @@ type Spec[T any] struct {
 	// write what they get. With a Freeze hook the stored original is
 	// immutable, so Fork may be a pointer-cheap copy-on-write view rather
 	// than a deep copy, and may share outright any part that refuses
-	// writes once frozen. Required when the store is non-nil.
+	// writes once frozen. Required.
 	Fork func(T) T
 	// Freeze, if non-nil, runs exactly once on the freshly built value —
 	// after a successful Build, before the value is stored or any Fork is
 	// taken — marking it immutable so forks can share structure safely.
-	// The nil-store path never freezes: cache-off callers own a fully
-	// mutable value, exactly as before the cache existed.
 	Freeze func(T)
 	// Size estimates the artifact's resident bytes for the LRU byte bound.
 	// Nil counts the entry as zero bytes (the entry bound still applies).
@@ -157,7 +156,8 @@ type KeyStats struct {
 }
 
 // Store is the content-addressed artifact cache. The zero value is not
-// usable; construct with NewStore. A nil *Store disables caching entirely.
+// usable; construct with NewStore. A nil *Store is an unshared store: see
+// GetOrBuild.
 type Store struct {
 	mu         sync.Mutex
 	entries    map[Key]*entry
@@ -192,11 +192,17 @@ func NewStore(opts ...Option) *Store {
 	return s
 }
 
+// OrNew returns s, or a fresh store when s is nil: the store one run, grid
+// or server shares when its caller passed none.
+func OrNew(s *Store) *Store {
+	if s == nil {
+		return NewStore()
+	}
+	return s
+}
+
 // Stats returns a snapshot of the store counters.
 func (s *Store) Stats() Stats {
-	if s == nil {
-		return Stats{}
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
@@ -213,9 +219,6 @@ func (s *Store) Stats() Stats {
 // drop them, so the map is bounded by the entry bound plus in-flight
 // builds.
 func (s *Store) PerKey() map[Key]KeyStats {
-	if s == nil {
-		return nil
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make(map[Key]KeyStats, len(s.perKey))
@@ -285,16 +288,14 @@ func (s *Store) evictLocked() {
 // build must not poison innocent concurrent requesters. Such a retry counts
 // a second hit or miss for the same logical call.
 //
-// A nil store is the cache-off path: spec.Build runs directly and its value
-// is returned without forking, byte-identical to pre-cache code.
+// A nil store is a store nobody shares: the call builds, freezes and forks
+// exactly as a miss does, and nothing is kept once it returns.
 func GetOrBuild[T any](ctx context.Context, s *Store, key Key, spec Spec[T]) (T, error) {
 	var zero T
-	if s == nil {
-		return spec.Build(ctx)
-	}
 	if spec.Fork == nil {
-		return zero, fmt.Errorf("artifact: %s: Spec.Fork is required with a live store", key)
+		return zero, fmt.Errorf("artifact: %s: Spec.Fork is required", key)
 	}
+	s = OrNew(s)
 
 	var e *entry
 	for {
@@ -414,15 +415,13 @@ func build[T any](ctx context.Context, s *Store, key Key, spec Spec[T]) (T, erro
 // ctxKey carries the store on a context.
 type ctxKey struct{}
 
-// With attaches the store to the context; a nil store returns ctx unchanged.
+// With attaches the store to the context, or a fresh one when s is nil,
+// so every fetch under the returned context shares one store.
 func With(ctx context.Context, s *Store) context.Context {
-	if s == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKey{}, s)
+	return context.WithValue(ctx, ctxKey{}, OrNew(s))
 }
 
-// From returns the store riding the context, or nil (cache off).
+// From returns the store riding the context, or nil (an unshared store).
 func From(ctx context.Context) *Store {
 	s, _ := ctx.Value(ctxKey{}).(*Store)
 	return s

@@ -300,29 +300,46 @@ func TestGetOrBuildErrorsNotCached(t *testing.T) {
 	}
 }
 
+// TestGetOrBuildNilStore pins the unshared store: a nil store builds on
+// every call, freezes each build once, always returns a fork, requires
+// Spec.Fork like any store, and keeps nothing between calls.
 func TestGetOrBuildNilStore(t *testing.T) {
 	ctx := context.Background()
 	key, _ := NewKey("world", "s", 0, nil)
-	var builds atomic.Int64
-	// Fork deliberately nil: the nil-store path must not require (or call) it.
-	spec := Spec[*[]int]{
-		Build: func(ctx context.Context) (*[]int, error) {
-			builds.Add(1)
-			v := []int{5}
-			return &v, nil
+	var builds, freezes, forks atomic.Int64
+	var built []*freezeBox
+	spec := Spec[*freezeBox]{
+		Build: func(ctx context.Context) (*freezeBox, error) {
+			b := &freezeBox{v: int(builds.Add(1))}
+			built = append(built, b)
+			return b, nil
+		},
+		Freeze: func(b *freezeBox) {
+			freezes.Add(1)
+			b.frozen = true
+		},
+		Fork: func(b *freezeBox) *freezeBox {
+			forks.Add(1)
+			cp := *b
+			return &cp
 		},
 	}
-	for i := 0; i < 3; i++ {
-		v, err := GetOrBuild(ctx, (*Store)(nil), key, spec)
-		if err != nil || (*v)[0] != 5 {
-			t.Fatalf("nil store fetch = %v, %v", v, err)
+	for i := 1; i <= 3; i++ {
+		b, err := GetOrBuild(ctx, (*Store)(nil), key, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Each call's value comes from its own build: nothing was kept.
+		if b.v != i || !b.frozen || b == built[i-1] {
+			t.Fatalf("fetch %d = %+v: want a frozen fork of build %d", i, b, i)
 		}
 	}
-	if builds.Load() != 3 {
-		t.Fatalf("nil store must build every time, built %d", builds.Load())
+	if got := [3]int64{builds.Load(), freezes.Load(), forks.Load()}; got != [3]int64{3, 3, 3} {
+		t.Fatalf("builds, freezes, forks = %v, want one of each per call", got)
 	}
-	if (*Store)(nil).Stats() != (Stats{}) || (*Store)(nil).PerKey() != nil {
-		t.Fatal("nil store accessors must return zero values")
+	spec.Fork = nil
+	if _, err := GetOrBuild(ctx, (*Store)(nil), key, spec); err == nil || !strings.Contains(err.Error(), "Fork is required") {
+		t.Fatalf("err = %v, want Fork-required", err)
 	}
 }
 
@@ -345,9 +362,9 @@ type freezeBox struct {
 }
 
 // TestFreezeContract pins Spec.Freeze: it runs exactly once per successful
-// build, before any Fork (the builder's own return value included); never
-// on the nil-store path or on a build that errors or panics; and the
-// joiners of an in-flight build do not freeze it again.
+// build, before any Fork (the builder's own return value included), so a
+// nil store freezes once per fetch; never on a build that errors or panics;
+// and the joiners of an in-flight build do not freeze it again.
 func TestFreezeContract(t *testing.T) {
 	type counts struct{ builds, freezes, forks int64 }
 	cases := []struct {
@@ -360,7 +377,7 @@ func TestFreezeContract(t *testing.T) {
 		want     counts
 	}{
 		{name: "hits share one freeze", fetches: 3, want: counts{1, 1, 3}},
-		{name: "nil store never freezes", nilStore: true, fetches: 2, want: counts{2, 0, 0}},
+		{name: "nil store freezes once per fetch", nilStore: true, fetches: 2, want: counts{2, 2, 2}},
 		{name: "failed build is not frozen", fail: "error", fetches: 2, want: counts{2, 1, 1}},
 		{name: "panicking build is not frozen", fail: "panic", fetches: 2, want: counts{2, 1, 1}},
 		{name: "joiners do not refreeze", joiners: 8, want: counts{1, 1, 8}},
@@ -426,8 +443,8 @@ func TestFreezeContract(t *testing.T) {
 				if err != nil {
 					t.Fatalf("fetch %d: %v", i, err)
 				}
-				if c.nilStore && b.frozen {
-					t.Fatal("nil-store fetch returned a frozen value")
+				if !b.frozen {
+					t.Fatalf("fetch %d returned an unfrozen value", i)
 				}
 			}
 			if c.joiners > 0 {
@@ -575,8 +592,8 @@ func TestWithFromContext(t *testing.T) {
 	if From(ctx) != nil {
 		t.Fatal("empty context must carry no store")
 	}
-	if With(ctx, nil) != ctx {
-		t.Fatal("With(nil) must return ctx unchanged")
+	if From(With(ctx, nil)) == nil {
+		t.Fatal("With(nil) must attach a fresh store")
 	}
 	s := NewStore()
 	if From(With(ctx, s)) != s {

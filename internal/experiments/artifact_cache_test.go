@@ -1,13 +1,9 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"os"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"sisyphus/internal/artifact"
@@ -17,111 +13,32 @@ import (
 	"sisyphus/internal/probe"
 )
 
-// cachedRun is one full cached suite run plus its instrumentation.
-type cachedRun struct {
-	outs  []RunOutcome
-	store *artifact.Store
-	rec   *obs.Recorder
-}
-
-// cachedSuite runs the full seed-42 suite exactly once with a live artifact
-// store and a metrics recorder, shared by the cache-equivalence and
-// exactly-once assertions below.
-var cachedSuite = sync.OnceValues(func() (cachedRun, error) {
-	r := cachedRun{store: artifact.NewStore(), rec: obs.NewRecorder()}
-	ctx := obs.With(context.Background(), r.rec)
-	var err error
-	r.outs, err = RunAll(ctx, Config{Seed: 42, Pool: parallel.Pool{}, Artifacts: r.store})
-	return r, err
-})
-
-// TestSuiteCachedTextMatchesGolden is the tentpole's headline acceptance
-// criterion, the cache-on twin of TestSuiteTextMatchesGolden: with every
-// world, RIB, and campaign flowing through the artifact store, the rendered
-// suite must stay byte-identical to the same pinned seed-42 golden the
-// uncached run is held to.
-func TestSuiteCachedTextMatchesGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full suite run")
-	}
-	want, err := os.ReadFile("testdata/all_seed42.golden.txt")
+// TestDiDSharesTrunkWithoutStore: a run given no store shares its own
+// builds, so did's joined and no-join campaigns branch from one trunk.
+func TestDiDSharesTrunkWithoutStore(t *testing.T) {
+	e, err := Get("did")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := cachedSuite()
-	if err != nil {
+	rec := obs.NewRecorder()
+	if _, err := e.Run(obs.With(context.Background(), rec), Config{}); err != nil {
 		t.Fatal(err)
 	}
-	got := suiteText(t, r.outs)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("cached suite text drifted from golden (%d bytes vs %d): the artifact layer changed experiment output", len(got), len(want))
-	}
-}
-
-// TestSuiteCachedJSONMatchesGolden is the same pin for the JSON surface:
-// full float precision, so a 1-ULP drift anywhere in a cached artifact
-// shows up here even if the rounded text tables hide it.
-func TestSuiteCachedJSONMatchesGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full suite run")
-	}
-	want, err := os.ReadFile("testdata/all_seed42.golden.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := cachedSuite()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	for _, oc := range r.outs {
-		if oc.Err != nil {
-			t.Fatalf("%s: %v", oc.Exp.ID, oc.Err)
-		}
-		buf.WriteString(oc.Exp.Header())
-		enc := json.NewEncoder(&buf)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(oc.Res); err != nil {
-			t.Fatalf("%s: %v", oc.Exp.ID, err)
-		}
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("cached suite JSON drifted from golden (%d bytes vs %d)", buf.Len(), len(want))
-	}
-}
-
-// TestSuiteCachedParallelMatchesGolden re-runs the cached suite across a
-// 4-worker pool: concurrent experiments racing into the same store must
-// still render the pinned bytes (singleflight + fork discipline at work).
-func TestSuiteCachedParallelMatchesGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full suite run")
-	}
-	want, err := os.ReadFile("testdata/all_seed42.golden.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs, err := RunAll(context.Background(), Config{
-		Seed: 42, Pool: parallel.NewPool(4), Artifacts: artifact.NewStore(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := suiteText(t, outs)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("cached parallel suite drifted from golden (%d bytes vs %d)", len(got), len(want))
+	if reused := rec.Metrics()["did"]["campaign.steps_reused"]; reused <= 0 {
+		t.Fatalf("campaign.steps_reused = %v, want > 0: the run's campaigns did not share a trunk", reused)
 	}
 }
 
 // TestCachedSuiteBuildsEachKeyOnce pins the build-once property: across the
-// whole cached suite every ⟨kind, scenario, seed, config⟩ coordinate is
-// built exactly once, asserted both on the store's per-key counters and on
-// the obs cache.miss.* counters summed across experiment scopes.
+// whole suite, with experiments racing into one store on four workers,
+// every ⟨kind, scenario, seed, config⟩ coordinate is built exactly once,
+// asserted both on the store's per-key counters and on the obs
+// cache.miss.* counters summed across experiment scopes.
 func TestCachedSuiteBuildsEachKeyOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite run")
 	}
-	r, err := cachedSuite()
+	r, err := obsParSuite()
 	if err != nil {
 		t.Fatal(err)
 	}

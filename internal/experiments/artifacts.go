@@ -28,17 +28,10 @@ const (
 	kindTrunk    = "trunk"
 )
 
-// fetchWorld returns a caller-owned scenario world plus (when the cache is
-// live) a caller-owned fork of its converged empty-policy RIB to seed the
-// engine with. With no store on the context it builds the world directly
-// and returns a nil RIB — the engine then computes its own fixed point
-// lazily, exactly the pre-cache code path.
+// fetchWorld returns a caller-owned scenario world plus a caller-owned
+// fork of its converged empty-policy RIB to seed the engine with.
 func fetchWorld(ctx context.Context, pool parallel.Pool, id string) (*scenario.World, *bgp.RIB, error) {
 	st := artifact.From(ctx)
-	if st == nil {
-		s, err := scenario.Build(id)
-		return s, nil, err
-	}
 	wkey, err := artifact.NewKey(kindWorld, id, 0, nil)
 	if err != nil {
 		return nil, nil, err
@@ -169,12 +162,12 @@ func runCampaign(ctx context.Context, pool parallel.Pool, id string, seed uint64
 }
 
 // fetchCampaign returns a campaign — a caller-owned post-simulation world
-// and the measurement store — through the artifact cache when one rides the
-// context, or by simulating directly when not. The clean campaign is
+// and the measurement store — through the context's artifact store. The
+// clean campaign is
 // fetched under the params with their fault fields zeroed, so every fault
 // level of one campaign shares a single simulation; when p.Faults is
 // enabled, the faulted store is derived from the clean records with
-// faults.Apply. A cached clean store is the frozen original itself, shared
+// faults.Apply. The clean store is the frozen original itself, shared
 // with every other fetch: it refuses Add, and its measurements must not be
 // written.
 func fetchCampaign(ctx context.Context, pool parallel.Pool, id string, seed uint64, p campaignParams) (*scenario.World, *platform.Store, error) {

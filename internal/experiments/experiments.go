@@ -39,12 +39,11 @@ type Config struct {
 	// propagation, Monte-Carlo trials). Experiments are bit-identical at
 	// any width.
 	Pool parallel.Pool
-	// Artifacts, when non-nil, memoizes scenario worlds, pre-converged RIBs,
-	// and measurement campaigns by content-addressed key, so experiments that
-	// request the same ⟨kind, scenario, seed, config⟩ share one build. Nil
-	// disables caching: every fetch falls through to a fresh build, which is
-	// byte-identical to the cached path by construction (fetches return
-	// defensive forks either way the store is consulted).
+	// Artifacts memoizes scenario worlds, pre-converged RIBs, campaign
+	// trunks and measurement campaigns by content-addressed key, so
+	// experiments that request the same ⟨kind, scenario, seed, config⟩
+	// share one build. Nil is one fresh store for the run (for RunAll, one
+	// for the whole suite).
 	Artifacts *artifact.Store
 	// Opts are the experiment's typed options; nil runs the registered
 	// defaults (Experiment.Defaults). Passing options of another
@@ -217,7 +216,7 @@ func register(e Experiment) {
 		ctx = obs.Scoped(ctx, e.ID)
 		// Ride the artifact store on the context so deeply nested helpers
 		// (fetchWorld, fetchCampaign) reach it without threading a parameter
-		// through every experiment signature. A nil store is the off switch.
+		// through every experiment signature; a nil store is a fresh one.
 		ctx = artifact.With(ctx, cfg.Artifacts)
 		res, err := run(ctx, cfg)
 		if err != nil {
@@ -337,7 +336,7 @@ func RunAll(ctx context.Context, cfg Config) ([]RunOutcome, error) {
 		sort.Slice(picked, func(i, j int) bool { return picked[i].ID < picked[j].ID })
 		exps = picked
 	}
-	runCfg := Config{Seed: cfg.Seed, Pool: cfg.Pool, Artifacts: cfg.Artifacts}
+	runCfg := Config{Seed: cfg.Seed, Pool: cfg.Pool, Artifacts: artifact.OrNew(cfg.Artifacts)}
 	out, err := parallel.Map(ctx, cfg.Pool, len(exps), func(i int) (RunOutcome, error) {
 		res, rerr := exps[i].Run(ctx, runCfg)
 		return RunOutcome{Exp: exps[i], Res: res, Err: rerr}, nil

@@ -11,10 +11,12 @@ import (
 	"sisyphus/internal/parallel"
 )
 
-// goldenSuite runs the full seed-42 suite exactly once and shares the
-// outcomes between the text and JSON golden checks.
+// goldenSuite runs the full seed-42 suite exactly once, on one worker with
+// no recorder, and shares the outcomes between the text and JSON golden
+// checks and the recorder-identity test. Given no store, RunAll shares one
+// across the suite, as the CLI does.
 var goldenSuite = sync.OnceValues(func() ([]RunOutcome, error) {
-	return RunAll(context.Background(), Config{Seed: 42, Pool: parallel.Pool{}})
+	return RunAll(context.Background(), Config{Seed: 42, Pool: parallel.NewPool(1)})
 })
 
 // reconstructs the CLI's `-all` byte stream from suite outcomes: section

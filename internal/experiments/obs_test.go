@@ -9,16 +9,18 @@ import (
 	"testing"
 	"time"
 
+	"sisyphus/internal/artifact"
 	"sisyphus/internal/obs"
 	"sisyphus/internal/parallel"
 )
 
 // recordedSuite is one full seed-42 suite run with a live Recorder attached,
-// shared by the bit-identity and trace-coverage tests so the suite is not
-// re-run per assertion.
+// shared by the bit-identity, trace-coverage and build-once tests so the
+// suite is not re-run per assertion.
 type recordedSuite struct {
-	outs []RunOutcome
-	rec  *obs.Recorder
+	outs  []RunOutcome
+	rec   *obs.Recorder
+	store *artifact.Store
 }
 
 // obsSeqSuite mirrors the CLI's sequential `-all -seed 42 -trace/-metrics`
@@ -49,15 +51,14 @@ func recordedSuiteForAssertions() (*recordedSuite, error) {
 	return obsSeqSuite()
 }
 
-// obsParSuite mirrors `-all -workers 4` with a live Recorder.
+// obsParSuite mirrors `-all -workers 4` with a live Recorder, keeping the
+// suite's store for the build-once assertions.
 var obsParSuite = sync.OnceValues(func() (*recordedSuite, error) {
-	rec := obs.NewRecorder()
-	ctx := obs.With(context.Background(), rec)
-	outs, err := RunAll(ctx, Config{Seed: 42, Pool: parallel.NewPool(4)})
-	if err != nil {
-		return nil, err
-	}
-	return &recordedSuite{outs: outs, rec: rec}, nil
+	r := &recordedSuite{rec: obs.NewRecorder(), store: artifact.NewStore()}
+	ctx := obs.With(context.Background(), r.rec)
+	var err error
+	r.outs, err = RunAll(ctx, Config{Seed: 42, Pool: parallel.NewPool(4), Artifacts: r.store})
+	return r, err
 })
 
 // suiteJSON reconstructs the CLI's `-all -json` byte stream from outcomes.
@@ -80,10 +81,10 @@ func suiteJSON(t *testing.T, outs []RunOutcome) []byte {
 
 // TestObservabilityOffBitIdentity is the tentpole contract: attaching a live
 // Recorder must not change one byte of experiment output — text or JSON,
-// sequential or parallel — relative to a run with no recorder at all. The
-// no-recorder baseline is the shared goldenSuite, itself pinned to the
-// pre-observability goldens, so this transitively proves "flags off" and
-// "flags on" agree with the seed output.
+// sequential or on four workers — relative to a run with no recorder at
+// all. The no-recorder baseline is the shared goldenSuite, itself pinned to
+// the pre-observability goldens, so this transitively pins every recorded
+// run to the seed output.
 func TestObservabilityOffBitIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite runs")

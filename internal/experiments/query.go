@@ -488,10 +488,9 @@ type queryFrame struct {
 const kindQueryFrame = "qframe"
 
 // fetchQueryFrame returns a caller-owned observational frame for
-// ⟨scenario, seed, hours⟩, through the artifact store when one rides the
-// context (singleflight: concurrent identical queries share one simulation)
-// and by direct build otherwise (GetOrBuild on a nil store) — byte-identical
-// either way. The scenario id sits in the key's scenario coordinate, so the
+// ⟨scenario, seed, hours⟩ through the context's artifact store
+// (singleflight: concurrent identical queries share one simulation). The
+// scenario id sits in the key's scenario coordinate, so the
 // default-world key hashes exactly as it did when the coordinate was
 // hard-coded. Both the confounding experiment and /query read through here.
 func fetchQueryFrame(ctx context.Context, pool parallel.Pool, scenarioID string, seed uint64, hours int) (*queryFrame, error) {

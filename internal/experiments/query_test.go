@@ -140,9 +140,10 @@ func TestCompileCausalQuery(t *testing.T) {
 	}
 }
 
-// TestRunCausalQueryDeterministicAcrossCache runs one small query with and
-// without an artifact store and requires byte-identical JSON documents —
-// the same cache-identity contract every experiment is held to — and
+// TestRunCausalQueryDeterministicAcrossCache runs one small query through a
+// caller's store and through the private store a nil one becomes, and
+// requires byte-identical JSON documents — the same identity contract
+// every experiment is held to — and
 // sanity-checks the answer: with C adjusted, the estimate should land
 // nearer the simulator's ground truth than the naive contrast.
 func TestRunCausalQueryDeterministicAcrossCache(t *testing.T) {
@@ -159,7 +160,7 @@ func TestRunCausalQueryDeterministicAcrossCache(t *testing.T) {
 		return res
 	}
 	cached := run(artifact.NewStore())
-	uncached := run(nil)
+	private := run(nil)
 	enc := func(r *QueryResult) []byte {
 		b, err := json.Marshal(r)
 		if err != nil {
@@ -167,8 +168,8 @@ func TestRunCausalQueryDeterministicAcrossCache(t *testing.T) {
 		}
 		return b
 	}
-	if !bytes.Equal(enc(cached), enc(uncached)) {
-		t.Error("cached and uncached query runs produced different documents")
+	if !bytes.Equal(enc(cached), enc(private)) {
+		t.Error("shared-store and private-store query runs produced different documents")
 	}
 
 	if cached.Rows != 200 {

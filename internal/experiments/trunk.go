@@ -219,8 +219,8 @@ func (t *trunk) branch(ctx context.Context, p campaignParams) (campaign, error) 
 }
 
 // fetchTrunk returns the trunk of p's campaign family: the shared one in
-// the artifact store, built empty on first use, or a private one when no
-// store rides the context. A trunk is not copied on fetch: it is extended
+// the context's artifact store, built empty on first use. A trunk is not
+// copied on fetch: it is extended
 // under its own lock, and what it hands out — frozen checkpoints and record
 // prefixes — is never written. It has no size estimate (the records it
 // holds are the ones its campaigns' stores count).

@@ -134,11 +134,11 @@ func oracle(t *testing.T) ([]campaignCase, map[string]campaign) {
 
 // TestTrunkCampaignsMatchFromScratch holds every trunk-built campaign to the
 // from-scratch simulation, record for record under math.Float64bits and in
-// its post-simulation topology: built privately (no store; the South
-// Africa cases), and through one store per request order, in two shuffled
-// orders. Through the store each
-// family simulates its trunk once, so the steps simulated fall short of the
-// campaigns' summed horizons by exactly the steps reused.
+// its post-simulation topology: built privately (a private store per
+// campaign; the South Africa cases), and through one store per request
+// order, in two shuffled orders. Through the store each family simulates
+// its trunk once, so the steps simulated fall short of the campaigns'
+// summed horizons by exactly the steps reused.
 func TestTrunkCampaignsMatchFromScratch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates the campaign battery")
@@ -147,7 +147,7 @@ func TestTrunkCampaignsMatchFromScratch(t *testing.T) {
 	pool := parallel.Pool{}
 	for _, c := range cases {
 		if c.id != scenario.SouthAfricaID {
-			continue // one world's battery covers the storeless path
+			continue // one world's battery covers the private-store path
 		}
 		got, err := runCampaign(context.Background(), pool, c.id, c.seed, c.p)
 		if err != nil {

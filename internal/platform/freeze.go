@@ -1,6 +1,11 @@
 package platform
 
-import "math"
+import (
+	"math"
+
+	"sisyphus/internal/netsim/topo"
+	"sisyphus/internal/probe"
+)
 
 // Freeze marks the store read-only: after Freeze, Add fails, so the store
 // can be shared by reference with every reader (measurements are never
@@ -67,31 +72,45 @@ func (s *Store) fingerprint() uint64 {
 	return h
 }
 
-// Per-record costs of SizeBytes, held to the record layout by
+// Costs of SizeBytes, held to the record layout by
 // TestSizeConstantsMatchLayout.
 const (
 	// perMeasurement is one probe.Measurement plus its slot in Store.ms.
 	perMeasurement = 216
-	// perHop is one probe.HopRecord. The hop identity it points to is
-	// shared by every record over the same path and is not counted.
+	// perHop is one probe.HopRecord.
 	perHop = 16
+	// perHopIdentity is one probe.Hop, shared by every record over the
+	// same path.
+	perHopIdentity = 48
+	// perASN is one AS of a path, shared by every record over the path.
+	perASN = 4
+	// perSeenEntry is one map[int]bool entry of the dedup index.
+	perSeenEntry = 16
+	// perCovEntry is one coverage entry: map entry, StreamCoverage and
+	// intent string.
+	perCovEntry = 112
 )
 
 // SizeBytes estimates the store's resident size for the artifact store's
-// byte bound: a flat per-measurement cost plus the variable-length hop and
-// path payloads, plus the dedup and coverage indexes. It is an estimate,
-// not an accounting — the LRU only needs relative magnitudes. A record's
-// AS path is the forwarded path's shared slice, but it is counted in full
-// here.
+// byte bound: a flat per-measurement cost plus each record's hop RTTs, the
+// hop identities and AS paths the records share, and the dedup and
+// coverage indexes. A shared array — a path's hop identities or its AS
+// path — is counted once, keyed by the address of its first element. It is
+// an estimate, not an accounting — the LRU only needs relative magnitudes.
 func (s *Store) SizeBytes() int64 {
-	const perPathEntry = 4
-	const perSeenEntry = 16 // map[int]bool entry
-	const perCovEntry = 112 // map entry + StreamCoverage + intent string
+	hops := make(map[*probe.Hop]bool)
+	paths := make(map[*topo.ASN]bool)
 	var n int64
 	for _, m := range s.ms {
-		n += perMeasurement
-		n += int64(len(m.Hops)) * perHop
-		n += int64(len(m.ASPath)) * perPathEntry
+		n += perMeasurement + int64(len(m.Hops))*perHop
+		if len(m.Hops) > 0 && !hops[m.Hops[0].Hop] {
+			hops[m.Hops[0].Hop] = true
+			n += int64(len(m.Hops)) * perHopIdentity
+		}
+		if len(m.ASPath) > 0 && !paths[&m.ASPath[0]] {
+			paths[&m.ASPath[0]] = true
+			n += int64(len(m.ASPath)) * perASN
+		}
 	}
 	n += int64(len(s.seen)) * perSeenEntry
 	n += int64(len(s.cov)) * perCovEntry

@@ -5,11 +5,12 @@ import (
 	"testing"
 	"unsafe"
 
+	"sisyphus/internal/netsim/topo"
 	"sisyphus/internal/probe"
 )
 
 // seededStore returns a store of n records over one two-hop path: like the
-// prober's records, they share the path's hop identities.
+// prober's records, they share the path's hop identities and AS path.
 func seededStore(t testing.TB, n int) *Store {
 	t.Helper()
 	s := NewStore()
@@ -17,11 +18,13 @@ func seededStore(t testing.TB, n int) *Store {
 		{TTL: 1, Addr: "10.14.157.1", ASN: 3741, City: "Johannesburg"},
 		{TTL: 2, Addr: "196.60.8.3", ASN: 15169, City: "Johannesburg"},
 	}
+	asPath := []topo.ASN{3741, 15169}
 	for i := 1; i <= n; i++ {
 		m := &probe.Measurement{
 			ID: i, Intent: probe.IntentBaseline, Hour: float64(i),
 			SrcASN: 3741, SrcCity: "Johannesburg", RTTms: 10 + float64(i),
-			Hops: []probe.HopRecord{{Hop: &path[0], RTTms: 2}, {Hop: &path[1], RTTms: 9 + float64(i)}},
+			Hops:   []probe.HopRecord{{Hop: &path[0], RTTms: 2}, {Hop: &path[1], RTTms: 9 + float64(i)}},
+			ASPath: asPath,
 		}
 		if err := s.Add(m); err != nil {
 			t.Fatal(err)
@@ -106,6 +109,25 @@ func TestSizeConstantsMatchLayout(t *testing.T) {
 	if want := unsafe.Sizeof(probe.HopRecord{}); perHop != want {
 		t.Errorf("perHop = %d, want %d (a HopRecord)", perHop, want)
 	}
+	if want := unsafe.Sizeof(probe.Hop{}); perHopIdentity != want {
+		t.Errorf("perHopIdentity = %d, want %d (a Hop)", perHopIdentity, want)
+	}
+	if want := unsafe.Sizeof(topo.ASN(0)); perASN != want {
+		t.Errorf("perASN = %d, want %d (a topo.ASN)", perASN, want)
+	}
+}
+
+// TestSizeBytesCountsSharedPathsOnce: n records over one path add that
+// path's hop identities and AS path once, not once per record.
+func TestSizeBytesCountsSharedPathsOnce(t *testing.T) {
+	for _, n := range []int{1, 10} {
+		s := seededStore(t, n)
+		want := int64(n)*(perMeasurement+2*perHop) + 2*perHopIdentity + 2*perASN +
+			int64(len(s.seen))*perSeenEntry + int64(len(s.cov))*perCovEntry
+		if got := s.SizeBytes(); got != want {
+			t.Errorf("%d records on one path: SizeBytes() = %d, want %d", n, got, want)
+		}
+	}
 }
 
 // TestSizeBytesCountsIndexes: the residency estimate must include the dedup
@@ -114,7 +136,7 @@ func TestSizeBytesCountsIndexes(t *testing.T) {
 	s := seededStore(t, 10)
 	bare := int64(0)
 	for _, m := range s.ms {
-		bare += perMeasurement + int64(len(m.Hops))*perHop + int64(len(m.ASPath))*4
+		bare += perMeasurement + int64(len(m.Hops))*perHop
 	}
 	if got := s.SizeBytes(); got <= bare {
 		t.Fatalf("SizeBytes() = %d, want > %d (measurements alone): indexes uncounted", got, bare)

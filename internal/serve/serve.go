@@ -48,11 +48,11 @@ const (
 // threads.
 const MaxWorkers = 64
 
-// Config configures a Server. The zero value serves with no cache, the
-// default pool, no timeout and no recorder.
+// Config configures a Server. The zero value serves from a fresh artifact
+// store with the default pool, no timeout and no recorder.
 type Config struct {
-	// Store is the artifact cache every request shares; nil disables
-	// caching (each request builds fresh — byte-identical output).
+	// Store is the artifact store every request shares; nil is a fresh one
+	// for the server's lifetime.
 	Store *artifact.Store
 	// Pool is the default worker pool for requests that don't override
 	// width with ?workers=.
@@ -75,6 +75,7 @@ type Server struct {
 
 // New returns a Server over cfg.
 func New(cfg Config) *Server {
+	cfg.Store = artifact.OrNew(cfg.Store)
 	return &Server{cfg: cfg}
 }
 
@@ -109,10 +110,8 @@ func (s *Server) AdminHandler() http.Handler {
 				fmt.Fprintf(w, "spans dropped by bound: %d\n", n)
 			}
 		}
-		if s.cfg.Store != nil {
-			io.WriteString(w, s.cfg.Store.RenderStats())
-			io.WriteString(w, "\n")
-		}
+		io.WriteString(w, s.cfg.Store.RenderStats())
+		io.WriteString(w, "\n")
 	})
 	mux.HandleFunc("GET /trace", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/jsonl")
@@ -409,8 +408,8 @@ type respKeyConfig struct {
 	Opts       experiments.Options
 }
 
-// cachedResponse funnels a response build through the shared store when one
-// exists: concurrent identical requests collapse into one experiment run
+// cachedResponse funnels a response build through the shared store:
+// concurrent identical requests collapse into one experiment run
 // (singleflight), later ones are byte-for-byte cache hits, and a cancelled
 // builder neither poisons the store nor aborts other requests' joins.
 func (s *Server) cachedResponse(ctx context.Context, kind, scenKey string, seed uint64,

@@ -41,10 +41,11 @@ type GridConfig struct {
 	// Pool shards the grid; cells also pass it down into their own internal
 	// fan-outs. The grid is bit-identical at any width.
 	Pool parallel.Pool
-	// Artifacts, when non-nil, is shared by every cell, so cells agreeing
-	// on a ⟨kind, scenario, seed, config⟩ coordinate share one build. The
-	// world and RIB artifacts are keyed seed-independently: a whole seed
-	// column of the grid builds its world once.
+	// Artifacts is shared by every cell, so cells agreeing on a ⟨kind,
+	// scenario, seed, config⟩ coordinate share one build; nil is one fresh
+	// store for the grid. The world and RIB artifacts are keyed
+	// seed-independently: a whole seed column of the grid builds its world
+	// once.
 	Artifacts *artifact.Store
 	// CellTimeout bounds each cell's wall-clock time; a cell hitting it is
 	// recorded as failed (context.DeadlineExceeded), isolated from the
@@ -82,6 +83,7 @@ func Run(ctx context.Context, cfg GridConfig) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	cfg.Artifacts = artifact.OrNew(cfg.Artifacts)
 	results, err := parallel.Map(ctx, cfg.Pool, len(cells), func(i int) (CellResult, error) {
 		return runCell(ctx, cfg, cells[i]), nil
 	})
